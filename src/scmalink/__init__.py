@@ -7,33 +7,27 @@ encoder and decoder, and MED / Monte Carlo BER evaluation.
 
 from pathlib import Path
 
-from .channel import ChannelRealization, NoiseSpec, apply_channel, ebn0_to_n0, split_real
+from .channel import ChannelRealization, apply_channel, ebn0_to_n0, split_real
 from .core import (
     Codebook,
     ConfigError,
     DegenerateCodebookError,
     DegenerateCodebookWarning,
     IndicatorMatrix,
-    OneHotCodec,
     ScmaError,
     SearchSpaceError,
     ShapeError,
     SystemConfig,
-    bit_index,
-    bits_for_index,
     build_bit_matrix,
     build_indicator,
-    one_hot_encode,
     paper_indicator_4x6,
     superimposed_constellation,
+    tuple_digits,
 )
 from .encoder import (
     GeneratorSet,
-    SuperimposedSignal,
     codeword_table,
-    encode_user,
     init_generators,
-    linear_fit_residual,
     normalize,
     superimpose,
 )

@@ -5,6 +5,10 @@ kept so that fading support is a data change. Noise is always generated in
 the real-split domain: one draw of 2K independent real Gaussians of variance
 N0/2 per received vector, the first K being the real parts. The neural
 decoder and the MPA therefore consume identical noise statistics.
+
+ebn0_to_n0 is the one Eb/N0 -> N0 conversion and sample_noise_split the one
+noise draw; the BER simulation (through apply_channel) and the training loop
+both use them.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigError, ShapeError
-from .encoder import SuperimposedSignal
 
 
 @dataclass(frozen=True)
@@ -50,21 +53,6 @@ def ebn0_to_n0(ebn0_db: float, alphabet_size: int) -> float:
     return float(10.0 ** (-ebn0_db / 10.0) / bits)
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Eb/N0 operating point; energy_per_codeword is 1 by normalization."""
-
-    ebn0_db: float
-    bits_per_codeword: int
-    energy_per_codeword: float = 1.0
-
-    @property
-    def n0(self) -> float:
-        return float(
-            self.energy_per_codeword / self.bits_per_codeword * 10.0 ** (-self.ebn0_db / 10.0)
-        )
-
-
 def sample_noise_split(rng: np.random.Generator, n0: float, shape) -> np.ndarray:
     """Real-split noise draw: shape (..., 2K) with variance n0/2 per entry."""
     return rng.normal(0.0, np.sqrt(n0 / 2.0), size=shape)
@@ -74,14 +62,11 @@ def apply_channel(signal, ch: ChannelRealization, rng: np.random.Generator | Non
                   noise_free: bool = False) -> np.ndarray:
     """diag(h) @ s plus complex Gaussian noise of total variance n0 per entry.
 
-    Accepts a SuperimposedSignal, a (K,) vector or a (batch, K) array and
-    returns the received vector(s) with matching leading shape. Deterministic
-    for a given generator state.
+    Accepts a (K,) vector or a (batch, K) array and returns the received
+    vector(s) with matching leading shape. Deterministic for a given
+    generator state.
     """
-    if isinstance(signal, SuperimposedSignal):
-        s = signal.s
-    else:
-        s = np.asarray(signal, dtype=complex)
+    s = np.asarray(signal, dtype=complex)
     k = ch.h.size
     if s.shape[-1] != k:
         raise ShapeError(f"signal has {s.shape[-1]} resources, channel has {k}")

@@ -30,13 +30,20 @@ from .metrics import MpaConfig, compare_codebooks, compute_med, simulate_ber
 from .training import default_init, gradient_check, train
 
 
+def _db(text: str, spec: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise CodebookFormatError(f"bad SNR value {text!r} in {spec!r}") from None
+
+
 def parse_snr_spec(spec: str) -> list[float]:
     """Either a comma list '4,8,12' or an inclusive range 'start:step:stop'."""
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
             raise CodebookFormatError(f"bad SNR range {spec!r}, expected start:step:stop")
-        start, step, stop = (float(p) for p in parts)
+        start, step, stop = (_db(p, spec) for p in parts)
         if step <= 0:
             raise CodebookFormatError("SNR range step must be positive")
         out = []
@@ -45,7 +52,7 @@ def parse_snr_spec(spec: str) -> list[float]:
             out.append(round(x, 10))
             x += step
         return out
-    return [float(p) for p in spec.split(",") if p.strip()]
+    return [_db(p, spec) for p in spec.split(",") if p.strip()]
 
 
 def _outdir(args) -> Path:

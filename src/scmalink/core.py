@@ -9,8 +9,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,69 +114,16 @@ def build_bit_matrix(alphabet_size: int) -> np.ndarray:
     return (2 * bits - 1).astype(np.int64)
 
 
-def bit_index(bits) -> int:
-    """Message index of a +/-1 bit vector (MSB first)."""
-    b = np.asarray(bits)
-    if b.ndim != 1:
-        raise ShapeError(f"expected a 1-d bit vector, got shape {b.shape}")
-    if not np.all(np.abs(b) == 1):
-        raise ShapeError("bit vector entries must be +/-1")
-    binary = (b > 0).astype(np.int64)
-    return int(binary @ (1 << np.arange(b.size - 1, -1, -1)))
-
-
-def bits_for_index(m: int, n_bits: int) -> np.ndarray:
-    """Inverse of bit_index: the +/-1 bit vector of message m."""
-    if not 0 <= m < (1 << n_bits):
-        raise ConfigError(f"message index {m} out of range for {n_bits} bits")
-    shifts = np.arange(n_bits - 1, -1, -1)
-    return (2 * ((m >> shifts) & 1) - 1).astype(np.int64)
-
-
-@dataclass(frozen=True)
-class OneHotCodec:
-    """Maps message indices to one-hot rows of I_M and probability vectors back."""
-
-    alphabet_size: int
-
-    def __post_init__(self):
-        if not is_power_of_two(self.alphabet_size) or self.alphabet_size < 2:
-            raise ConfigError(f"alphabet size must be a power of two >= 2, got {self.alphabet_size}")
-
-    def encode(self, m: int) -> np.ndarray:
-        if not 0 <= m < self.alphabet_size:
-            raise ConfigError(f"message index {m} out of range [0, {self.alphabet_size})")
-        v = np.zeros(self.alphabet_size)
-        v[m] = 1.0
-        return v
-
-    def decode(self, p) -> int:
-        p = np.asarray(p)
-        if p.shape != (self.alphabet_size,):
-            raise ShapeError(f"expected length-{self.alphabet_size} vector, got shape {p.shape}")
-        return int(np.argmax(p))
-
-
-def one_hot_encode(bits, codec: OneHotCodec) -> np.ndarray:
-    """One-hot vector of the message carried by a +/-1 bit vector."""
-    b = np.asarray(bits)
-    n_bits = int(round(np.log2(codec.alphabet_size)))
-    if b.shape != (n_bits,):
-        raise ShapeError(f"expected {n_bits} bits for alphabet size {codec.alphabet_size}, got shape {b.shape}")
-    return codec.encode(bit_index(b))
-
-
 @dataclass(frozen=True)
 class IndicatorMatrix:
     """Sparse resource-occupancy structure of the J user codebooks.
 
     F is the K x J binary matrix whose column j marks the resources occupied
-    by user j; V[j] is the K x N column-selection matrix placing user j's
-    N-dimensional symbols onto its resources (ascending row order).
+    by user j; supports[j] lists those resources in ascending order, which is
+    where user j's N-dimensional symbols are placed.
     """
 
     F: np.ndarray
-    V: tuple = field(repr=False)
     supports: tuple  # per-user ascending resource indices
     row_degrees: np.ndarray
 
@@ -206,7 +152,7 @@ class IndicatorMatrix:
 
 
 def build_indicator(F) -> IndicatorMatrix:
-    """Validate an occupancy matrix and derive the per-user mapping matrices."""
+    """Validate an occupancy matrix and derive the per-user supports."""
     F = np.asarray(F)
     if F.ndim != 2:
         raise ShapeError(f"indicator matrix must be 2-d, got shape {F.shape}")
@@ -218,25 +164,8 @@ def build_indicator(F) -> IndicatorMatrix:
         raise ConfigError(f"ragged column weights {col_weights.tolist()}: every user must occupy the same number of resources")
     if col_weights[0] == 0:
         raise ConfigError("indicator matrix has empty columns")
-    K = F.shape[0]
-    supports = []
-    vs = []
-    for j in range(F.shape[1]):
-        rows = np.flatnonzero(F[:, j])
-        supports.append(tuple(int(r) for r in rows))
-        V = np.zeros((K, rows.size), dtype=np.int64)
-        V[rows, np.arange(rows.size)] = 1
-        vs.append(V)
-    ind = IndicatorMatrix(
-        F=F,
-        V=tuple(vs),
-        supports=tuple(supports),
-        row_degrees=F.sum(axis=1),
-    )
-    # structural identity f_j = diag(V_j V_j^T)
-    for j, V in enumerate(ind.V):
-        assert np.array_equal(np.diag(V @ V.T), F[:, j])
-    return ind
+    supports = tuple(tuple(int(r) for r in np.flatnonzero(F[:, j])) for j in range(F.shape[1]))
+    return IndicatorMatrix(F=F, supports=supports, row_degrees=F.sum(axis=1))
 
 
 def paper_indicator_4x6() -> IndicatorMatrix:
@@ -288,9 +217,6 @@ class Codebook:
         scaled = self.entries / np.sqrt(energies)[:, None, None]
         return Codebook(entries=scaled, config=self.config, indicator=self.indicator)
 
-    def codeword(self, j: int, m: int) -> np.ndarray:
-        return self.entries[j][:, m]
-
 
 def superimposed_constellation(codebook: Codebook, guard: int = 1_000_000) -> np.ndarray:
     """All M^J sums of one codeword per user, shape (M^J, K).
@@ -309,3 +235,13 @@ def superimposed_constellation(codebook: Codebook, guard: int = 1_000_000) -> np
     for j in range(J):
         pts = (pts[:, None, :] + codebook.entries[j].T[None, :, :]).reshape(-1, codebook.config.K)
     return pts
+
+
+def tuple_digits(index, alphabet_size: int, n_users: int) -> np.ndarray:
+    """Per-user messages of superimposed-constellation row indices.
+
+    Inverse of the superimposed_constellation row order: index shape (...,)
+    gives digits of shape (..., n_users), user 0 the most significant.
+    """
+    powers = alphabet_size ** np.arange(n_users - 1, -1, -1)
+    return (np.asarray(index)[..., None] // powers) % alphabet_size

@@ -4,12 +4,16 @@ Each user's encoder is a single real matrix gbar_j of shape (2N, log2 M)
 mapping a +/-1 bit vector to the stacked real/imaginary parts of its
 N-dimensional complex symbol: first N rows are the real parts, last N rows
 the imaginary parts. These matrices are the trainable encoder parameters.
+
+codeword_table materializes them as a sparse Codebook, and superimpose turns a
+batch of message tuples into the downlink signal through that codebook. The
+training loop keeps its own differentiable encoding in the generator domain.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,39 +55,20 @@ class GeneratorSet:
         return (splits**2).sum(axis=(1, 2)) / bit_matrix.shape[1]
 
 
-def encode_user(gen: GeneratorSet, j: int, bits) -> np.ndarray:
-    """User j's length-N complex symbol for one +/-1 bit vector."""
-    if not 0 <= j < gen.config.J:
-        raise ConfigError(f"user index {j} out of range [0, {gen.config.J})")
-    b = np.asarray(bits, dtype=float)
-    n_bits = gen.config.bits_per_symbol
-    if b.shape != (n_bits,):
-        raise ShapeError(f"expected {n_bits} bits, got shape {b.shape}")
-    split = gen.gbar[j] @ b
-    n = gen.config.N
-    return split[:n] + 1j * split[n:]
+def superimpose(codebook: Codebook, msgs) -> np.ndarray:
+    """Noiseless downlink signal: (B, J) message indices -> (B, K) complex.
 
-
-@dataclass(frozen=True)
-class SuperimposedSignal:
-    """Sum of the users' resource-mapped symbols (pre-channel)."""
-
-    s: np.ndarray  # (K,) complex
-    contributions: np.ndarray | None = None  # optional (J, K) per-user terms
-
-
-def superimpose(gen: GeneratorSet, ind: IndicatorMatrix, bits, keep_contributions: bool = False) -> SuperimposedSignal:
-    """Map every user's symbol onto its resources and add them up."""
-    bits = np.asarray(bits, dtype=float)
-    J = gen.config.J
-    if bits.shape != (J, gen.config.bits_per_symbol):
-        raise ShapeError(f"expected {J} bit vectors of length {gen.config.bits_per_symbol}, got shape {bits.shape}")
-    K = gen.config.K
-    contrib = np.zeros((J, K), dtype=complex)
-    for j in range(J):
-        contrib[j, list(ind.supports[j])] = encode_user(gen, j, bits[j])
-    s = contrib.sum(axis=0)
-    return SuperimposedSignal(s=s, contributions=contrib if keep_contributions else None)
+    Row b is the sum of every user's codeword for its message in row b,
+    added user by user in ascending order starting from zero.
+    """
+    msgs = np.asarray(msgs)
+    cfg = codebook.config
+    if msgs.ndim != 2 or msgs.shape[1] != cfg.J:
+        raise ShapeError(f"expected (batch, {cfg.J}) message indices, got shape {msgs.shape}")
+    s = np.zeros((msgs.shape[0], cfg.K), dtype=complex)
+    for j in range(cfg.J):
+        s += codebook.entries[j].T[msgs[:, j]]
+    return s
 
 
 def normalize(gen: GeneratorSet, bit_matrix: np.ndarray) -> GeneratorSet:
@@ -115,17 +100,6 @@ def init_generators(codebook: Codebook, bit_matrix: np.ndarray) -> GeneratorSet:
         g = c @ B.T @ gram_inv
         gbar[j] = np.vstack([g.real, g.imag])
     return GeneratorSet(gbar=gbar, config=cfg)
-
-
-def linear_fit_residual(codebook: Codebook, gen: GeneratorSet, bit_matrix: np.ndarray) -> np.ndarray:
-    """Per-user Frobenius residual ||C_j - G_j B|| of the linear fit."""
-    B = np.asarray(bit_matrix, dtype=float)
-    g = gen.complex_generators()
-    res = np.empty(codebook.config.J)
-    for j in range(codebook.config.J):
-        c = codebook.entries[j][list(codebook.indicator.supports[j]), :]
-        res[j] = np.linalg.norm(c - g[j] @ B)
-    return res
 
 
 def codeword_table(gen: GeneratorSet, bit_matrix: np.ndarray, ind: IndicatorMatrix) -> Codebook:

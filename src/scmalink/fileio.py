@@ -4,6 +4,12 @@ Codebooks and configs are structured text so they stay auditable; model
 checkpoints are binary (magic number + JSON header + raw float64 arrays).
 Complex values are serialized as [re, im] pairs of full-precision decimal
 strings, which round-trip bit-exactly through repr/float.
+
+All three formats carry the same "system" block, read and written by one pair
+of helpers. Every malformed file raises CodebookFormatError naming the file
+and the offending field: missing keys, values of the wrong type (a bool field
+takes only a JSON bool), unknown config keys, truncated checkpoints and bytes
+after a checkpoint's last array.
 """
 
 from __future__ import annotations
@@ -11,8 +17,9 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -47,6 +54,60 @@ def _content_hash(payload) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def _read_json(path):
+    p = Path(path)
+    if not p.exists():
+        raise CodebookFormatError(f"{p}: no such file")
+    try:
+        return json.loads(p.read_text())
+    except json.JSONDecodeError as exc:
+        raise CodebookFormatError(f"{p}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+
+
+def _require(doc: dict, key: str, where: str):
+    if key not in doc:
+        raise CodebookFormatError(f"{where}: missing field {key!r}")
+    return doc[key]
+
+
+def _check_keys(block, allowed, where: str):
+    if not isinstance(block, dict):
+        raise CodebookFormatError(f"{where}: expected an object, got {block!r}")
+    unknown = set(block) - set(allowed)
+    if unknown:
+        raise CodebookFormatError(f"{where}: unknown keys {sorted(unknown)}")
+
+
+def _typed(block, key: str, kind: type, where: str):
+    """block[key] converted to kind; a bool field takes only a JSON bool."""
+    try:
+        value = block[key]
+        if isinstance(value, bool) != (kind is bool):
+            raise TypeError(f"expected {kind.__name__}, got {value!r}")
+        return kind(value)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CodebookFormatError(f"{where}: bad field {key!r} ({type(exc).__name__}: {exc})") from exc
+
+
+# file key -> SystemConfig field, in file order
+_SYSTEM_KEYS = {"users": "n_users", "resources": "n_resources",
+                "nonzero": "n_nonzero", "alphabet": "alphabet_size"}
+
+
+def _system_to_dict(cfg: SystemConfig) -> dict:
+    return {key: getattr(cfg, name) for key, name in _SYSTEM_KEYS.items()}
+
+
+def _system_from_dict(block, F, where: str) -> tuple[SystemConfig, IndicatorMatrix]:
+    """A system block and its occupancy matrix, which must agree on J, K and N."""
+    cfg = SystemConfig(**{name: _typed(block, key, int, where)
+                          for key, name in _SYSTEM_KEYS.items()})
+    ind = build_indicator(np.array(F))
+    if ind.n_users != cfg.J or ind.n_resources != cfg.K or ind.n_nonzero != cfg.N:
+        raise CodebookFormatError(f"{where}: F matrix does not match the stated dimensions")
+    return cfg, ind
+
+
 def codebook_to_dict(codebook: Codebook, name: str = "", seed=None) -> dict:
     cfg = codebook.config
     codewords = [
@@ -58,7 +119,7 @@ def codebook_to_dict(codebook: Codebook, name: str = "", seed=None) -> dict:
         for j in range(cfg.J)
     ]
     body = {
-        "system": {"users": cfg.J, "resources": cfg.K, "nonzero": cfg.N, "alphabet": cfg.M},
+        "system": _system_to_dict(cfg),
         "F": codebook.indicator.F.tolist(),
         "codewords": codewords,
     }
@@ -76,28 +137,13 @@ def write_codebook(path, codebook: Codebook, name: str = "", seed=None) -> None:
     Path(path).write_text(json.dumps(codebook_to_dict(codebook, name, seed), indent=1) + "\n")
 
 
-def _require(doc: dict, key: str, where: str):
-    if key not in doc:
-        raise CodebookFormatError(f"{where}: missing field {key!r}")
-    return doc[key]
-
-
 def codebook_from_dict(doc: dict, where: str = "codebook") -> Codebook:
     if _require(doc, "format", where) != CODEBOOK_FORMAT:
         raise CodebookFormatError(f"{where}: format {doc.get('format')!r} is not {CODEBOOK_FORMAT!r}")
     if _require(doc, "version", where) != CODEBOOK_VERSION:
         raise CodebookFormatError(f"{where}: unsupported version {doc.get('version')!r}")
-    sysblock = _require(doc, "system", where)
-    try:
-        cfg = SystemConfig(
-            n_users=int(sysblock["users"]),
-            n_resources=int(sysblock["resources"]),
-            n_nonzero=int(sysblock["nonzero"]),
-            alphabet_size=int(sysblock["alphabet"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CodebookFormatError(f"{where}: bad system block: {exc}") from exc
-    ind = build_indicator(np.array(_require(doc, "F", where)))
+    cfg, ind = _system_from_dict(_require(doc, "system", where), _require(doc, "F", where),
+                                 f"{where}.system")
     raw = _require(doc, "codewords", where)
     if len(raw) != cfg.J:
         raise CodebookFormatError(f"{where}: {len(raw)} users listed, system says {cfg.J}")
@@ -122,23 +168,7 @@ def codebook_from_dict(doc: dict, where: str = "codebook") -> Codebook:
 
 
 def read_codebook(path) -> Codebook:
-    p = Path(path)
-    if not p.exists():
-        raise CodebookFormatError(f"{p}: no such file")
-    try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise CodebookFormatError(f"{p}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    return codebook_from_dict(doc, where=str(p))
-
-
-@dataclass(frozen=True)
-class EvalConfig:
-    snr_db: tuple = (4.0, 6.0, 8.0, 10.0, 12.0)
-    min_errors: int = 200
-    max_bits: int = 100_000_000
-    detectors: tuple = ("mpa",)
-    mpa_iterations: int = 10
+    return codebook_from_dict(_read_json(path), where=str(Path(path)))
 
 
 @dataclass(frozen=True)
@@ -152,91 +182,44 @@ class ExperimentConfig:
     system: SystemConfig
     indicator: IndicatorMatrix
     train: TrainConfig
-    eval: EvalConfig = EvalConfig()
     paths: PathsConfig = PathsConfig()
 
     def config_hash(self) -> str:
+        """Hash of every field that changes training results."""
         return _content_hash(
-            {
-                "system": [self.system.J, self.system.K, self.system.N, self.system.M],
-                "F": self.indicator.F.tolist(),
-                "train": [
-                    self.train.alpha0, self.train.beta, self.train.decay_step,
-                    self.train.batch_size, self.train.n_iterations,
-                    self.train.ebn0_min_db, self.train.ebn0_max_db, self.train.seed,
-                ],
-            }
+            {"system": asdict(self.system), "F": self.indicator.F.tolist(),
+             "train": asdict(self.train)}
         )
 
 
-def _check_keys(block: dict, allowed, where: str):
-    unknown = set(block) - set(allowed)
-    if unknown:
-        raise CodebookFormatError(f"{where}: unknown keys {sorted(unknown)}")
+# config key -> TrainConfig field, where the two differ
+_TRAIN_KEY_RENAMES = {"n_iterations": "iterations"}
+
+
+def _train_from_dict(block, where: str) -> TrainConfig:
+    types = get_type_hints(TrainConfig)
+    keys = {_TRAIN_KEY_RENAMES.get(name, name): name for name in types}
+    _check_keys(block, keys, where)
+    return TrainConfig(**{name: _typed(block, key, types[name], where)
+                          for key, name in keys.items() if key in block})
 
 
 def experiment_config_from_dict(doc: dict, where: str = "config") -> ExperimentConfig:
-    _check_keys(doc, {"system", "train", "eval", "paths"}, where)
+    _check_keys(doc, {"system", "train", "paths"}, where)
     sysblock = _require(doc, "system", where)
-    _check_keys(sysblock, {"users", "resources", "nonzero", "alphabet", "F"}, f"{where}.system")
-    cfg = SystemConfig(
-        n_users=int(sysblock["users"]),
-        n_resources=int(sysblock["resources"]),
-        n_nonzero=int(sysblock["nonzero"]),
-        alphabet_size=int(sysblock["alphabet"]),
-    )
-    ind = build_indicator(np.array(_require(sysblock, "F", f"{where}.system")))
-    if ind.n_users != cfg.J or ind.n_resources != cfg.K or ind.n_nonzero != cfg.N:
-        raise CodebookFormatError(f"{where}.system: F matrix does not match the stated dimensions")
+    _check_keys(sysblock, {*_SYSTEM_KEYS, "F"}, f"{where}.system")
+    cfg, ind = _system_from_dict(sysblock, _require(sysblock, "F", f"{where}.system"),
+                                 f"{where}.system")
 
-    tr = _require(doc, "train", where)
-    allowed = {
-        "alpha0", "beta", "decay_step", "batch_size", "iterations",
-        "ebn0_min_db", "ebn0_max_db", "seed", "floor_decay",
-    }
-    _check_keys(tr, allowed, f"{where}.train")
-    defaults = TrainConfig()
-    train = TrainConfig(
-        alpha0=float(tr.get("alpha0", defaults.alpha0)),
-        beta=float(tr.get("beta", defaults.beta)),
-        decay_step=int(tr.get("decay_step", defaults.decay_step)),
-        batch_size=int(tr.get("batch_size", defaults.batch_size)),
-        n_iterations=int(tr.get("iterations", defaults.n_iterations)),
-        ebn0_min_db=float(tr.get("ebn0_min_db", defaults.ebn0_min_db)),
-        ebn0_max_db=float(tr.get("ebn0_max_db", defaults.ebn0_max_db)),
-        seed=int(tr.get("seed", defaults.seed)),
-        floor_decay=bool(tr.get("floor_decay", defaults.floor_decay)),
-    )
-
-    ev = doc.get("eval", {})
-    _check_keys(ev, {"snr_db", "min_errors", "max_bits", "detectors", "mpa_iterations"}, f"{where}.eval")
-    ev_defaults = EvalConfig()
-    evalcfg = EvalConfig(
-        snr_db=tuple(float(x) for x in ev.get("snr_db", ev_defaults.snr_db)),
-        min_errors=int(ev.get("min_errors", ev_defaults.min_errors)),
-        max_bits=int(ev.get("max_bits", ev_defaults.max_bits)),
-        detectors=tuple(ev.get("detectors", ev_defaults.detectors)),
-        mpa_iterations=int(ev.get("mpa_iterations", ev_defaults.mpa_iterations)),
-    )
+    train = _train_from_dict(_require(doc, "train", where), f"{where}.train")
 
     pa = doc.get("paths", {})
     _check_keys(pa, {"init_codebook", "output_dir"}, f"{where}.paths")
-    paths = PathsConfig(
-        init_codebook=pa.get("init_codebook"),
-        output_dir=pa.get("output_dir", "."),
-    )
-    return ExperimentConfig(system=cfg, indicator=ind, train=train, eval=evalcfg, paths=paths)
+    return ExperimentConfig(system=cfg, indicator=ind, train=train, paths=PathsConfig(**pa))
 
 
 def read_experiment_config(path) -> ExperimentConfig:
-    p = Path(path)
-    if not p.exists():
-        raise CodebookFormatError(f"{p}: no such file")
-    try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise CodebookFormatError(f"{p}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    return experiment_config_from_dict(doc, where=str(p))
+    return experiment_config_from_dict(_read_json(path), where=str(Path(path)))
 
 
 def save_checkpoint(path, gen: GeneratorSet, decoder: MultiTaskDecoder,
@@ -253,10 +236,9 @@ def save_checkpoint(path, gen: GeneratorSet, decoder: MultiTaskDecoder,
             arrays += [(f"subnet.{j}.{i}.w", layer.weights), (f"subnet.{j}.{i}.b", layer.bias)]
             acts.append(layer.activation)
         layout["subnets"].append(acts)
-    cfg = gen.config
     header = {
         "version": CHECKPOINT_VERSION,
-        "system": {"users": cfg.J, "resources": cfg.K, "nonzero": cfg.N, "alphabet": cfg.M},
+        "system": _system_to_dict(gen.config),
         "F": indicator.F.tolist(),
         "layout": layout,
         "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays],
@@ -271,46 +253,57 @@ def save_checkpoint(path, gen: GeneratorSet, decoder: MultiTaskDecoder,
             fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
+def _read_exact(fh, n: int, what: str, where: str) -> bytes:
+    buf = fh.read(n)
+    if len(buf) != n:
+        raise CodebookFormatError(f"{where}: truncated {what}")
+    return buf
+
+
 def load_checkpoint(path):
-    """Returns (GeneratorSet, MultiTaskDecoder, IndicatorMatrix, meta)."""
-    p = Path(path)
-    with open(p, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise CodebookFormatError(f"{p}: not a checkpoint file (bad magic)")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode())
-        if header.get("version") != CHECKPOINT_VERSION:
-            raise CodebookFormatError(f"{p}: unsupported checkpoint version {header.get('version')!r}")
-        values = {}
-        for spec in header["arrays"]:
-            shape = tuple(spec["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(8 * count)
-            if len(buf) != 8 * count:
-                raise CodebookFormatError(f"{p}: truncated array {spec['name']!r}")
-            values[spec["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-    sysblock = header["system"]
-    cfg = SystemConfig(
-        n_users=sysblock["users"],
-        n_resources=sysblock["resources"],
-        n_nonzero=sysblock["nonzero"],
-        alphabet_size=sysblock["alphabet"],
-    )
-    ind = build_indicator(np.array(header["F"]))
-    gen = GeneratorSet(gbar=values["gbar"], config=cfg)
-    shared = [
-        DenseLayer(values[f"shared.{i}.w"], values[f"shared.{i}.b"], act)
-        for i, act in enumerate(header["layout"]["shared"])
-    ]
-    subnets = [
-        [
-            DenseLayer(values[f"subnet.{j}.{i}.w"], values[f"subnet.{j}.{i}.b"], act)
-            for i, act in enumerate(acts)
-        ]
-        for j, acts in enumerate(header["layout"]["subnets"])
-    ]
-    return gen, MultiTaskDecoder(shared, subnets), ind, header["meta"]
+    """Returns (GeneratorSet, MultiTaskDecoder, IndicatorMatrix, meta).
+
+    A bad magic number, a truncated file, a header that is not JSON or lacks
+    a field, and bytes after the last array raise CodebookFormatError.
+    """
+    where = str(Path(path))
+    with open(path, "rb") as fh:
+        if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
+            raise CodebookFormatError(f"{where}: not a checkpoint file (bad magic)")
+        (hlen,) = struct.unpack("<I", _read_exact(fh, 4, "header length", where))
+        blob = _read_exact(fh, hlen, "header", where)
+        try:
+            header = json.loads(blob)
+            if header["version"] != CHECKPOINT_VERSION:
+                raise CodebookFormatError(
+                    f"{where}: unsupported checkpoint version {header['version']!r}")
+            cfg, ind = _system_from_dict(header["system"], header["F"], f"{where}.system")
+            layout = header["layout"]
+            values = {}
+            for spec in header["arrays"]:
+                shape = tuple(spec["shape"])
+                count = int(np.prod(shape)) if shape else 1
+                buf = _read_exact(fh, 8 * count, f"array {spec['name']!r}", where)
+                values[spec["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+            if fh.read(1):
+                raise CodebookFormatError(f"{where}: trailing bytes after the last array")
+            gen = GeneratorSet(gbar=values["gbar"], config=cfg)
+            shared = [
+                DenseLayer(values[f"shared.{i}.w"], values[f"shared.{i}.b"], act)
+                for i, act in enumerate(layout["shared"])
+            ]
+            subnets = [
+                [
+                    DenseLayer(values[f"subnet.{j}.{i}.w"], values[f"subnet.{j}.{i}.b"], act)
+                    for i, act in enumerate(acts)
+                ]
+                for j, acts in enumerate(layout["subnets"])
+            ]
+            meta = header["meta"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CodebookFormatError(
+                f"{where}: bad checkpoint header ({type(exc).__name__}: {exc})") from exc
+    return gen, MultiTaskDecoder(shared, subnets), ind, meta
 
 
 BER_CSV_HEADER = "ebn0_db,bits,bit_errors,ber,ci_low,ci_high,detector,codebook_id"

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization, apply_channel, ebn0_to_n0, split_real
-from .core import Codebook, ConfigError, SearchSpaceError, superimposed_constellation
+from .core import Codebook, ConfigError, superimposed_constellation, tuple_digits
+from .encoder import superimpose
 from .mpa import N0_FLOOR, MpaConfig, _FactorGraph, _ml_decisions, _mpa_posteriors
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -46,9 +47,6 @@ class BerPoint:
 class BerCurve:
     points: tuple
 
-    def bers(self) -> np.ndarray:
-        return np.array([p.ber for p in self.points])
-
 
 def wilson_interval(errors: int, n: int, z: float = WILSON_Z) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
@@ -61,14 +59,6 @@ def wilson_interval(errors: int, n: int, z: float = WILSON_Z) -> tuple[float, fl
     lo = 0.0 if errors == 0 else max(0.0, center - half)
     hi = 1.0 if errors == n else min(1.0, center + half)
     return (lo, hi)
-
-
-def _index_to_tuple(idx: int, m: int, j: int) -> tuple:
-    digits = []
-    for _ in range(j):
-        digits.append(idx % m)
-        idx //= m
-    return tuple(reversed(digits))
 
 
 def compute_med(codebook: Codebook, guard: int = 1_000_000, block: int = 256) -> MedReport:
@@ -97,12 +87,8 @@ def compute_med(codebook: Codebook, guard: int = 1_000_000, block: int = 256) ->
         if d2[i, j] < best:
             best = float(d2[i, j])
             best_pair = (a + int(i), int(j))
-    m, jj = codebook.config.M, codebook.config.J
-    return MedReport(
-        med=best,
-        arg_pair=(_index_to_tuple(best_pair[0], m, jj), _index_to_tuple(best_pair[1], m, jj)),
-        phi_size=n,
-    )
+    digits = tuple_digits(np.array(best_pair), codebook.config.M, codebook.config.J)
+    return MedReport(med=best, arg_pair=tuple(map(tuple, digits.tolist())), phi_size=n)
 
 
 def compare_codebooks(named_codebooks) -> list[tuple[str, float]]:
@@ -123,11 +109,6 @@ def compare_codebooks(named_codebooks) -> list[tuple[str, float]]:
     rows = [(name, compute_med(cb.normalized()).med) for name, cb in items]
     rows.sort(key=lambda t: t[1], reverse=True)
     return rows
-
-
-def _transmit_table(codebook: Codebook) -> list[np.ndarray]:
-    # entries[j].T has shape (M, K): row m is user j's codeword
-    return [codebook.entries[j].T.copy() for j in range(codebook.config.J)]
 
 
 def _bit_error_table(m: int) -> np.ndarray:
@@ -155,8 +136,11 @@ def simulate_ber(codebook: Codebook, detector: str, ebn0_db_list, *,
         raise ConfigError("the neural detector needs a trained decoder model")
     if detector == "neural" and decoder.n_users != codebook.config.J:
         raise ConfigError("decoder topology does not match the codebook")
+    for name, value in (("batch_size", batch_size), ("min_errors", min_errors),
+                        ("max_bits", max_bits)):
+        if value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
     cfg = codebook.config
-    table = _transmit_table(codebook)
     graph = _FactorGraph(codebook) if detector == "mpa" else None
     points = superimposed_constellation(codebook) if detector == "ml" else None
     errtab = _bit_error_table(cfg.M)
@@ -165,9 +149,7 @@ def simulate_ber(codebook: Codebook, detector: str, ebn0_db_list, *,
     def run_chunk(point_idx: int, chunk_idx: int, n0: float) -> tuple[int, int]:
         rng = np.random.default_rng([seed, point_idx, chunk_idx])
         msgs = rng.integers(0, cfg.M, size=(batch_size, cfg.J))
-        tx = np.zeros((batch_size, cfg.K), dtype=complex)
-        for j in range(cfg.J):
-            tx += table[j][msgs[:, j]]
+        tx = superimpose(codebook, msgs)
         ch = ChannelRealization.awgn(cfg.K, max(n0, N0_FLOOR))
         r = apply_channel(tx, ch, rng, noise_free=noise_free)
         if detector == "mpa":
@@ -201,7 +183,7 @@ def simulate_ber(codebook: Codebook, detector: str, ebn0_db_list, *,
                 ebn0_db=float(ebn0),
                 bits=bits,
                 bit_errors=errors,
-                ber=errors / bits if bits else 0.0,
+                ber=errors / bits,
                 ci_low=lo,
                 ci_high=hi,
                 detector=detector,

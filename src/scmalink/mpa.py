@@ -22,6 +22,7 @@ from .core import (
     SearchSpaceError,
     ShapeError,
     superimposed_constellation,
+    tuple_digits,
 )
 
 # keeps log-likelihoods finite when noise-free inputs are decoded
@@ -91,8 +92,7 @@ class _FactorGraph:
             self.sums.append(vals.reshape(-1))
         # message index of each slot for every combo of a degree-d resource
         self.slot_index = [
-            [_combo_index(M, self.degrees[k], slot) for slot in range(self.degrees[k])]
-            for k in range(self.K)
+            list(tuple_digits(np.arange(M**d), M, d).T.copy()) for d in self.degrees
         ]
         # per-user list of (resource, slot) edges
         self.edges = [[] for _ in range(self.J)]
@@ -155,12 +155,6 @@ def _mpa_posteriors(received: np.ndarray, codebook: Codebook, ch: ChannelRealiza
     return out
 
 
-def _combo_index(M: int, d: int, slot: int) -> np.ndarray:
-    """Message index of a given slot for every combo index 0..M^d-1."""
-    combos = np.arange(M**d)
-    return (combos // (M ** (d - 1 - slot))) % M
-
-
 def mpa_detect(received, codebook: Codebook, ch: ChannelRealization, cfg: MpaConfig = MpaConfig()) -> PosteriorSet:
     """Per-user posteriors for one received vector; hard decision is argmax."""
     r = np.asarray(received, dtype=complex)
@@ -188,12 +182,7 @@ def _ml_decisions(received: np.ndarray, codebook: Codebook, ch: ChannelRealizati
         idx = np.argmin(d2, axis=1)  # first occurrence = lowest tuple index
         best_idx[a : a + block] = idx
         best_d[a : a + block] = d2[np.arange(r_blk.shape[0]), idx]
-    digits = np.empty((B, cfg.J), dtype=np.int64)
-    rem = best_idx.copy()
-    for j in range(cfg.J - 1, -1, -1):
-        digits[:, j] = rem % cfg.M
-        rem //= cfg.M
-    return digits
+    return tuple_digits(best_idx, cfg.M, cfg.J)
 
 
 def ml_detect(received, codebook: Codebook, ch: ChannelRealization, guard: int = 1_000_000) -> np.ndarray:

@@ -14,11 +14,11 @@ codeword energy, so this is exactly unit average energy per user.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ebn0_to_n0
+from .channel import ebn0_to_n0, sample_noise_split
 from .core import (
     Codebook,
     ConfigError,
@@ -142,7 +142,11 @@ def _labels_from_bits(bits: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]
 
 
 def _encoder_forward(gbar_list, bits, slots, K):
-    """Normalized encoding and superposition: returns (batch, 2K) and norms."""
+    """Normalized encoding and superposition: returns (batch, 2K) and norms.
+
+    This is encoder.superimpose in the generator domain, kept separate
+    because the generator gradient needs the norms and the real-split layout.
+    """
     batch = bits.shape[0]
     s = np.zeros((batch, 2 * K))
     norms = []
@@ -208,7 +212,7 @@ def train(cfg: TrainConfig, sys_cfg: SystemConfig, ind: IndicatorMatrix,
         n0 = ebn0_to_n0(snr_db, sys_cfg.M)
         bits = rng.integers(0, 2, size=(cfg.batch_size, sys_cfg.J, sys_cfg.bits_per_symbol)) * 2.0 - 1.0
         _, labels = _labels_from_bits(bits, sys_cfg.M)
-        noise = rng.normal(0.0, np.sqrt(n0 / 2.0), size=(cfg.batch_size, 2 * sys_cfg.K))
+        noise = sample_noise_split(rng, n0, (cfg.batch_size, 2 * sys_cfg.K))
 
         loss, grads_g = _loss_and_gradients(gbar_list, decoder, bits, labels, noise, slots, sys_cfg.K)
         if not np.isfinite(loss):
@@ -243,25 +247,6 @@ def train(cfg: TrainConfig, sys_cfg: SystemConfig, ind: IndicatorMatrix,
         aborted=aborted,
         abort_reason=reason,
     )
-
-
-def _relu_kink_distance(decoder: MultiTaskDecoder, x: np.ndarray) -> float:
-    """Smallest |pre-activation| over all relu layers at evaluation point x."""
-    closest = np.inf
-    for layer in decoder.shared:
-        z = x @ layer.weights.T + layer.bias
-        closest = min(closest, np.abs(z).min())
-        x = np.maximum(z, 0.0)
-    for net in decoder.subnets:
-        y = x
-        for layer in net:
-            z = y @ layer.weights.T + layer.bias
-            if layer.activation == "relu":
-                closest = min(closest, np.abs(z).min())
-                y = np.maximum(z, 0.0)
-            else:
-                y = z
-    return float(closest)
 
 
 def gradient_check(rng: np.random.Generator, step: float = 1e-5) -> float:
@@ -300,7 +285,10 @@ def gradient_check(rng: np.random.Generator, step: float = 1e-5) -> float:
         h_split = np.concatenate([rng.uniform(0.5, 1.5, K)] * 2)
         slots = _slot_indices(ind, K)
         s, _ = _encoder_forward(gbar_list, bits, slots, K)
-        if _relu_kink_distance(decoder, s * h_split + noise) > 100 * step:
+        decoder.forward(s * h_split + noise, remember=True)
+        kink = min(np.abs(layer._preact).min() for layer in decoder.layers()
+                   if layer.activation == "relu")
+        if kink > 100 * step:
             break
 
     _, grads_g = _loss_and_gradients(gbar_list, decoder, bits, labels, noise, slots, K, h_split)

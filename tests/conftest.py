@@ -1,43 +1,8 @@
-import numpy as np
 import pytest
 
-from scmalink import (
-    TrainConfig,
-    default_init,
-    paper_indicator_4x6,
-    read_codebook,
-    train,
-)
-from scmalink import data_path
-
-ACCEPTANCE_SEED = 7
+from scmalink import data_path, read_codebook
 
 
 @pytest.fixture(scope="session")
 def huawei_codebook():
     return read_codebook(data_path("huawei_4x6.json"))
-
-
-def _full_train(huawei, ebn0_min, ebn0_max, seed=ACCEPTANCE_SEED):
-    cfg = TrainConfig(ebn0_min_db=ebn0_min, ebn0_max_db=ebn0_max, seed=seed)
-    ind = paper_indicator_4x6()
-    gen, decoder = default_init(huawei.config, ind, cfg, huawei)
-    return train(cfg, huawei.config, ind, gen, decoder)
-
-
-@pytest.fixture(scope="session")
-def range_trained(huawei_codebook):
-    """The full training run: 2000 iterations, batch 1000, Eb/N0 ~ U(5, 11)."""
-    return _full_train(huawei_codebook, 5.0, 11.0)
-
-
-@pytest.fixture(scope="session")
-def low_snr_trained(huawei_codebook):
-    """Same run trained at fixed 2 dB."""
-    return _full_train(huawei_codebook, 2.0, 2.0)
-
-
-@pytest.fixture(scope="session")
-def high_snr_trained(huawei_codebook):
-    """Same run trained at fixed 10 dB."""
-    return _full_train(huawei_codebook, 10.0, 10.0)

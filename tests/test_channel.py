@@ -4,7 +4,6 @@ import pytest
 from scmalink import (
     ChannelRealization,
     ConfigError,
-    NoiseSpec,
     apply_channel,
     ebn0_to_n0,
     split_real,
@@ -22,9 +21,9 @@ class TestEbn0Conversion:
         # 10^(-0.30103) = 1/2
         assert ebn0_to_n0(3.0103, 2) == pytest.approx(0.5, abs=1e-5)
 
-    def test_noise_spec_matches(self):
-        spec = NoiseSpec(ebn0_db=7.0, bits_per_codeword=2)
-        assert spec.n0 == pytest.approx(ebn0_to_n0(7.0, 4))
+    def test_seven_db_m4(self):
+        # unit codeword energy over log2(M) = 2 bits: N0 = 10^(-0.7) / 2
+        assert ebn0_to_n0(7.0, 4) == pytest.approx(10.0**-0.7 / 2)
 
     def test_rejects_tiny_alphabet(self):
         with pytest.raises(ConfigError):

@@ -111,3 +111,40 @@ class TestCliCommands:
     def test_ber_neural_needs_model(self):
         assert run_cli(["ber", "--codebook", HUAWEI, "--detector", "neural",
                         "--snr", "8"]) == 1
+
+
+PAPER_SYSTEM = {
+    "users": 6, "resources": 4, "nonzero": 2, "alphabet": 4,
+    "F": [[0, 1, 1, 0, 1, 0], [1, 0, 1, 0, 0, 1],
+          [0, 1, 0, 1, 0, 1], [1, 0, 0, 1, 1, 0]],
+}
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize(
+        "block, key, value",
+        [("train", "iterations", "many"), ("system", "users", "six"),
+         ("train", "floor_decay", "false")],
+    )
+    def test_bad_config_value_names_file_and_field(self, tmp_path, capsys, block, key, value):
+        cfg = {"system": dict(PAPER_SYSTEM),
+               "train": {"iterations": 1, "batch_size": 4},
+               "paths": {"output_dir": str(tmp_path)}}
+        cfg[block][key] = value
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli(["train", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert str(cfg_path) in err and repr(key) in err
+        assert not (tmp_path / "checkpoint.bin").exists()
+
+    def test_non_numeric_snr_is_validation_error(self, tmp_path):
+        out = tmp_path / "ber.csv"
+        assert run_cli(["ber", "--codebook", HUAWEI, "--snr", "abc", "--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_zero_bit_budget_is_validation_error(self, tmp_path):
+        out = tmp_path / "ber.csv"
+        assert run_cli(["ber", "--codebook", HUAWEI, "--snr", "8", "--max-bits", "0",
+                        "--out", str(out)]) == 1
+        assert not out.exists()

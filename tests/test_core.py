@@ -4,16 +4,18 @@ import pytest
 from scmalink import (
     Codebook,
     ConfigError,
-    OneHotCodec,
-    ShapeError,
     SystemConfig,
-    bit_index,
-    bits_for_index,
     build_bit_matrix,
     build_indicator,
-    one_hot_encode,
     paper_indicator_4x6,
 )
+from scmalink.training import _labels_from_bits
+
+
+def labels(bit_vectors, m):
+    """Message indices and one-hot rows of a list of +/-1 bit vectors."""
+    idx, one_hot = _labels_from_bits(np.array(bit_vectors)[None], m)
+    return idx[0], one_hot[0]
 
 
 class TestSystemConfig:
@@ -67,36 +69,24 @@ class TestBitMatrix:
 
     @pytest.mark.parametrize("m", [2, 4, 8, 16])
     def test_bit_index_roundtrip(self, m):
-        b = build_bit_matrix(m)
-        for col in range(m):
-            assert bit_index(b[:, col]) == col
-            assert np.array_equal(bits_for_index(col, b.shape[0]), b[:, col])
+        # column m of the bit matrix carries message m
+        idx, _ = labels(build_bit_matrix(m).T, m)
+        assert idx.tolist() == list(range(m))
 
 
 class TestOneHot:
     def test_m4_mapping(self):
-        codec = OneHotCodec(4)
-        assert one_hot_encode([-1, -1], codec).tolist() == [1, 0, 0, 0]
-        assert one_hot_encode([-1, 1], codec).tolist() == [0, 1, 0, 0]
-        assert one_hot_encode([1, -1], codec).tolist() == [0, 0, 1, 0]
-        assert one_hot_encode([1, 1], codec).tolist() == [0, 0, 0, 1]
+        _, one_hot = labels([[-1, -1], [-1, 1], [1, -1], [1, 1]], 4)
+        assert one_hot.tolist() == np.eye(4).tolist()
 
     def test_m2(self):
-        assert one_hot_encode([1], OneHotCodec(2)).tolist() == [0, 1]
+        _, one_hot = labels([[1]], 2)
+        assert one_hot.tolist() == [[0, 1]]
 
     def test_roundtrip_all_messages(self):
         for m_size in (2, 4, 8):
-            codec = OneHotCodec(m_size)
-            n_bits = m_size.bit_length() - 1
-            for m in range(m_size):
-                assert codec.decode(one_hot_encode(bits_for_index(m, n_bits), codec)) == m
-
-    def test_decode_probability_vector(self):
-        assert OneHotCodec(4).decode([0.1, 0.2, 0.6, 0.1]) == 2
-
-    def test_wrong_length_raises(self):
-        with pytest.raises(ShapeError):
-            one_hot_encode([1, 1, 1], OneHotCodec(4))
+            idx, one_hot = labels(build_bit_matrix(m_size).T, m_size)
+            assert np.argmax(one_hot, axis=1).tolist() == idx.tolist() == list(range(m_size))
 
 
 class TestIndicator:
@@ -110,15 +100,7 @@ class TestIndicator:
 
     def test_identity_indicator(self):
         ind = build_indicator(np.eye(3, dtype=int))
-        for j, v in enumerate(ind.V):
-            expected = np.zeros((3, 1), dtype=int)
-            expected[j, 0] = 1
-            assert np.array_equal(v, expected)
-
-    def test_mapping_matrix_identity(self):
-        ind = paper_indicator_4x6()
-        for j, v in enumerate(ind.V):
-            assert np.array_equal(np.diag(v @ v.T), ind.F[:, j])
+        assert ind.supports == ((0,), (1,), (2,))
 
     def test_ragged_columns_rejected(self):
         with pytest.raises(ConfigError):

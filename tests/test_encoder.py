@@ -6,17 +6,18 @@ from scmalink import (
     DegenerateCodebookError,
     DegenerateCodebookWarning,
     GeneratorSet,
+    ShapeError,
     SystemConfig,
     build_bit_matrix,
     build_indicator,
     codeword_table,
-    encode_user,
     init_generators,
-    linear_fit_residual,
     normalize,
     paper_indicator_4x6,
     read_codebook,
     superimpose,
+    superimposed_constellation,
+    tuple_digits,
 )
 from scmalink import data_path
 
@@ -27,6 +28,11 @@ def gen_from_complex(g_complex, cfg):
     return GeneratorSet(gbar=gbar, config=cfg)
 
 
+def encode(gen, ind, msgs):
+    """Downlink signal of (batch, J) message tuples through the generators."""
+    return superimpose(codeword_table(gen, build_bit_matrix(gen.config.M), ind), msgs)
+
+
 @pytest.fixture
 def tiny_cfg():
     # one user on a single resource pair carrier, M=4
@@ -34,28 +40,31 @@ def tiny_cfg():
 
 
 class TestEncodeUser:
+    # one user on resource 0 of two; message m carries column m of the bit matrix
+    IND = [[1], [0]]
+
     def test_identity_column(self):
         cfg = SystemConfig(n_users=1, n_resources=2, n_nonzero=1, alphabet_size=2)
         gen = GeneratorSet(gbar=np.array([[[1.0], [0.0]]]), config=cfg)
-        assert encode_user(gen, 0, [1]) == pytest.approx(1 + 0j)
+        out = encode(gen, build_indicator(self.IND), [[1]])  # bits [+1]
+        assert out[0] == pytest.approx([1 + 0j, 0])
 
     def test_complex_generator(self, tiny_cfg):
         gen = gen_from_complex([np.array([[1.0, 1j]])], tiny_cfg)
-        assert encode_user(gen, 0, [-1, 1]) == pytest.approx(-1 + 1j)
+        out = encode(gen, build_indicator(self.IND), [[1]])  # bits [-1, +1]
+        assert out[0, 0] == pytest.approx(-1 + 1j)
 
     def test_antipodal_bits_negate(self, tiny_cfg):
         rng = np.random.default_rng(3)
         gen = GeneratorSet(gbar=rng.normal(size=(1, 2, 2)), config=tiny_cfg)
-        plus = encode_user(gen, 0, [1, 1])
-        minus = encode_user(gen, 0, [-1, -1])
+        minus, plus = encode(gen, build_indicator(self.IND), [[0], [3]])
         assert minus == pytest.approx(-plus)
 
     def test_real_split_layout(self, tiny_cfg):
         # first N rows are the real parts, last N the imaginary parts
         gen = gen_from_complex([np.array([[2.0 - 0.5j, 0.25 + 1j]])], tiny_cfg)
-        b = np.array([1.0, -1.0])
-        split = gen.gbar[0] @ b
-        c = encode_user(gen, 0, b)
+        split = gen.gbar[0] @ np.array([1.0, -1.0])
+        c = encode(gen, build_indicator(self.IND), [[2]])[0, 0]  # bits [+1, -1]
         assert split[0] == pytest.approx(c.real)
         assert split[1] == pytest.approx(c.imag)
 
@@ -64,36 +73,47 @@ class TestSuperimpose:
     def test_zero_generators(self):
         cfg = SystemConfig(n_users=6, n_resources=4, n_nonzero=2, alphabet_size=4)
         gen = GeneratorSet(gbar=np.zeros((6, 4, 2)), config=cfg)
-        out = superimpose(gen, paper_indicator_4x6(), -np.ones((6, 2)))
-        assert np.all(out.s == 0)
+        with pytest.warns(DegenerateCodebookWarning):
+            out = encode(gen, paper_indicator_4x6(), np.zeros((1, 6), dtype=int))
+        assert np.all(out == 0)
 
     def test_destructive_cancellation(self):
         # two users on one shared resource with opposite bits cancel exactly
         cfg = SystemConfig(n_users=2, n_resources=1, n_nonzero=1, alphabet_size=2)
         gen = GeneratorSet(gbar=np.array([[[1.0], [0.0]], [[1.0], [0.0]]]), config=cfg)
-        ind = build_indicator([[1, 1]])
-        out = superimpose(gen, ind, [[1], [-1]])
-        assert out.s == pytest.approx([0.0])
+        out = encode(gen, build_indicator([[1, 1]]), [[1, 0]])
+        assert out[0] == pytest.approx([0.0])
 
     def test_matches_codeword_table_lookup(self):
         cb = read_codebook(data_path("huawei_4x6.json"))
-        bit_matrix = build_bit_matrix(4)
-        gen = init_generators(cb, bit_matrix)
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            msgs = rng.integers(0, 4, 6)
-            bits = bit_matrix[:, msgs].T
-            out = superimpose(gen, cb.indicator, bits)
-            via_table = sum(cb.entries[j][:, msgs[j]] for j in range(6))
-            assert out.s == pytest.approx(via_table, abs=1e-12)
+        gen = init_generators(cb, build_bit_matrix(4))
+        msgs = np.random.default_rng(0).integers(0, 4, (20, 6))
+        out = encode(gen, cb.indicator, msgs)
+        for row, m in zip(out, msgs):
+            via_table = sum(cb.entries[j][:, m[j]] for j in range(6))
+            assert row == pytest.approx(via_table, abs=1e-12)
 
     def test_support_respected(self):
         cb = read_codebook(data_path("huawei_4x6.json"))
-        gen = init_generators(cb, build_bit_matrix(4))
-        out = superimpose(gen, cb.indicator, np.ones((6, 2)), keep_contributions=True)
+        msgs = np.full((1, 6), 3)
         for j in range(6):
+            only_j = np.zeros_like(cb.entries)
+            only_j[j] = cb.entries[j]
+            out = superimpose(Codebook(entries=only_j, config=cb.config, indicator=cb.indicator), msgs)
             off = sorted(set(range(4)) - set(cb.indicator.supports[j]))
-            assert np.all(out.contributions[j][off] == 0)
+            assert np.all(out[0, off] == 0)
+
+    def test_matches_constellation_order(self):
+        # row i of the constellation is the superposition of tuple_digits(i)
+        cb = read_codebook(data_path("huawei_4x6.json"))
+        pts = superimposed_constellation(cb)
+        msgs = tuple_digits(np.arange(pts.shape[0]), 4, 6)
+        assert np.array_equal(superimpose(cb, msgs), pts)
+
+    def test_rejects_wrong_user_count(self):
+        cb = read_codebook(data_path("huawei_4x6.json"))
+        with pytest.raises(ShapeError):
+            superimpose(cb, np.zeros((3, 5), dtype=int))
 
 
 class TestNormalize:
@@ -165,9 +185,7 @@ class TestInitGenerators:
         cb = read_codebook(data_path("huawei_4x6.json"))
         b = build_bit_matrix(4)
         gen = init_generators(cb, b)
-        res = linear_fit_residual(cb, gen, b)
-        assert np.all(res < 1e-12)
-        # and the generator reproduces the file entries exactly
+        # the fitted generators reproduce the file entries exactly
         rebuilt = codeword_table(gen, b, cb.indicator)
         assert rebuilt.entries == pytest.approx(cb.entries, abs=1e-12)
 

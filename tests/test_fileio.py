@@ -1,4 +1,6 @@
 import json
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from scmalink import (
     write_codebook,
 )
 from scmalink.fileio import (
+    CHECKPOINT_MAGIC,
     CodebookFormatError,
     ber_curve_to_csv,
     codebook_to_dict,
@@ -114,6 +117,43 @@ class TestCheckpoint:
         with pytest.raises(CodebookFormatError, match="magic"):
             load_checkpoint(path)
 
+    @staticmethod
+    def small_checkpoint(path):
+        """A valid checkpoint file; returns (header dict, array bytes)."""
+        sys_cfg = SystemConfig(3, 3, 2, 4)
+        ind = build_indicator([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
+        rng = np.random.default_rng(4)
+        dec = build_decoder(sys_cfg, rng, shared_widths=(8, 6), subnet_widths=(5,))
+        save_checkpoint(path, random_generators(sys_cfg, rng), dec, ind)
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack("<I", raw[8:12])
+        return json.loads(raw[12 : 12 + hlen]), raw[12 + hlen :]
+
+    @pytest.mark.parametrize("key", ["system", "F", "layout", "arrays"])
+    def test_header_missing_key(self, tmp_path, key):
+        path = tmp_path / "model.bin"
+        header, arrays = self.small_checkpoint(path)
+        del header[key]
+        blob = json.dumps(header).encode()
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(blob)) + blob + arrays)
+        with pytest.raises(CodebookFormatError, match=f"{re.escape(str(path))}.*'{key}'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("cut", [10, 40])  # inside the length, inside the JSON
+    def test_truncated_header(self, tmp_path, cut):
+        path = tmp_path / "model.bin"
+        self.small_checkpoint(path)
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(CodebookFormatError, match=f"{re.escape(str(path))}.*truncated"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "model.bin"
+        self.small_checkpoint(path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(CodebookFormatError, match=f"{re.escape(str(path))}.*trailing"):
+            load_checkpoint(path)
+
 
 class TestExperimentConfig:
     def base_doc(self):
@@ -131,7 +171,6 @@ class TestExperimentConfig:
         exp = experiment_config_from_dict(self.base_doc())
         assert exp.system.J == 6
         assert exp.train.n_iterations == 2000
-        assert exp.eval.min_errors == 200
         assert len(exp.config_hash()) == 16
 
     def test_unknown_keys_rejected(self):
@@ -151,6 +190,18 @@ class TestExperimentConfig:
         doc["system"]["nonzero"] = 3
         with pytest.raises(CodebookFormatError, match="does not match"):
             experiment_config_from_dict(doc)
+
+    def test_eval_block_rejected(self):
+        doc = self.base_doc()
+        doc["eval"] = {"min_errors": 100}
+        with pytest.raises(CodebookFormatError, match="unknown keys"):
+            experiment_config_from_dict(doc)
+
+    def test_hash_covers_floor_decay(self):
+        doc = self.base_doc()
+        plain = experiment_config_from_dict(doc).config_hash()
+        doc["train"]["floor_decay"] = True
+        assert experiment_config_from_dict(doc).config_hash() != plain
 
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "exp.json"

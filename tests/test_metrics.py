@@ -179,3 +179,10 @@ class TestSimulateBer:
         pt = curve.points[0]
         assert pt.bits >= 24_000
         assert pt.bit_errors < 100
+
+    @pytest.mark.parametrize("budget", ["batch_size", "min_errors", "max_bits"])
+    def test_budget_below_one_rejected(self, huawei, budget):
+        kwargs = dict(min_errors=10, max_bits=12_000, batch_size=500)
+        kwargs[budget] = 0
+        with pytest.raises(ConfigError, match=budget):
+            simulate_ber(huawei, "mpa", [8.0], **kwargs)

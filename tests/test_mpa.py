@@ -17,6 +17,7 @@ from scmalink import (
     mpa_detect,
     paper_indicator_4x6,
     read_codebook,
+    superimpose,
     superimposed_constellation,
 )
 from scmalink.mpa import N0_FLOOR, _ml_decisions, _mpa_posteriors
@@ -71,10 +72,7 @@ class TestMpaDetect:
         ch = ChannelRealization.awgn(4, n0)
         n_trials = 2000
         msgs = rng.integers(0, 4, (n_trials, 6))
-        tx = np.zeros((n_trials, 4), dtype=complex)
-        for j in range(6):
-            tx += huawei.entries[j].T[msgs[:, j]]
-        r = apply_channel(tx, ch, rng)
+        r = apply_channel(superimpose(huawei, msgs), ch, rng)
         mpa_dec = np.argmax(_mpa_posteriors(r, huawei, ch, MpaConfig(n_iter=10)), axis=2)
         ml_dec = _ml_decisions(r, huawei, ch)
         assert (mpa_dec == ml_dec).mean() >= 0.99
@@ -87,10 +85,7 @@ class TestMpaDetect:
             n0 = ebn0_to_n0(ebn0, 4)
             ch = ChannelRealization.awgn(4, n0)
             msgs = rng.integers(0, 4, (4000, 6))
-            tx = np.zeros((4000, 4), dtype=complex)
-            for j in range(6):
-                tx += huawei.entries[j].T[msgs[:, j]]
-            r = apply_channel(tx, ch, rng)
+            r = apply_channel(superimpose(huawei, msgs), ch, rng)
             dec = np.argmax(_mpa_posteriors(r, huawei, ch, MpaConfig()), axis=2)
             rates.append((dec != msgs).mean())
         # allow tiny statistical wiggle at the high-SNR end
