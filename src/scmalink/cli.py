@@ -52,7 +52,10 @@ def parse_snr_spec(spec: str) -> list[float]:
             out.append(round(x, 10))
             x += step
         return out
-    return [_db(p, spec) for p in spec.split(",") if p.strip()]
+    points = [_db(p, spec) for p in spec.split(",") if p.strip()]
+    if not points:
+        raise CodebookFormatError(f"no SNR value in {spec!r}")
+    return points
 
 
 def _outdir(args) -> Path:

@@ -59,9 +59,11 @@ def _read_json(path):
     if not p.exists():
         raise CodebookFormatError(f"{p}: no such file")
     try:
-        return json.loads(p.read_text())
+        return json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise CodebookFormatError(f"{p}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise CodebookFormatError(f"{p}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 
 
 def _require(doc: dict, key: str, where: str):
@@ -102,7 +104,10 @@ def _system_from_dict(block, F, where: str) -> tuple[SystemConfig, IndicatorMatr
     """A system block and its occupancy matrix, which must agree on J, K and N."""
     cfg = SystemConfig(**{name: _typed(block, key, int, where)
                           for key, name in _SYSTEM_KEYS.items()})
-    ind = build_indicator(np.array(F))
+    try:
+        ind = build_indicator(np.array(F))
+    except ValueError as exc:  # a ragged list of rows
+        raise CodebookFormatError(f"{where}: bad field 'F' ({exc})") from exc
     if ind.n_users != cfg.J or ind.n_resources != cfg.K or ind.n_nonzero != cfg.N:
         raise CodebookFormatError(f"{where}: F matrix does not match the stated dimensions")
     return cfg, ind
@@ -230,12 +235,11 @@ def save_checkpoint(path, gen: GeneratorSet, decoder: MultiTaskDecoder,
     for i, layer in enumerate(decoder.shared):
         arrays += [(f"shared.{i}.w", layer.weights), (f"shared.{i}.b", layer.bias)]
         layout["shared"].append(layer.activation)
-    for j, net in enumerate(decoder.subnets):
-        acts = []
-        for i, layer in enumerate(net):
-            arrays += [(f"subnet.{j}.{i}.w", layer.weights), (f"subnet.{j}.{i}.b", layer.bias)]
-            acts.append(layer.activation)
-        layout["subnets"].append(acts)
+    # version 1 stores each user's subnetwork separately
+    for j in range(decoder.n_users):
+        for i, layer in enumerate(decoder.user_layers):
+            arrays += [(f"subnet.{j}.{i}.w", layer.weights[j]), (f"subnet.{j}.{i}.b", layer.bias[j])]
+        layout["subnets"].append([layer.activation for layer in decoder.user_layers])
     header = {
         "version": CHECKPOINT_VERSION,
         "system": _system_to_dict(gen.config),
@@ -292,18 +296,25 @@ def load_checkpoint(path):
                 DenseLayer(values[f"shared.{i}.w"], values[f"shared.{i}.b"], act)
                 for i, act in enumerate(layout["shared"])
             ]
-            subnets = [
-                [
-                    DenseLayer(values[f"subnet.{j}.{i}.w"], values[f"subnet.{j}.{i}.b"], act)
-                    for i, act in enumerate(acts)
-                ]
-                for j, acts in enumerate(layout["subnets"])
+            acts = layout["subnets"][0]
+            if any(other != acts for other in layout["subnets"]):
+                raise CodebookFormatError(f"{where}: user subnetworks differ in layout")
+            users = range(len(layout["subnets"]))
+            user_layers = [
+                DenseLayer(np.stack([values[f"subnet.{j}.{i}.w"] for j in users]),
+                           np.stack([values[f"subnet.{j}.{i}.b"] for j in users]), act)
+                for i, act in enumerate(acts)
             ]
+            decoder = MultiTaskDecoder(shared, user_layers)
             meta = header["meta"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise CodebookFormatError(
                 f"{where}: bad checkpoint header ({type(exc).__name__}: {exc})") from exc
-    return gen, MultiTaskDecoder(shared, subnets), ind, meta
+    if (decoder.input_width, decoder.n_users, decoder.n_messages) != (2 * cfg.K, cfg.J, cfg.M):
+        raise CodebookFormatError(
+            f"{where}: decoder input width {decoder.input_width}, {decoder.n_users} users and "
+            f"{decoder.n_messages} messages do not match 2K = {2 * cfg.K}, J = {cfg.J}, M = {cfg.M}")
+    return gen, decoder, ind, meta
 
 
 BER_CSV_HEADER = "ebn0_db,bits,bit_errors,ber,ci_low,ci_high,detector,codebook_id"

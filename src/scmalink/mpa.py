@@ -174,14 +174,12 @@ def _ml_decisions(received: np.ndarray, codebook: Codebook, ch: ChannelRealizati
     faded = ch.h[None, :] * pts
     B = received.shape[0]
     best_idx = np.zeros(B, dtype=np.int64)
-    best_d = np.full(B, np.inf)
     block = max(1, 2**22 // max(pts.shape[0], 1))
     for a in range(0, B, block):
         r_blk = received[a : a + block]
         d2 = (np.abs(r_blk[:, None, :] - faded[None, :, :]) ** 2).sum(axis=2)
-        idx = np.argmin(d2, axis=1)  # first occurrence = lowest tuple index
-        best_idx[a : a + block] = idx
-        best_d[a : a + block] = d2[np.arange(r_blk.shape[0]), idx]
+        # first occurrence = lowest tuple index
+        best_idx[a : a + block] = np.argmin(d2, axis=1)
     return tuple_digits(best_idx, cfg.M, cfg.J)
 
 

@@ -5,6 +5,11 @@ representation; J per-user subnetworks classify it into one of M messages
 through a softmax head. Forward, analytic backward and ADAM are implemented
 directly on numpy arrays; batches are row-major (samples x features) and all
 arithmetic is float64.
+
+The J subnetworks have one shape, so each subnetwork depth is one
+DenseLayer holding every user's weights stacked as (J, out, in) and biases
+as (J, out); its activations are (J, batch, width). A trunk layer holds
+(out, in) weights and (out,) biases.
 """
 
 from __future__ import annotations
@@ -18,10 +23,6 @@ from .core import ConfigError, ShapeError
 LOG_CLAMP = 1e-30  # avoids -inf on collapsed probabilities
 
 
-def relu(z):
-    return np.maximum(z, 0.0)
-
-
 def softmax(z):
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
@@ -31,12 +32,13 @@ _ACTIVATIONS = ("relu", "linear", "softmax")
 
 
 class DenseLayer:
-    """Affine map plus activation; caches inputs for the backward pass."""
+    """Affine map plus activation, for one network or J stacked ones;
+    caches inputs for the backward pass."""
 
     def __init__(self, weights, bias, activation="relu"):
         w = np.asarray(weights, dtype=float)
         b = np.asarray(bias, dtype=float)
-        if w.ndim != 2 or b.shape != (w.shape[0],):
+        if w.ndim not in (2, 3) or b.shape != w.shape[:-1]:
             raise ShapeError(f"weights {w.shape} and bias {b.shape} are inconsistent")
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
             raise ConfigError("layer parameters must be finite")
@@ -50,26 +52,23 @@ class DenseLayer:
         self._input = None
         self._preact = None
 
-    @classmethod
-    def gaussian(cls, rng, n_in, n_out, activation="relu", std=1.0):
-        """Weights ~ normal(0, std^2), zero bias."""
-        return cls(rng.normal(0.0, std, size=(n_out, n_in)), np.zeros(n_out), activation)
-
     @property
     def n_in(self):
-        return self.weights.shape[1]
+        return self.weights.shape[-1]
 
     @property
     def n_out(self):
-        return self.weights.shape[0]
+        return self.weights.shape[-2]
 
     def forward(self, x, remember=False):
-        z = x @ self.weights.T + self.bias
+        z = x @ np.swapaxes(self.weights, -1, -2)
+        z += self.bias[..., None, :]
         if remember:
             self._input = x
             self._preact = z
         if self.activation == "relu":
-            return relu(z)
+            # the pre-activation is overwritten only when no backward needs it
+            return np.maximum(z, 0.0) if remember else np.maximum(z, 0.0, out=z)
         if self.activation == "softmax":
             return softmax(z)
         return z
@@ -78,14 +77,16 @@ class DenseLayer:
         """Backward from the gradient w.r.t. the pre-activation z."""
         if self._input is None:
             raise ConfigError("backward called without a remembered forward pass")
-        self.grad_weights = grad_z.T @ self._input
-        self.grad_bias = grad_z.sum(axis=0)
+        self.grad_weights = np.swapaxes(grad_z, -1, -2) @ self._input
+        self.grad_bias = grad_z.sum(axis=-2)
         return grad_z @ self.weights
 
     def backward(self, grad_out):
-        """Backward from the gradient w.r.t. the layer output."""
+        """Backward from the gradient w.r.t. the layer output, which a relu
+        layer masks in place (a fresh (J, batch, width) array per depth costs
+        page faults)."""
         if self.activation == "relu":
-            grad_z = grad_out * (self._preact > 0)
+            grad_z = np.multiply(grad_out, self._preact > 0, out=grad_out)
         elif self.activation == "linear":
             grad_z = grad_out
         else:
@@ -94,36 +95,30 @@ class DenseLayer:
             )
         return self.backward_preact(grad_z)
 
-    def parameters(self):
-        return [self.weights, self.bias]
-
-    def gradients(self):
-        return [self.grad_weights, self.grad_bias]
-
 
 class MultiTaskDecoder:
-    """Shared dense trunk feeding J per-user softmax classification heads."""
+    """Shared dense trunk feeding J per-user softmax classification heads;
+    `user_layers` holds one stacked layer per subnetwork depth."""
 
-    def __init__(self, shared, subnets):
-        if not subnets:
-            raise ConfigError("decoder needs at least one user subnetwork")
-        for layer in shared:
-            if layer.activation == "softmax":
-                raise ConfigError("softmax is only allowed as a subnetwork head")
-        out_w = shared[-1].n_out if shared else None
-        m = subnets[0][-1].n_out
-        for net in subnets:
-            if shared and net[0].n_in != out_w:
-                raise ShapeError(
-                    f"subnet input width {net[0].n_in} does not match shared output {out_w}"
-                )
-            if net[-1].activation != "softmax" or net[-1].n_out != m:
-                raise ConfigError("every subnetwork must end in a softmax head of equal width")
-            for layer in net[:-1]:
-                if layer.activation == "softmax":
-                    raise ConfigError("softmax is only allowed as the terminal activation")
+    def __init__(self, shared, user_layers):
+        if not user_layers:
+            raise ConfigError("decoder needs at least one user subnetwork layer")
+        if any(layer.weights.ndim != 2 for layer in shared):
+            raise ShapeError("trunk layers take (out, in) weights")
+        n_users = user_layers[0].weights.shape[0]
+        if any(layer.weights.ndim != 3 or layer.weights.shape[0] != n_users
+               for layer in user_layers):
+            raise ShapeError(f"every subnetwork layer must stack {n_users} users' weights")
+        layers = [*shared, *user_layers]
+        for prev, layer in zip(layers, layers[1:]):
+            if layer.n_in != prev.n_out:
+                raise ShapeError(f"layer input width {layer.n_in} does not match {prev.n_out}")
+        if user_layers[-1].activation != "softmax":
+            raise ConfigError("every subnetwork must end in a softmax head")
+        if any(layer.activation == "softmax" for layer in layers[:-1]):
+            raise ConfigError("softmax is only allowed as the terminal activation")
         self.shared = list(shared)
-        self.subnets = [list(net) for net in subnets]
+        self.user_layers = list(user_layers)
 
     @classmethod
     def build(cls, rng, input_width, n_users, n_messages,
@@ -134,38 +129,35 @@ class MultiTaskDecoder:
         activations O(1) through the depth; a float selects one fixed standard
         deviation for every layer (1.0 gives plain unit-variance gaussians,
         which saturate the softmax heads and train poorly at this depth).
+        Weights are drawn trunk first, then user by user, depth by depth.
         """
 
-        def std(n_in):
-            return 1.0 / np.sqrt(n_in) if init_std == "scaled" else float(init_std)
+        def gaussian(n_in, n_out):
+            std = 1.0 / np.sqrt(n_in) if init_std == "scaled" else float(init_std)
+            return rng.normal(0.0, std, size=(n_out, n_in))
 
-        shared = []
-        w_in = input_width
-        for w_out in shared_widths:
-            shared.append(DenseLayer.gaussian(rng, w_in, w_out, "relu", std(w_in)))
-            w_in = w_out
-        subnets = []
-        for _ in range(n_users):
-            net = []
-            s_in = w_in
-            for w_out in subnet_widths:
-                net.append(DenseLayer.gaussian(rng, s_in, w_out, "relu", std(s_in)))
-                s_in = w_out
-            net.append(DenseLayer.gaussian(rng, s_in, n_messages, "softmax", std(s_in)))
-            subnets.append(net)
-        return cls(shared, subnets)
+        chain = [input_width, *shared_widths]
+        shared = [DenseLayer(gaussian(a, b), np.zeros(b)) for a, b in zip(chain, chain[1:])]
+        sub = [chain[-1], *subnet_widths, n_messages]
+        per_user = [[gaussian(a, b) for a, b in zip(sub, sub[1:])] for _ in range(n_users)]
+        acts = ["relu"] * len(subnet_widths) + ["softmax"]
+        user_layers = [
+            DenseLayer(np.stack(ws), np.zeros((n_users, n_out)), act)
+            for ws, n_out, act in zip(zip(*per_user), sub[1:], acts)
+        ]
+        return cls(shared, user_layers)
 
     @property
     def n_users(self):
-        return len(self.subnets)
+        return self.user_layers[0].weights.shape[0]
 
     @property
     def n_messages(self):
-        return self.subnets[0][-1].n_out
+        return self.user_layers[-1].n_out
 
     @property
     def input_width(self):
-        return self.shared[0].n_in if self.shared else self.subnets[0][0].n_in
+        return next(self.layers()).n_in
 
     def forward(self, r_split, remember=False):
         """Probabilities (batch, J, M) for real-split inputs (batch, 2K)."""
@@ -175,54 +167,43 @@ class MultiTaskDecoder:
             x = x[None, :]
         if x.shape[1] != self.input_width:
             raise ShapeError(f"input width {x.shape[1]}, decoder expects {self.input_width}")
-        for layer in self.shared:
+        for layer in self.layers():
             x = layer.forward(x, remember)
-        probs = np.stack(
-            [self._subnet_forward(net, x, remember) for net in self.subnets], axis=1
-        )
+        probs = np.swapaxes(x, 0, 1)
         return probs[0] if single else probs
-
-    @staticmethod
-    def _subnet_forward(net, x, remember):
-        for layer in net:
-            x = layer.forward(x, remember)
-        return x
 
     def backward_cross_entropy(self, probs, labels):
         """Gradients of the batch-mean total cross-entropy; returns dL/d(input).
 
         Uses the fused softmax identity: the gradient at each head's
-        pre-activation is (p - q) / batch.
+        pre-activation is (p - q) / batch. The trunk output feeds every user,
+        so its gradient is the sum over users.
         """
         if probs.shape != labels.shape:
             raise ShapeError(f"probs {probs.shape} and labels {labels.shape} differ")
         batch = probs.shape[0]
-        grad_shared_out = 0.0
-        for j, net in enumerate(self.subnets):
-            g = net[-1].backward_preact((probs[:, j, :] - labels[:, j, :]) / batch)
-            for layer in reversed(net[:-1]):
-                g = layer.backward(g)
-            grad_shared_out = grad_shared_out + g
-        g = grad_shared_out
+        g = self.user_layers[-1].backward_preact(np.swapaxes(probs - labels, 0, 1) / batch)
+        for layer in reversed(self.user_layers[:-1]):
+            g = layer.backward(g)
+        g = g.sum(axis=0)
         for layer in reversed(self.shared):
             g = layer.backward(g)
         return g
 
     def layers(self):
         yield from self.shared
-        for net in self.subnets:
-            yield from net
+        yield from self.user_layers
 
     def parameters(self):
-        return [p for layer in self.layers() for p in layer.parameters()]
+        return [p for layer in self.layers() for p in (layer.weights, layer.bias)]
 
     def gradients(self):
-        return [g for layer in self.layers() for g in layer.gradients()]
+        return [g for layer in self.layers() for g in (layer.grad_weights, layer.grad_bias)]
 
     def widths(self):
         """Node counts of consecutive layers: shared chain and one subnet chain."""
         chain = [self.input_width] + [l.n_out for l in self.shared]
-        sub = [chain[-1]] + [l.n_out for l in self.subnets[0]]
+        sub = [chain[-1]] + [l.n_out for l in self.user_layers]
         return chain, sub
 
 

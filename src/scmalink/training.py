@@ -141,7 +141,7 @@ def _labels_from_bits(bits: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]
     return idx, labels
 
 
-def _encoder_forward(gbar_list, bits, slots, K):
+def _encoder_forward(gbar, bits, slots, K):
     """Normalized encoding and superposition: returns (batch, 2K) and norms.
 
     This is encoder.superimpose in the generator domain, kept separate
@@ -150,7 +150,7 @@ def _encoder_forward(gbar_list, bits, slots, K):
     batch = bits.shape[0]
     s = np.zeros((batch, 2 * K))
     norms = []
-    for j, g in enumerate(gbar_list):
+    for j, g in enumerate(gbar):
         n = np.linalg.norm(g)
         if n == 0:
             raise ConfigError(f"user {j} generator collapsed to zero during training")
@@ -159,23 +159,23 @@ def _encoder_forward(gbar_list, bits, slots, K):
     return s, norms
 
 
-def _loss_and_gradients(gbar_list, decoder, bits, labels, noise, slots, K, h_split=None):
-    """Batch loss plus analytic gradients for the generators; decoder layers
-    accumulate their own gradients as a side effect."""
-    s, norms = _encoder_forward(gbar_list, bits, slots, K)
+def _loss_and_gradients(gbar, decoder, bits, labels, noise, slots, K, h_split=None):
+    """Batch loss plus the analytic gradient of the (J, 2N, log2 M) generator
+    stack; decoder layers accumulate their own gradients as a side effect."""
+    s, norms = _encoder_forward(gbar, bits, slots, K)
     h = np.ones(2 * K) if h_split is None else h_split
     r = s * h + noise
     probs = decoder.forward(r, remember=True)
     loss = cross_entropy(probs, labels)
     grad_r = decoder.backward_cross_entropy(probs, labels)
     grad_s = grad_r * h
-    grads_g = []
-    for j, g in enumerate(gbar_list):
+    grad_g = np.empty_like(gbar)
+    for j, g in enumerate(gbar):
         delta = grad_s[:, slots[j]]  # (batch, 2N)
         raw = delta.T @ bits[:, j, :]  # d loss / d (g / ||g||)
         a = g / norms[j]
-        grads_g.append((raw - np.sum(raw * a) * a) / norms[j])
-    return loss, grads_g
+        grad_g[j] = (raw - np.sum(raw * a) * a) / norms[j]
+    return loss, grad_g
 
 
 def train(cfg: TrainConfig, sys_cfg: SystemConfig, ind: IndicatorMatrix,
@@ -194,8 +194,8 @@ def train(cfg: TrainConfig, sys_cfg: SystemConfig, ind: IndicatorMatrix,
     bit_matrix = build_bit_matrix(sys_cfg.M)
     slots = _slot_indices(ind, sys_cfg.K)
 
-    gbar_list = [g.copy() for g in init.gbar]
-    params = gbar_list + decoder.parameters()
+    gbar = init.gbar.copy()
+    params = [gbar] + decoder.parameters()
     adam = AdamState.for_parameters(params)
 
     losses = np.empty(cfg.n_iterations)
@@ -214,7 +214,7 @@ def train(cfg: TrainConfig, sys_cfg: SystemConfig, ind: IndicatorMatrix,
         _, labels = _labels_from_bits(bits, sys_cfg.M)
         noise = sample_noise_split(rng, n0, (cfg.batch_size, 2 * sys_cfg.K))
 
-        loss, grads_g = _loss_and_gradients(gbar_list, decoder, bits, labels, noise, slots, sys_cfg.K)
+        loss, grad_g = _loss_and_gradients(gbar, decoder, bits, labels, noise, slots, sys_cfg.K)
         if not np.isfinite(loss):
             aborted = True
             reason = f"non-finite loss at iteration {t}"
@@ -223,8 +223,7 @@ def train(cfg: TrainConfig, sys_cfg: SystemConfig, ind: IndicatorMatrix,
             break
         for p, good in zip(params, last_good):
             good[...] = p
-        grads = grads_g + decoder.gradients()
-        adam_step(params, grads, adam, lr)
+        adam_step(params, [grad_g] + decoder.gradients(), adam, lr)
 
         losses[i] = loss
         lrs[i] = lr
@@ -232,8 +231,7 @@ def train(cfg: TrainConfig, sys_cfg: SystemConfig, ind: IndicatorMatrix,
         if progress_every and t % progress_every == 0:
             print(f"iteration {t}/{cfg.n_iterations}  loss {loss:.4f}  lr {lr:.2e}  snr {snr_db:.1f} dB")
 
-    gen = GeneratorSet(gbar=np.stack(gbar_list), config=sys_cfg)
-    gen = normalize(gen, bit_matrix)
+    gen = normalize(GeneratorSet(gbar=gbar, config=sys_cfg), bit_matrix)
     learned = codeword_table(gen, bit_matrix, ind)
     return TrainReport(
         losses=losses[:it_run].copy(),
@@ -269,35 +267,38 @@ def gradient_check(rng: np.random.Generator, step: float = 1e-5) -> float:
         for j in range(J):
             F[rng.permutation(K)[:N], j] = 1
         ind = build_indicator(F)
-        gbar_list = [rng.normal(0, 0.7, size=(2 * N, sys_cfg.bits_per_symbol)) for _ in range(J)]
+        gbar = rng.normal(0, 0.7, size=(J, 2 * N, sys_cfg.bits_per_symbol))
         decoder = MultiTaskDecoder.build(
             rng, 2 * K, J, M,
             shared_widths=(int(rng.integers(4, 9)), int(rng.integers(3, 8))),
             subnet_widths=(int(rng.integers(3, 8)),),
             init_std=0.8,
         )
-        for layer in decoder.layers():
+        for layer in decoder.shared:
             layer.bias[:] = rng.normal(0.0, 0.3, size=layer.bias.shape)
+        for j in range(J):
+            for layer in decoder.user_layers:
+                layer.bias[j] = rng.normal(0.0, 0.3, size=layer.n_out)
         batch = 3
         bits = rng.integers(0, 2, size=(batch, J, sys_cfg.bits_per_symbol)) * 2.0 - 1.0
         _, labels = _labels_from_bits(bits, M)
         noise = rng.normal(0, 0.3, size=(batch, 2 * K))
         h_split = np.concatenate([rng.uniform(0.5, 1.5, K)] * 2)
         slots = _slot_indices(ind, K)
-        s, _ = _encoder_forward(gbar_list, bits, slots, K)
+        s, _ = _encoder_forward(gbar, bits, slots, K)
         decoder.forward(s * h_split + noise, remember=True)
         kink = min(np.abs(layer._preact).min() for layer in decoder.layers()
                    if layer.activation == "relu")
         if kink > 100 * step:
             break
 
-    _, grads_g = _loss_and_gradients(gbar_list, decoder, bits, labels, noise, slots, K, h_split)
-    analytic = [g.copy() for g in grads_g] + [g.copy() for g in decoder.gradients()]
+    _, grad_g = _loss_and_gradients(gbar, decoder, bits, labels, noise, slots, K, h_split)
+    analytic = [grad_g] + [g.copy() for g in decoder.gradients()]
 
-    arrays = gbar_list + decoder.parameters()
+    arrays = [gbar] + decoder.parameters()
 
     def loss_fn():
-        s, _ = _encoder_forward(gbar_list, bits, slots, K)
+        s, _ = _encoder_forward(gbar, bits, slots, K)
         return cross_entropy(decoder.forward(s * h_split + noise), labels)
 
     numeric = []
@@ -315,6 +316,10 @@ def gradient_check(rng: np.random.Generator, step: float = 1e-5) -> float:
             g[ix] = (lp - lm) / (2 * step)
         numeric.append(g)
 
-    a = np.concatenate([x.ravel() for x in analytic])
-    n = np.concatenate([x.ravel() for x in numeric])
+    def flat(arrays):  # user-major: one user's subnetwork after another
+        n_head = 1 + 2 * len(decoder.shared)
+        per_user = [x[j] for j in range(J) for x in arrays[n_head:]]
+        return np.concatenate([x.ravel() for x in arrays[:n_head] + per_user])
+
+    a, n = flat(analytic), flat(numeric)
     return float(np.linalg.norm(a - n) / max(np.linalg.norm(a), np.linalg.norm(n), 1e-12))

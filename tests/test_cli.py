@@ -148,3 +148,23 @@ class TestMalformedInputs:
         assert run_cli(["ber", "--codebook", HUAWEI, "--snr", "8", "--max-bits", "0",
                         "--out", str(out)]) == 1
         assert not out.exists()
+
+    def test_empty_snr_list_is_validation_error(self, tmp_path):
+        out = tmp_path / "ber.csv"
+        assert run_cli(["ber", "--codebook", HUAWEI, "--snr", ",", "--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_ragged_f_names_file_and_field(self, tmp_path, capsys):
+        doc = json.loads(open(HUAWEI).read())
+        doc["F"][1] = doc["F"][1][:-1]
+        path = tmp_path / "ragged.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(["med", "--codebook", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "'F'" in err
+
+    def test_non_utf8_codebook_names_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"name": "caf\xe9"}')
+        assert run_cli(["med", "--codebook", str(path)]) == 1
+        assert str(path) in capsys.readouterr().err

@@ -1,6 +1,7 @@
 import json
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from scmalink import (
     Codebook,
     ConfigError,
+    MultiTaskDecoder,
     SystemConfig,
     build_indicator,
     data_path,
@@ -111,6 +113,33 @@ class TestCheckpoint:
         x = rng.normal(size=(5, 6))
         assert dec2.forward(x) == pytest.approx(dec.forward(x), abs=0)
 
+    def test_recorded_v1_file_still_loads(self, tmp_path):
+        # checkpoint_v1.bin holds the (8, 6)/(5,) decoder of test_roundtrip,
+        # written before the user subnetworks were stacked; the JSON next to
+        # it is the repr of its forward output on a fixed input, recorded then
+        recorded = Path(__file__).with_name("checkpoint_v1.bin")
+        expected = json.loads(Path(__file__).with_name("checkpoint_v1_forward.json").read_text())
+        gen, dec, ind, meta = load_checkpoint(recorded)
+        x = np.array([[float(v) for v in row] for row in expected["input"]])
+        got = [[[repr(float(v)) for v in user] for user in row] for row in dec.forward(x)]
+        assert got == expected["probs"]
+        resaved = tmp_path / "model.bin"
+        save_checkpoint(resaved, gen, dec, ind, meta)
+        assert resaved.read_bytes() == recorded.read_bytes()
+
+    # the stored system has 2K = 6, J = 3 and M = 4; each decoder breaks one
+    @pytest.mark.parametrize("input_width, n_users, n_messages", [(8, 3, 4), (6, 2, 4), (6, 3, 8)])
+    def test_decoder_must_match_stored_system(self, tmp_path, input_width, n_users, n_messages):
+        sys_cfg = SystemConfig(3, 3, 2, 4)
+        ind = build_indicator([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
+        rng = np.random.default_rng(4)
+        dec = MultiTaskDecoder.build(rng, input_width, n_users, n_messages,
+                                     shared_widths=(8,), subnet_widths=(5,))
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, random_generators(sys_cfg, rng), dec, ind)
+        with pytest.raises(CodebookFormatError, match=f"{re.escape(str(path))}.*decoder"):
+            load_checkpoint(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
@@ -137,6 +166,16 @@ class TestCheckpoint:
         blob = json.dumps(header).encode()
         path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(blob)) + blob + arrays)
         with pytest.raises(CodebookFormatError, match=f"{re.escape(str(path))}.*'{key}'"):
+            load_checkpoint(path)
+
+    def test_user_layouts_must_agree(self, tmp_path):
+        # the decoder stacks the users' subnetworks, so they share one layout
+        path = tmp_path / "model.bin"
+        header, arrays = self.small_checkpoint(path)
+        header["layout"]["subnets"][1][0] = "linear"
+        blob = json.dumps(header).encode()
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(blob)) + blob + arrays)
+        with pytest.raises(CodebookFormatError, match=f"{re.escape(str(path))}.*differ"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("cut", [10, 40])  # inside the length, inside the JSON

@@ -63,10 +63,26 @@ class TestForward:
 
     def test_softmax_only_terminal(self):
         rng = np.random.default_rng(4)
-        shared = [DenseLayer.gaussian(rng, 4, 4, "softmax")]
-        sub = [[DenseLayer.gaussian(rng, 4, 4, "softmax")]]
+        shared = [DenseLayer(rng.normal(size=(4, 4)), np.zeros(4), "softmax")]
+        heads = [DenseLayer(rng.normal(size=(1, 4, 4)), np.zeros((1, 4)), "softmax")]
         with pytest.raises(ConfigError):
-            MultiTaskDecoder(shared, sub)
+            MultiTaskDecoder(shared, heads)
+
+    def test_stacked_forward_matches_each_user_alone(self):
+        # one (J, out, in) layer per depth computes what J separate
+        # (out, in) networks would, user by user
+        rng = np.random.default_rng(12)
+        dec = small_decoder(rng, n_users=3)
+        x = rng.normal(size=(7, 4))
+        probs = dec.forward(x)
+        trunk = x
+        for layer in dec.shared:
+            trunk = layer.forward(trunk)
+        for j in range(3):
+            h = trunk
+            for layer in dec.user_layers:
+                h = DenseLayer(layer.weights[j], layer.bias[j], layer.activation).forward(h)
+            assert np.array_equal(probs[:, j, :], h)
 
 
 class TestLoss:
@@ -113,8 +129,8 @@ class TestBackward:
         labels[:, :, 0] = 1
         dec.backward_cross_entropy(probs, labels)
         # re-run forward keeping the head input, check d loss / d z = (p-q)/B
-        head = dec.subnets[0][-1]
-        expected = (probs[:, 0, :] - labels[:, 0, :]) / 8
+        head = dec.user_layers[-1]
+        expected = (probs - labels) / 8
         assert head.grad_bias == pytest.approx(expected.sum(axis=0), abs=1e-12)
 
     def test_zero_upstream_gives_zero_gradients(self):
@@ -130,14 +146,14 @@ class TestBackward:
         # decoder with relu, linear hidden and softmax head
         rng = np.random.default_rng(8)
         shared = [
-            DenseLayer.gaussian(rng, 3, 5, "relu", 0.7),
-            DenseLayer.gaussian(rng, 5, 4, "linear", 0.7),
+            DenseLayer(rng.normal(0, 0.7, size=(5, 3)), np.zeros(5), "relu"),
+            DenseLayer(rng.normal(0, 0.7, size=(4, 5)), np.zeros(4), "linear"),
         ]
-        subnets = [
-            [DenseLayer.gaussian(rng, 4, 4, "relu", 0.7), DenseLayer.gaussian(rng, 4, 2, "softmax", 0.7)]
-            for _ in range(2)
+        user_layers = [
+            DenseLayer(rng.normal(0, 0.7, size=(2, 4, 4)), np.zeros((2, 4)), "relu"),
+            DenseLayer(rng.normal(0, 0.7, size=(2, 2, 4)), np.zeros((2, 2)), "softmax"),
         ]
-        dec = MultiTaskDecoder(shared, subnets)
+        dec = MultiTaskDecoder(shared, user_layers)
         x = rng.normal(size=(5, 3))
         labels = np.zeros((5, 2, 2))
         labels[:, :, 0] = 1
