@@ -147,9 +147,6 @@ class IndicatorMatrix:
     def max_row_degree(self) -> int:
         return int(self.row_degrees.max())
 
-    def users_on_resource(self, k: int) -> np.ndarray:
-        return np.flatnonzero(self.F[k])
-
 
 def build_indicator(F) -> IndicatorMatrix:
     """Validate an occupancy matrix and derive the per-user supports."""

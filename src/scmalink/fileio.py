@@ -28,6 +28,7 @@ from .core import (
     ConfigError,
     IndicatorMatrix,
     ScmaError,
+    ShapeError,
     SystemConfig,
     build_indicator,
 )
@@ -220,6 +221,9 @@ def experiment_config_from_dict(doc: dict, where: str = "config") -> ExperimentC
 
     pa = doc.get("paths", {})
     _check_keys(pa, {"init_codebook", "output_dir"}, f"{where}.paths")
+    for key, value in pa.items():  # str() accepts anything, so check the JSON type
+        if not (isinstance(value, str) or (key == "init_codebook" and value is None)):
+            raise CodebookFormatError(f"{where}.paths: bad field {key!r} (expected a string, got {value!r})")
     return ExperimentConfig(system=cfg, indicator=ind, train=train, paths=PathsConfig(**pa))
 
 
@@ -268,7 +272,8 @@ def load_checkpoint(path):
     """Returns (GeneratorSet, MultiTaskDecoder, IndicatorMatrix, meta).
 
     A bad magic number, a truncated file, a header that is not JSON or lacks
-    a field, and bytes after the last array raise CodebookFormatError.
+    a field, arrays whose shape or values the stored system or layout
+    rejects, and bytes after the last array raise CodebookFormatError.
     """
     where = str(Path(path))
     with open(path, "rb") as fh:
@@ -310,6 +315,8 @@ def load_checkpoint(path):
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise CodebookFormatError(
                 f"{where}: bad checkpoint header ({type(exc).__name__}: {exc})") from exc
+        except (ShapeError, ConfigError) as exc:  # arrays the stored system or layout rejects
+            raise CodebookFormatError(f"{where}: {exc}") from exc
     if (decoder.input_width, decoder.n_users, decoder.n_messages) != (2 * cfg.K, cfg.J, cfg.M):
         raise CodebookFormatError(
             f"{where}: decoder input width {decoder.input_width}, {decoder.n_users} users and "

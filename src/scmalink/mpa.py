@@ -2,9 +2,12 @@
 
 The message-passing detector exchanges log-domain messages between resource
 nodes and user nodes of the sparse occupancy graph. The default update is
-max-sum (Max-Log); exact sum-product is available as a config option. The ML
-oracle enumerates the entire superimposed constellation and is intended for
-small instances and cross-checks.
+max-sum (Max-Log); exact sum-product is available as a config option. All K
+resources are stacked into one array per quantity, each padded to the maximum
+row degree d with a phantom user whose M codewords are zero, so regular and
+irregular graphs share one code path and an iteration loops only over the d
+slots of a resource. The ML oracle enumerates the entire superimposed
+constellation and is intended for small instances and cross-checks.
 """
 
 from __future__ import annotations
@@ -67,38 +70,34 @@ def _logsumexp(x: np.ndarray, axis) -> np.ndarray:
 
 
 class _FactorGraph:
-    """Precomputed per-resource combination tables for one codebook."""
+    """Combination tables of one codebook, stacked over the K resources.
+
+    Resource k holds its users in ascending order in slots 0..d-1, then the
+    phantom user J in the slots left over. The phantom adds zero to every
+    combination, so each real combination appears M times per phantom slot:
+    a max is unchanged, and a log-sum-exp gains log M, a constant over the
+    message that normalization removes. No user node reads a phantom slot.
+    """
 
     def __init__(self, codebook: Codebook):
-        ind = codebook.indicator
-        M = codebook.config.M
-        self.M = M
-        self.K = codebook.config.K
-        self.J = codebook.config.J
-        self.users = []  # users per resource, ascending
-        self.sums = []  # (M^d,) complex: candidate noiseless resource values
-        self.degrees = []
-        for k in range(self.K):
-            users_k = ind.users_on_resource(k)
-            d = users_k.size
-            # slot 0 is the most significant digit of the combo index
-            vals = np.zeros((M,) * d, dtype=complex) if d else np.zeros((), dtype=complex)
-            for slot, j in enumerate(users_k):
-                shape = [1] * d
-                shape[slot] = M
-                vals = vals + codebook.entries[j][k].reshape(shape)
-            self.users.append(users_k)
-            self.degrees.append(d)
-            self.sums.append(vals.reshape(-1))
-        # message index of each slot for every combo of a degree-d resource
-        self.slot_index = [
-            list(tuple_digits(np.arange(M**d), M, d).T.copy()) for d in self.degrees
-        ]
-        # per-user list of (resource, slot) edges
-        self.edges = [[] for _ in range(self.J)]
-        for k in range(self.K):
-            for slot, j in enumerate(self.users[k]):
-                self.edges[j].append((k, slot))
+        cfg, ind = codebook.config, codebook.indicator
+        M, K, J = self.M, self.K, self.J = cfg.M, cfg.K, cfg.J
+        self.d = d = ind.max_row_degree
+        self.slot_users = np.full((K, d), J)  # (K, d) user on each slot
+        for k, row in enumerate(ind.F):
+            self.slot_users[k, : row.sum()] = np.flatnonzero(row)
+        # (d, M^d) message of each slot in every combination; slot 0 most significant
+        self.slot_index = tuple_digits(np.arange(M**d), M, d).T.copy()
+        # candidate noiseless resource values (K, M^d) from each slot's codewords
+        entries = np.concatenate([codebook.entries, np.zeros((1, K, M), dtype=complex)])
+        slot_words = entries[self.slot_users, np.arange(K)[:, None]]
+        self.sums = np.zeros((K, M**d), dtype=complex)
+        for slot in range(d):
+            self.sums = self.sums + slot_words[:, slot, self.slot_index[slot]]
+        # (J, N) flat resource * d + slot positions of each user, ascending
+        # resource; phantom slots sort last and are dropped
+        order = np.argsort(self.slot_users.reshape(-1), kind="stable")
+        self.edges = order[: J * cfg.N].reshape(J, cfg.N)
 
 
 def _mpa_posteriors(received: np.ndarray, codebook: Codebook, ch: ChannelRealization,
@@ -106,61 +105,50 @@ def _mpa_posteriors(received: np.ndarray, codebook: Codebook, ch: ChannelRealiza
     """Batched message passing: received (B, K) complex -> posteriors (B, J, M)."""
     g = graph if graph is not None else _FactorGraph(codebook)
     B = received.shape[0]
-    M, K, J = g.M, g.K, g.J
+    M, K, d = g.M, g.K, g.d
     n0 = max(ch.n0, N0_FLOOR)
     reduce_ = np.max if cfg.max_log else _logsumexp
 
-    # channel metrics per resource: (B, M^d)
-    phi = [
-        -np.abs(received[:, k, None] - ch.h[k] * g.sums[k][None, :]) ** 2 / n0
-        for k in range(K)
-    ]
-    # user-to-resource messages, uniform start
-    v = [np.zeros((B, g.degrees[k], M)) for k in range(K)]
-    r_msg = [np.zeros((B, g.degrees[k], M)) for k in range(K)]
+    # channel metric of every combination on every resource: (B, K, M^d)
+    phi = -np.abs(received[:, :, None] - ch.h[:, None] * g.sums[None]) ** 2 / n0
+    # user-to-resource (v) and resource-to-user messages per (resource, slot),
+    # uniform start; v4 and r4 are (B, K, d, M) views
+    v, r_msg = np.zeros((2, B, K * d, M))
+    v4, r4 = v.reshape(B, K, d, M), r_msg.reshape(B, K, d, M)
 
     for _ in range(cfg.n_iter):
         # resource-to-user: combine channel metric with other users' messages
-        for k in range(K):
-            d = g.degrees[k]
-            total = phi[k].copy()
-            for slot in range(d):
-                total += v[k][:, slot, :][:, g.slot_index[k][slot]]
-            cube = total.reshape((B,) + (M,) * d)
-            for slot in range(d):
-                excl = cube - np.moveaxis(
-                    v[k][:, slot, :].reshape((B, M) + (1,) * (d - 1)), 1, 1 + slot
-                )
-                axes = tuple(a for a in range(1, d + 1) if a != 1 + slot)
-                r_msg[k][:, slot, :] = reduce_(excl, axis=axes) if axes else excl.reshape(B, M)
+        total = phi.copy()
+        for slot in range(d):
+            total += np.take(v4[:, :, slot], g.slot_index[slot], axis=2)
+        cube = total.reshape((B, K) + (M,) * d)
+        for slot in range(d):
+            excl = cube - v4[:, :, slot].reshape((B, K) + (1,) * slot + (M,) + (1,) * (d - 1 - slot))
+            r4[:, :, slot] = reduce_(excl, axis=tuple(a for a in range(2, d + 2) if a != 2 + slot))
         # user-to-resource: sum of the other resources' messages, normalized
-        for j in range(J):
-            tot = np.zeros((B, M))
-            for k, slot in g.edges[j]:
-                tot += r_msg[k][:, slot, :]
-            for k, slot in g.edges[j]:
-                msg = tot - r_msg[k][:, slot, :]
-                msg = msg - msg.max(axis=1, keepdims=True)
-                v[k][:, slot, :] = cfg.damping * v[k][:, slot, :] + (1 - cfg.damping) * msg
+        incoming = r_msg[:, g.edges]  # (B, J, N, M)
+        msg = incoming.sum(axis=2, keepdims=True) - incoming
+        msg -= msg.max(axis=3, keepdims=True)
+        v[:, g.edges] = cfg.damping * v[:, g.edges] + (1 - cfg.damping) * msg
 
     # posteriors from the final resource-to-user messages
-    out = np.empty((B, J, M))
-    for j in range(J):
-        tot = np.zeros((B, M))
-        for k, slot in g.edges[j]:
-            tot += r_msg[k][:, slot, :]
-        tot -= tot.max(axis=1, keepdims=True)
-        p = np.exp(tot)
-        out[:, j, :] = p / p.sum(axis=1, keepdims=True)
-    return out
+    tot = r_msg[:, g.edges].sum(axis=2)
+    tot -= tot.max(axis=2, keepdims=True)
+    p = np.exp(tot)
+    return p / p.sum(axis=2, keepdims=True)
+
+
+def _received_vector(received, codebook: Codebook) -> np.ndarray:
+    """One received vector as a (1, K) complex batch."""
+    r = np.asarray(received, dtype=complex)
+    if r.shape != (codebook.config.K,):
+        raise ShapeError(f"received vector shape {r.shape}, expected ({codebook.config.K},)")
+    return r[None, :]
 
 
 def mpa_detect(received, codebook: Codebook, ch: ChannelRealization, cfg: MpaConfig = MpaConfig()) -> PosteriorSet:
     """Per-user posteriors for one received vector; hard decision is argmax."""
-    r = np.asarray(received, dtype=complex)
-    if r.shape != (codebook.config.K,):
-        raise ShapeError(f"received vector shape {r.shape}, expected ({codebook.config.K},)")
-    probs = _mpa_posteriors(r[None, :], codebook, ch, cfg)[0]
+    probs = _mpa_posteriors(_received_vector(received, codebook), codebook, ch, cfg)[0]
     return PosteriorSet(probs=probs)
 
 
@@ -189,10 +177,7 @@ def ml_detect(received, codebook: Codebook, ch: ChannelRealization, guard: int =
     Minimizes ||r - diag(h) sum_j x_{j,m_j}||^2 over all M^J tuples; ties are
     broken toward the lowest tuple index (user 0 most significant).
     """
-    r = np.asarray(received, dtype=complex)
-    if r.shape != (codebook.config.K,):
-        raise ShapeError(f"received vector shape {r.shape}, expected ({codebook.config.K},)")
-    return _ml_decisions(r[None, :], codebook, ch, guard=guard)[0]
+    return _ml_decisions(_received_vector(received, codebook), codebook, ch, guard=guard)[0]
 
 
 def mpa_complexity(cfg: MpaConfig, ind: IndicatorMatrix, alphabet_size: int) -> int:

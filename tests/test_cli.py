@@ -138,6 +138,20 @@ class TestMalformedInputs:
         assert str(cfg_path) in err and repr(key) in err
         assert not (tmp_path / "checkpoint.bin").exists()
 
+    # str() would turn either value into a path, so each must be a JSON string
+    @pytest.mark.parametrize("key, value", [("output_dir", 5), ("init_codebook", 7)])
+    def test_non_string_path_names_file_and_field(self, tmp_path, monkeypatch, capsys, key, value):
+        monkeypatch.chdir(tmp_path)
+        cfg = {"system": dict(PAPER_SYSTEM),
+               "train": {"iterations": 1, "batch_size": 4},
+               "paths": {"output_dir": str(tmp_path), key: value}}
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli(["train", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert str(cfg_path) in err and repr(key) in err
+        assert not (tmp_path / "checkpoint.bin").exists()
+
     def test_non_numeric_snr_is_validation_error(self, tmp_path):
         out = tmp_path / "ber.csv"
         assert run_cli(["ber", "--codebook", HUAWEI, "--snr", "abc", "--out", str(out)]) == 1

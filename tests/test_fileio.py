@@ -158,13 +158,17 @@ class TestCheckpoint:
         (hlen,) = struct.unpack("<I", raw[8:12])
         return json.loads(raw[12 : 12 + hlen]), raw[12 + hlen :]
 
+    @staticmethod
+    def rewrite(path, header, arrays):
+        blob = json.dumps(header).encode()
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(blob)) + blob + arrays)
+
     @pytest.mark.parametrize("key", ["system", "F", "layout", "arrays"])
     def test_header_missing_key(self, tmp_path, key):
         path = tmp_path / "model.bin"
         header, arrays = self.small_checkpoint(path)
         del header[key]
-        blob = json.dumps(header).encode()
-        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(blob)) + blob + arrays)
+        self.rewrite(path, header, arrays)
         with pytest.raises(CodebookFormatError, match=f"{re.escape(str(path))}.*'{key}'"):
             load_checkpoint(path)
 
@@ -173,9 +177,27 @@ class TestCheckpoint:
         path = tmp_path / "model.bin"
         header, arrays = self.small_checkpoint(path)
         header["layout"]["subnets"][1][0] = "linear"
-        blob = json.dumps(header).encode()
-        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(blob)) + blob + arrays)
+        self.rewrite(path, header, arrays)
         with pytest.raises(CodebookFormatError, match=f"{re.escape(str(path))}.*differ"):
+            load_checkpoint(path)
+
+    def test_generator_shape_names_file(self, tmp_path):
+        # gbar cut from the system's (J, 2N, log2 M) = (3, 4, 2) to (3, 2, 2)
+        path = tmp_path / "model.bin"
+        header, arrays = self.small_checkpoint(path)
+        assert header["arrays"][0] == {"name": "gbar", "shape": [3, 4, 2]}
+        header["arrays"][0]["shape"] = [3, 2, 2]
+        self.rewrite(path, header, arrays[: 8 * 12] + arrays[8 * 24 :])
+        with pytest.raises(CodebookFormatError,
+                           match=f"{re.escape(str(path))}.*generator stack shape"):
+            load_checkpoint(path)
+
+    def test_non_finite_weight_names_file(self, tmp_path):
+        path = tmp_path / "model.bin"
+        header, arrays = self.small_checkpoint(path)
+        assert header["arrays"][1]["name"] == "shared.0.w"  # right after the 24 gbar values
+        self.rewrite(path, header, arrays[: 8 * 24] + struct.pack("<d", np.nan) + arrays[8 * 25 :])
+        with pytest.raises(CodebookFormatError, match=f"{re.escape(str(path))}.*finite"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("cut", [10, 40])  # inside the length, inside the JSON
@@ -235,6 +257,11 @@ class TestExperimentConfig:
         doc["eval"] = {"min_errors": 100}
         with pytest.raises(CodebookFormatError, match="unknown keys"):
             experiment_config_from_dict(doc)
+
+    def test_null_init_codebook_accepted(self):
+        doc = self.base_doc()
+        doc["paths"] = {"init_codebook": None, "output_dir": "runs"}
+        assert experiment_config_from_dict(doc).paths.init_codebook is None
 
     def test_hash_covers_floor_decay(self):
         doc = self.base_doc()

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,7 @@ from scmalink import (
     read_codebook,
     superimpose,
     superimposed_constellation,
+    tuple_digits,
 )
 from scmalink.mpa import N0_FLOOR, _ml_decisions, _mpa_posteriors
 
@@ -105,6 +109,67 @@ class TestMpaDetect:
             MpaConfig(n_iter=0)
         with pytest.raises(ConfigError):
             MpaConfig(damping=1.0)
+
+
+def random_sparse_codebook(F, alphabet_size, rng):
+    F = np.array(F)
+    K, J = F.shape
+    cfg = SystemConfig(n_users=J, n_resources=K, n_nonzero=int(F[:, 0].sum()), alphabet_size=alphabet_size)
+    shape = (J, K, alphabet_size)
+    entries = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * F.T[:, :, None]
+    return Codebook(entries=entries, config=cfg, indicator=build_indicator(F))
+
+
+class TestCycleFreeOracles:
+    # a tree with row degrees 3, 1, 1, 1 (padded with phantom users) and a
+    # single resource; message passing is exact on both
+    GRAPHS = {"tree": [[1, 1, 1], [1, 0, 0], [0, 1, 0], [0, 0, 1]], "one_resource": [[1, 1]]}
+
+    @staticmethod
+    def _setup(F):
+        rng = np.random.default_rng(11)
+        cb = random_sparse_codebook(F, 4, rng)
+        ch = ChannelRealization.awgn(cb.config.K, 0.5)
+        msgs = rng.integers(0, 4, (200, cb.config.J))
+        return cb, ch, apply_channel(superimpose(cb, msgs), ch, rng)
+
+    @pytest.mark.parametrize("graph", sorted(GRAPHS))
+    def test_sum_product_equals_exact_marginals(self, graph):
+        cb, ch, r = self._setup(self.GRAPHS[graph])
+        J, M = cb.config.J, cb.config.M
+        post = _mpa_posteriors(r, cb, ch, MpaConfig(n_iter=4, max_log=False))
+        # brute force over every tuple of the superimposed constellation
+        pts = superimposed_constellation(cb)
+        loglik = -(np.abs(r[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2) / ch.n0
+        joint = np.exp(loglik - loglik.max(axis=1, keepdims=True))
+        joint /= joint.sum(axis=1, keepdims=True)
+        digits = tuple_digits(np.arange(M**J), M, J)
+        exact = np.stack([joint @ (digits[:, j, None] == np.arange(M)) for j in range(J)], axis=1)
+        assert np.abs(post - exact).max() < 1e-12
+
+    @pytest.mark.parametrize("graph", sorted(GRAPHS))
+    def test_max_log_decisions_equal_ml(self, graph):
+        cb, ch, r = self._setup(self.GRAPHS[graph])
+        post = _mpa_posteriors(r, cb, ch, MpaConfig(n_iter=4))
+        assert np.array_equal(np.argmax(post, axis=2), _ml_decisions(r, cb, ch))
+
+
+class TestRecordedPosteriors:
+    # the repr of _mpa_posteriors on fixed received vectors of the normalized
+    # Huawei codebook at 4 and 8 dB, recorded before the factor graph was
+    # stacked over resources; any change of summation order shows here
+    RECORDED = json.loads(Path(__file__).with_name("mpa_posteriors_v1.json").read_text())
+
+    @pytest.mark.parametrize("name", sorted(RECORDED["configs"]))
+    def test_bit_identical_to_recording(self, huawei, name):
+        cfg = MpaConfig(**self.RECORDED["configs"][name])
+        for point in self.RECORDED["points"]:
+            r = np.array([[complex(float(re), float(im)) for re, im in row]
+                          for row in point["received"]])
+            ch = ChannelRealization.awgn(4, float(point["n0"]))
+            post = _mpa_posteriors(r, huawei, ch, cfg)
+            got = [[[repr(float(p)) for p in user] for user in row] for row in post]
+            assert got == point["posteriors"][name], point["ebn0_db"]
 
 
 class TestMlDetect:
