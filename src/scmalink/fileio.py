@@ -103,11 +103,15 @@ def _system_to_dict(cfg: SystemConfig) -> dict:
 
 def _system_from_dict(block, F, where: str) -> tuple[SystemConfig, IndicatorMatrix]:
     """A system block and its occupancy matrix, which must agree on J, K and N."""
-    cfg = SystemConfig(**{name: _typed(block, key, int, where)
-                          for key, name in _SYSTEM_KEYS.items()})
+    values = {name: _typed(block, key, int, where) for key, name in _SYSTEM_KEYS.items()}
+    try:
+        cfg = SystemConfig(**values)
+    except ConfigError as exc:
+        fields = ", ".join(map(repr, _SYSTEM_KEYS))
+        raise CodebookFormatError(f"{where}: fields {fields} are not a valid system ({exc})") from exc
     try:
         ind = build_indicator(np.array(F))
-    except ValueError as exc:  # a ragged list of rows
+    except (ValueError, ConfigError, ShapeError) as exc:  # ValueError: a ragged list of rows
         raise CodebookFormatError(f"{where}: bad field 'F' ({exc})") from exc
     if ind.n_users != cfg.J or ind.n_resources != cfg.K or ind.n_nonzero != cfg.N:
         raise CodebookFormatError(f"{where}: F matrix does not match the stated dimensions")

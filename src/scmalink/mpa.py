@@ -6,8 +6,23 @@ max-sum (Max-Log); exact sum-product is available as a config option. All K
 resources are stacked into one array per quantity, each padded to the maximum
 row degree d with a phantom user whose M codewords are zero, so regular and
 irregular graphs share one code path and an iteration loops only over the d
-slots of a resource. The ML oracle enumerates the entire superimposed
-constellation and is intended for small instances and cross-checks.
+slots of a resource.
+
+The resource-to-user update views the combination metrics of a resource as a
+cube with one length-M axis per slot. For each slot, the max over the other
+slot axes is folded off one axis at a time with elementwise np.maximum over
+halves of that axis, and the max over the later slots is shared between
+slots. Each message is that max minus the slot's own incoming message, which
+rounds exactly as the max of the differences would. Sum-product adds
+log sum exp(excl - max) to the same maxima, summed as one np.sum over a
+(B, K, M, ..., M) array, so both update rules share one path. The batch runs
+in blocks of BLOCK vectors, with the vectors on the last axis of every
+array: inner loops run over vectors rather than over length-M slot axes, and
+an iteration's temporaries stay inside the L2 cache. Every step is row-wise,
+so blocking changes no bit of the output.
+
+The ML oracle enumerates the entire superimposed constellation and is
+intended for small instances and cross-checks.
 """
 
 from __future__ import annotations
@@ -30,6 +45,10 @@ from .core import (
 
 # keeps log-likelihoods finite when noise-free inputs are decoded
 N0_FLOOR = 1e-12
+# received vectors per message-passing block: on the Huawei graph (K=4, d=3,
+# M=4) a block's (M^d, K, BLOCK) metric and combination arrays take 512 kB
+# each, so an iteration's working set fits a 2 MB L2 cache
+BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -63,10 +82,33 @@ class PosteriorSet:
         return np.argmax(self.probs, axis=1)
 
 
-def _logsumexp(x: np.ndarray, axis) -> np.ndarray:
-    m = np.max(x, axis=axis, keepdims=True)
-    out = m + np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True))
-    return np.squeeze(out, axis=axis)
+def _fold_max(x: np.ndarray, axis: int) -> np.ndarray:
+    """Max over one axis of x whose length is a power of two, by np.maximum of its halves."""
+    lead = (slice(None),) * axis
+    n = x.shape[axis]
+    while n > 1:
+        n //= 2
+        x = np.maximum(x[lead + (slice(0, n),)], x[lead + (slice(n, 2 * n),)])
+    return x[lead + (0,)]
+
+
+def _slot_maxima(cube: np.ndarray, d: int) -> list[np.ndarray]:
+    """For each of the d leading (slot) axes of cube, the max over the other slot axes.
+
+    cube is (M,) * d + rest; returns d arrays of shape (M,) + rest. The max
+    over the slots after s is shared: it is folded off the back once, one
+    slot at a time, and slot s then folds the slots before it off the front.
+    """
+    after = [cube]  # after[i] keeps slots 0..d-1-i
+    for axis in range(d - 1, 0, -1):
+        after.append(_fold_max(after[-1], axis))
+    maxima = []
+    for s in range(d):
+        x = after[d - 1 - s]
+        for _ in range(s):
+            x = _fold_max(x, 0)
+        maxima.append(x)
+    return maxima
 
 
 class _FactorGraph:
@@ -87,13 +129,13 @@ class _FactorGraph:
         for k, row in enumerate(ind.F):
             self.slot_users[k, : row.sum()] = np.flatnonzero(row)
         # (d, M^d) message of each slot in every combination; slot 0 most significant
-        self.slot_index = tuple_digits(np.arange(M**d), M, d).T.copy()
+        slot_index = tuple_digits(np.arange(M**d), M, d).T
         # candidate noiseless resource values (K, M^d) from each slot's codewords
         entries = np.concatenate([codebook.entries, np.zeros((1, K, M), dtype=complex)])
         slot_words = entries[self.slot_users, np.arange(K)[:, None]]
         self.sums = np.zeros((K, M**d), dtype=complex)
         for slot in range(d):
-            self.sums = self.sums + slot_words[:, slot, self.slot_index[slot]]
+            self.sums = self.sums + slot_words[:, slot, slot_index[slot]]
         # (J, N) flat resource * d + slot positions of each user, ascending
         # resource; phantom slots sort last and are dropped
         order = np.argsort(self.slot_users.reshape(-1), kind="stable")
@@ -105,34 +147,68 @@ def _mpa_posteriors(received: np.ndarray, codebook: Codebook, ch: ChannelRealiza
     """Batched message passing: received (B, K) complex -> posteriors (B, J, M)."""
     g = graph if graph is not None else _FactorGraph(codebook)
     B = received.shape[0]
-    M, K, d = g.M, g.K, g.d
+    # noiseless candidates (M^d, K, 1) of every combination on every resource
+    faded = (ch.h[:, None] * g.sums).T[:, :, None]
     n0 = max(ch.n0, N0_FLOOR)
-    reduce_ = np.max if cfg.max_log else _logsumexp
+    post = np.empty((B, g.J, g.M))
+    for a in range(0, B, BLOCK):
+        post[a : a + BLOCK] = _block_posteriors(received[a : a + BLOCK], faded, n0, g, cfg)
+    return post
 
-    # channel metric of every combination on every resource: (B, K, M^d)
-    phi = -np.abs(received[:, :, None] - ch.h[:, None] * g.sums[None]) ** 2 / n0
+
+def _block_posteriors(received: np.ndarray, faded: np.ndarray, n0: float,
+                      g: _FactorGraph, cfg: MpaConfig) -> np.ndarray:
+    """All iterations on one block: received (b, K) -> posteriors (b, J, M).
+
+    The block's vectors run along the last axis of every array, so each
+    elementwise step loops innermost over b contiguous values, not over a
+    length-M slot axis.
+    """
+    b = received.shape[0]
+    M, K, d = g.M, g.K, g.d
+    # channel metric of every combination on every resource: (M^d, K, b)
+    phi = -np.abs(received.T[None] - faded) ** 2 / n0
+    cube_shape = (M,) * d + (K, b)
+    total = np.empty(cube_shape)
     # user-to-resource (v) and resource-to-user messages per (resource, slot),
-    # uniform start; v4 and r4 are (B, K, d, M) views
-    v, r_msg = np.zeros((2, B, K * d, M))
-    v4, r4 = v.reshape(B, K, d, M), r_msg.reshape(B, K, d, M)
+    # uniform start; v4 and r4 are (K, d, M, b) views
+    v, r_msg = np.zeros((2, K * d, M, b))
+    v4, r4 = v.reshape(K, d, M, b), r_msg.reshape(K, d, M, b)
+    # per slot s: its (M, K, b) messages, and the same broadcast along slot
+    # axis s of the cube
+    v_slot = [v4[:, s].swapaxes(0, 1) for s in range(d)]
+    r_slot = [r4[:, s].swapaxes(0, 1) for s in range(d)]
+    v_axis = [v_slot[s].reshape((1,) * s + (M,) + (1,) * (d - 1 - s) + (K, b)) for s in range(d)]
 
     for _ in range(cfg.n_iter):
-        # resource-to-user: combine channel metric with other users' messages
-        total = phi.copy()
-        for slot in range(d):
-            total += np.take(v4[:, :, slot], g.slot_index[slot], axis=2)
-        cube = total.reshape((B, K) + (M,) * d)
-        for slot in range(d):
-            excl = cube - v4[:, :, slot].reshape((B, K) + (1,) * slot + (M,) + (1,) * (d - 1 - slot))
-            r4[:, :, slot] = reduce_(excl, axis=tuple(a for a in range(2, d + 2) if a != 2 + slot))
+        # resource-to-user: combine channel metric with every slot's message,
+        # then remove each slot's own message from the max over the others
+        np.add(phi.reshape(cube_shape), v_axis[0], out=total)
+        for s in range(1, d):
+            total += v_axis[s]
+        for s, peak in enumerate(_slot_maxima(total, d)):
+            if cfg.max_log:
+                np.subtract(peak, v_slot[s], out=r_slot[s])
+                continue
+            # log sum exp(excl - m); np.sum's order follows the memory layout,
+            # so it sums a (b, K) + (M,) * d copy
+            m = peak - v_slot[s]
+            excl = total - v_axis[s]
+            excl -= m.reshape(v_axis[s].shape)
+            np.exp(excl, out=excl)
+            others = tuple(2 + a for a in range(d) if a != s)
+            lse = np.sum(np.moveaxis(excl, (d, d + 1), (1, 0)).copy(), axis=others)
+            np.add(m, np.log(lse).T, out=r_slot[s])
         # user-to-resource: sum of the other resources' messages, normalized
-        incoming = r_msg[:, g.edges]  # (B, J, N, M)
-        msg = incoming.sum(axis=2, keepdims=True) - incoming
-        msg -= msg.max(axis=3, keepdims=True)
-        v[:, g.edges] = cfg.damping * v[:, g.edges] + (1 - cfg.damping) * msg
+        incoming = r_msg[g.edges]  # (J, N, M, b)
+        msg = incoming.sum(axis=1, keepdims=True) - incoming
+        msg -= _fold_max(msg, 2)[:, :, None]
+        if cfg.damping:  # at damping 0 the blend equals msg bit for bit
+            msg = cfg.damping * v[g.edges] + (1 - cfg.damping) * msg
+        v[g.edges] = msg
 
-    # posteriors from the final resource-to-user messages
-    tot = r_msg[:, g.edges].sum(axis=2)
+    # posteriors from the final resource-to-user messages, as (b, J, M)
+    tot = np.ascontiguousarray(r_msg[g.edges].sum(axis=1).transpose(2, 0, 1))
     tot -= tot.max(axis=2, keepdims=True)
     p = np.exp(tot)
     return p / p.sum(axis=2, keepdims=True)

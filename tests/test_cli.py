@@ -177,6 +177,20 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert str(path) in err and "'F'" in err
 
+    # values that parse but that SystemConfig or build_indicator reject
+    @pytest.mark.parametrize("edit, field", [
+        (lambda doc: doc["system"].update(alphabet=3), "'alphabet'"),
+        (lambda doc: doc["F"][0].__setitem__(0, 2), "'F'"),
+    ], ids=["alphabet-3", "F-entry-2"])
+    def test_invalid_system_value_names_file_and_field(self, tmp_path, capsys, edit, field):
+        doc = json.loads(open(HUAWEI).read())
+        edit(doc)
+        path = tmp_path / "invalid.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(["med", "--codebook", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and field in err
+
     def test_non_utf8_codebook_names_file(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"
         path.write_bytes(b'{"name": "caf\xe9"}')

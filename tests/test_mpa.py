@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from scmalink import (
     superimposed_constellation,
     tuple_digits,
 )
-from scmalink.mpa import N0_FLOOR, _ml_decisions, _mpa_posteriors
+from scmalink.mpa import BLOCK, N0_FLOOR, _ml_decisions, _mpa_posteriors, _slot_maxima
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +171,78 @@ class TestRecordedPosteriors:
             post = _mpa_posteriors(r, huawei, ch, cfg)
             got = [[[repr(float(p)) for p in user] for user in row] for row in post]
             assert got == point["posteriors"][name], point["ebn0_db"]
+
+
+def block_crossing_cases():
+    """Seeded 600-vector batches that span several 256-vector blocks.
+
+    "huawei": the normalized Huawei codebook over AWGN at 8 dB; "irregular":
+    a random M=8 codebook on row degrees 3, 2, 2, 3 (padded with phantom
+    users) over a fixed fading vector h.
+    """
+    rng = np.random.default_rng(2024)
+    huawei = read_codebook(data_path("huawei_4x6.json")).normalized()
+    irregular = random_sparse_codebook(
+        [[1, 1, 1, 0, 0], [1, 0, 0, 1, 0], [0, 1, 0, 0, 1], [0, 0, 1, 1, 1]], 8, rng)
+    h = (rng.standard_normal(4) + 1j * rng.standard_normal(4)) / np.sqrt(2)
+    channels = {"huawei": (huawei, ChannelRealization.awgn(4, ebn0_to_n0(8.0, 4))),
+                "irregular": (irregular, ChannelRealization(h=h, n0=ebn0_to_n0(8.0, 8)))}
+    cases = {}
+    for name, (cb, ch) in channels.items():
+        msgs = rng.integers(0, cb.config.M, (600, cb.config.J))
+        cases[name] = cb, ch, apply_channel(superimpose(cb, msgs), ch, rng)
+    return cases
+
+
+def sha256_of(a: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+class TestRecordedBlockPosteriors:
+    # SHA-256 of the float64 bytes of _mpa_posteriors on block_crossing_cases,
+    # recorded before the resource update was split into batch blocks; the
+    # received batch is hashed too, so a change in the inputs is told apart
+    # from a change in the detector
+    RECORDED = json.loads(Path(__file__).with_name("mpa_posteriors_v2.json").read_text())
+    CASES = block_crossing_cases()
+
+    @pytest.mark.parametrize("config", sorted(RECORDED["configs"]))
+    @pytest.mark.parametrize("case", sorted(RECORDED["cases"]))
+    def test_bit_identical_to_recording(self, case, config):
+        cb, ch, r = self.CASES[case]
+        want = self.RECORDED["cases"][case]
+        assert sha256_of(r) == want["received_sha256"]
+        post = _mpa_posteriors(r, cb, ch, MpaConfig(**self.RECORDED["configs"][config]))
+        rows = want["repr_rows"]
+        assert [[repr(float(p)) for p in post[row, 0]] for row in rows] == want["reprs"][config]
+        assert sha256_of(post) == want["posteriors_sha256"][config]
+
+
+class TestSlotMaxima:
+    @pytest.mark.parametrize("M", [2, 4, 8])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_equals_multi_axis_max(self, d, M):
+        rng = np.random.default_rng(10 * d + M)
+        # five distinct values, so most maxima are ties; two trailing axes
+        cube = rng.integers(-2, 3, (M,) * d + (3, 5)).astype(float)
+        maxima = _slot_maxima(cube, d)
+        assert len(maxima) == d
+        for s, got in enumerate(maxima):
+            want = np.max(cube, axis=tuple(a for a in range(d) if a != s))
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+
+class TestBatchBlocks:
+    @pytest.mark.parametrize("B", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1])
+    def test_rows_equal_single_vector_runs(self, huawei, B):
+        rng = np.random.default_rng(B)
+        ch = ChannelRealization.awgn(4, ebn0_to_n0(6.0, 4))
+        r = apply_channel(superimpose(huawei, rng.integers(0, 4, (B, 6))), ch, rng)
+        for cfg in (MpaConfig(), MpaConfig(max_log=False, damping=0.5, n_iter=3)):
+            post = _mpa_posteriors(r, huawei, ch, cfg)
+            assert post.shape == (B, 6, 4)
+            for i in range(B):
+                assert post[i].tobytes() == _mpa_posteriors(r[i : i + 1], huawei, ch, cfg)[0].tobytes()
 
 
 class TestMlDetect:
