@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data_path
-from .core import ScmaError, build_bit_matrix
+from .core import ConfigError, ScmaError, build_bit_matrix
 from .encoder import init_generators
 from .fileio import (
     CodebookFormatError,
@@ -166,6 +166,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     for i in range(args.trials):

@@ -13,6 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# query rows per squared_distance_blocks block (8 MB against the 4096-point
+# Huawei constellation); its buffers are allocated once per search, as fresh
+# 8 MB arrays per step can be handed back to the OS and faulted in again
+SEARCH_BLOCK = 256
+
 
 class ScmaError(Exception):
     """Base class for all toolkit errors."""
@@ -232,6 +237,21 @@ def superimposed_constellation(codebook: Codebook, guard: int = 1_000_000) -> np
     for j in range(J):
         pts = (pts[:, None, :] + codebook.entries[j].T[None, :, :]).reshape(-1, codebook.config.K)
     return pts
+
+
+def squared_distance_blocks(queries: np.ndarray, points: np.ndarray):
+    """Squared distances (b, n) from each SEARCH_BLOCK rows of real queries
+    (B, D) to real points (n, D), in row order. Each is summed over the D
+    dimensions one at a time in index order, as a plain per-pair loop does.
+    Every block is the same buffer: use it before asking for the next one."""
+    buf = np.empty((2, min(SEARCH_BLOCK, queries.shape[0]), points.shape[0]))
+    for a in range(0, queries.shape[0], SEARCH_BLOCK):
+        q = queries[a : a + SEARCH_BLOCK]
+        d2, diff = buf[:, : q.shape[0]]
+        d2.fill(0)
+        for d in range(points.shape[1]):
+            d2 += np.square(np.subtract(q[:, d, None], points[:, d], out=diff), out=diff)
+        yield d2
 
 
 def tuple_digits(index, alphabet_size: int, n_users: int) -> np.ndarray:

@@ -315,16 +315,13 @@ def load_checkpoint(path):
                 for i, act in enumerate(acts)
             ]
             decoder = MultiTaskDecoder(shared, user_layers)
+            decoder.check_fits(cfg)
             meta = header["meta"]
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise CodebookFormatError(
                 f"{where}: bad checkpoint header ({type(exc).__name__}: {exc})") from exc
         except (ShapeError, ConfigError) as exc:  # arrays the stored system or layout rejects
             raise CodebookFormatError(f"{where}: {exc}") from exc
-    if (decoder.input_width, decoder.n_users, decoder.n_messages) != (2 * cfg.K, cfg.J, cfg.M):
-        raise CodebookFormatError(
-            f"{where}: decoder input width {decoder.input_width}, {decoder.n_users} users and "
-            f"{decoder.n_messages} messages do not match 2K = {2 * cfg.K}, J = {cfg.J}, M = {cfg.M}")
     return gen, decoder, ind, meta
 
 

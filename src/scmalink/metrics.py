@@ -1,10 +1,12 @@
 """Evaluation: minimum distance of the superimposed constellation and BER.
 
-compute_med scans all pairs of the M^J superimposed codewords exactly. The
-pairwise distance is accumulated dimension by dimension in a fixed order so
-the result is bit-identical to a plain per-pair loop, which the test suite
-uses as an independent oracle. simulate_ber runs seeded Monte Carlo trials
-through any of the three detectors and reports Wilson intervals.
+compute_med scans all pairs of the M^J superimposed codewords exactly with
+core.squared_distance_blocks, the one nearest-point search, which the ML
+detector shares. It sums each squared distance over the real-split
+dimensions one at a time in index order, so the MED and its pair are
+bit-identical to a plain per-pair loop, which the test suite uses as an
+independent oracle. simulate_ber runs seeded Monte Carlo trials through any
+of the three detectors and reports Wilson intervals.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization, apply_channel, ebn0_to_n0, split_real
-from .core import Codebook, ConfigError, superimposed_constellation, tuple_digits
+from .core import (Codebook, ConfigError, squared_distance_blocks, superimposed_constellation,
+                   tuple_digits)
 from .encoder import superimpose
 from .mpa import N0_FLOOR, MpaConfig, _FactorGraph, _ml_decisions, _mpa_posteriors
 
@@ -61,34 +64,27 @@ def wilson_interval(errors: int, n: int, z: float = WILSON_Z) -> tuple[float, fl
     return (lo, hi)
 
 
-def compute_med(codebook: Codebook, guard: int = 1_000_000, block: int = 256) -> MedReport:
+def compute_med(codebook: Codebook, guard: int = 1_000_000) -> MedReport:
     """Exact minimum pairwise squared distance over all M^J superimposed points.
 
-    Runtime is quadratic in M^J; the guard rejects constellations above one
-    million points (use a sampled lower bound for anything larger).
+    squared_distance_blocks scans every pair of real-split points, so the MED
+    rounds as the naive per-pair loop does; among equal minima the lowest
+    (row, column) pair wins. Runtime is quadratic in M^J; the guard rejects
+    constellations above one million points.
     """
-    pts = superimposed_constellation(codebook, guard)
-    r = np.concatenate([pts.real, pts.imag], axis=1)
-    n, dims = r.shape
-    if n < 2:
+    r = split_real(superimposed_constellation(codebook, guard))
+    if len(r) < 2:
         raise ConfigError("need at least two constellation points")
-    best = np.inf
-    best_pair = (0, 0)
-    for a in range(0, n, block):
-        blk = r[a : a + block]
-        # accumulate per dimension, left to right, to mirror the naive oracle
-        d2 = np.zeros((blk.shape[0], n))
-        for d in range(dims):
-            d2 += (blk[:, d, None] - r[None, :, d]) ** 2
-        rows = np.arange(blk.shape[0])
+    best, best_pair, a = np.inf, (0, 0), 0  # a: first row of the current block
+    for d2 in squared_distance_blocks(r, r):
+        rows = np.arange(d2.shape[0])
         d2[rows, a + rows] = np.inf
-        flat = np.argmin(d2)
-        i, j = np.unravel_index(flat, d2.shape)
-        if d2[i, j] < best:
-            best = float(d2[i, j])
-            best_pair = (a + int(i), int(j))
+        i, j = np.unravel_index(np.argmin(d2), d2.shape)
+        if d2[i, j] < best:  # strictly less: an earlier block keeps a tie
+            best, best_pair = float(d2[i, j]), (a + int(i), int(j))
+        a += d2.shape[0]
     digits = tuple_digits(np.array(best_pair), codebook.config.M, codebook.config.J)
-    return MedReport(med=best, arg_pair=tuple(map(tuple, digits.tolist())), phi_size=n)
+    return MedReport(med=best, arg_pair=tuple(map(tuple, digits.tolist())), phi_size=len(r))
 
 
 def compare_codebooks(named_codebooks) -> list[tuple[str, float]]:
@@ -132,10 +128,10 @@ def simulate_ber(codebook: Codebook, detector: str, ebn0_db_list, *,
     """
     if detector not in ("mpa", "ml", "neural"):
         raise ConfigError(f"unknown detector {detector!r}")
-    if detector == "neural" and decoder is None:
-        raise ConfigError("the neural detector needs a trained decoder model")
-    if detector == "neural" and decoder.n_users != codebook.config.J:
-        raise ConfigError("decoder topology does not match the codebook")
+    if detector == "neural":
+        if decoder is None:
+            raise ConfigError("the neural detector needs a trained decoder model")
+        decoder.check_fits(codebook.config)
     for name, value in (("batch_size", batch_size), ("min_errors", min_errors),
                         ("max_bits", max_bits)):
         if value < 1:

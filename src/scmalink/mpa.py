@@ -22,7 +22,11 @@ an iteration's temporaries stay inside the L2 cache. Every step is row-wise,
 so blocking changes no bit of the output.
 
 The ML oracle enumerates the entire superimposed constellation and is
-intended for small instances and cross-checks.
+intended for small instances and cross-checks. It splits the received
+vectors and the faded points into real and imaginary parts and scans them
+with core.squared_distance_blocks, the nearest-point search compute_med
+uses too: each squared distance is summed over the 2K real dimensions one at
+a time in index order, and the first minimum (lowest tuple index) wins.
 """
 
 from __future__ import annotations
@@ -32,13 +36,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization
+from .channel import ChannelRealization, split_real
 from .core import (
     Codebook,
     ConfigError,
     IndicatorMatrix,
     SearchSpaceError,
     ShapeError,
+    squared_distance_blocks,
     superimposed_constellation,
     tuple_digits,
 )
@@ -235,16 +240,10 @@ def _ml_decisions(received: np.ndarray, codebook: Codebook, ch: ChannelRealizati
     if cfg.M**cfg.J > guard:
         raise SearchSpaceError(f"ML search over {cfg.M**cfg.J} tuples exceeds guard {guard}")
     pts = points if points is not None else superimposed_constellation(codebook, guard)
-    faded = ch.h[None, :] * pts
-    B = received.shape[0]
-    best_idx = np.zeros(B, dtype=np.int64)
-    block = max(1, 2**22 // max(pts.shape[0], 1))
-    for a in range(0, B, block):
-        r_blk = received[a : a + block]
-        d2 = (np.abs(r_blk[:, None, :] - faded[None, :, :]) ** 2).sum(axis=2)
-        # first occurrence = lowest tuple index
-        best_idx[a : a + block] = np.argmin(d2, axis=1)
-    return tuple_digits(best_idx, cfg.M, cfg.J)
+    blocks = squared_distance_blocks(split_real(received), split_real(ch.h * pts))
+    # first minimum = lowest tuple index; the empty array keeps B = 0 at (0, J)
+    best_idx = [np.zeros(0, dtype=np.int64)] + [np.argmin(d2, axis=1) for d2 in blocks]
+    return tuple_digits(np.concatenate(best_idx), cfg.M, cfg.J)
 
 
 def ml_detect(received, codebook: Codebook, ch: ChannelRealization, guard: int = 1_000_000) -> np.ndarray:

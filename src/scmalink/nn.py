@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, ShapeError
+from .core import ConfigError, ShapeError, SystemConfig
 
 LOG_CLAMP = 1e-30  # avoids -inf on collapsed probabilities
 
@@ -158,6 +158,14 @@ class MultiTaskDecoder:
     @property
     def input_width(self):
         return next(self.layers()).n_in
+
+    def check_fits(self, cfg: SystemConfig) -> None:
+        """Raise ConfigError unless the decoder reads 2K real inputs and has
+        J heads over M messages."""
+        if (self.input_width, self.n_users, self.n_messages) != (2 * cfg.K, cfg.J, cfg.M):
+            raise ConfigError(
+                f"decoder input width {self.input_width}, {self.n_users} users and "
+                f"{self.n_messages} messages do not match 2K = {2 * cfg.K}, J = {cfg.J}, M = {cfg.M}")
 
     def forward(self, r_split, remember=False):
         """Probabilities (batch, J, M) for real-split inputs (batch, 2K)."""

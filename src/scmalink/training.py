@@ -187,8 +187,7 @@ def train(cfg: TrainConfig, sys_cfg: SystemConfig, ind: IndicatorMatrix,
     a generator seeded with cfg.seed. Aborts on a non-finite loss, restoring
     the parameters of the last finite iteration.
     """
-    if decoder.input_width != 2 * sys_cfg.K or decoder.n_users != sys_cfg.J:
-        raise ConfigError("decoder topology does not match the system configuration")
+    decoder.check_fits(sys_cfg)
     t0 = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     bit_matrix = build_bit_matrix(sys_cfg.M)
@@ -256,6 +255,8 @@ def gradient_check(rng: np.random.Generator, step: float = 1e-5) -> float:
     one-sided slopes instead of the derivative. Returns the relative error
     ||analytic - numeric|| / max(norms).
     """
+    if not step > 0:
+        raise ConfigError(f"finite-difference step must be positive, got {step}")
     for _ in range(50):
         K = int(rng.integers(2, 4))
         N = int(rng.integers(1, K + 1))

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from scmalink import data_path, read_codebook
+from scmalink import (MultiTaskDecoder, SystemConfig, data_path, paper_indicator_4x6,
+                      random_generators, read_codebook, save_checkpoint)
 from scmalink.cli import parse_snr_spec, run_cli
 from scmalink.fileio import CodebookFormatError
 
@@ -196,3 +197,22 @@ class TestMalformedInputs:
         path.write_bytes(b'{"name": "caf\xe9"}')
         assert run_cli(["med", "--codebook", str(path)]) == 1
         assert str(path) in capsys.readouterr().err
+
+    def test_neural_decoder_must_fit_codebook(self, tmp_path, capsys):
+        # a consistent checkpoint of the 4x6 graph at M = 2, run on the M = 4 codebook
+        sys_cfg = SystemConfig(n_users=6, n_resources=4, n_nonzero=2, alphabet_size=2)
+        rng = np.random.default_rng(0)
+        dec = MultiTaskDecoder.build(rng, 8, 6, 2, shared_widths=(8,), subnet_widths=(4,))
+        model = tmp_path / "m2.bin"
+        save_checkpoint(model, random_generators(sys_cfg, rng), dec, paper_indicator_4x6())
+        out = tmp_path / "ber.csv"
+        assert run_cli(["ber", "--codebook", HUAWEI, "--detector", "neural", "--model", str(model),
+                        "--snr", "8", "--max-bits", "1000", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "2 messages" in err and "M = 4" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--step", "0")])
+    def test_invalid_gradcheck_flag_is_validation_error(self, capsys, flag, value):
+        assert run_cli(["gradcheck", flag, value]) == 1
+        assert flag.lstrip("-") in capsys.readouterr().err

@@ -67,6 +67,8 @@ class TestComputeMed:
         rep = compute_med(cb)
         assert rep.med == pytest.approx(0.0, abs=1e-15)
         assert rep.phi_size == 4
+        # both zero-distance pairs tie; the lowest (row, column) pair wins
+        assert rep.arg_pair == ((0, 1), (1, 0))
 
     def test_matches_naive_oracle_small(self):
         rng = np.random.default_rng(0)

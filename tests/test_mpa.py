@@ -25,6 +25,7 @@ from scmalink import (
     superimposed_constellation,
     tuple_digits,
 )
+from scmalink.core import SEARCH_BLOCK
 from scmalink.mpa import BLOCK, N0_FLOOR, _ml_decisions, _mpa_posteriors, _slot_maxima
 
 
@@ -277,6 +278,16 @@ class TestMlDetect:
                 if d < best:
                     best, best_idx = d, idx
             assert sum(dec[j] * 4 ** (5 - j) for j in range(6)) == best_idx
+
+    @pytest.mark.parametrize("B", [0, 1, SEARCH_BLOCK - 1, SEARCH_BLOCK, SEARCH_BLOCK + 1])
+    def test_batch_rows_equal_single_vector_runs(self, huawei, B):
+        rng = np.random.default_rng(B)
+        ch = ChannelRealization.awgn(4, ebn0_to_n0(6.0, 4))
+        r = apply_channel(superimpose(huawei, rng.integers(0, 4, (B, 6))), ch, rng)
+        dec = _ml_decisions(r, huawei, ch)
+        assert dec.shape == (B, 6)
+        for i in range(B):
+            assert np.array_equal(dec[i], ml_detect(r[i], huawei, ch))
 
     def test_permutation_equivariance(self, huawei):
         perm = [3, 1, 5, 0, 2, 4]
