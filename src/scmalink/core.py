@@ -5,6 +5,13 @@ Conventions used throughout the package:
     -1 encodes binary 0 and +1 encodes binary 1;
   * message indices are 0-based in code, so message m corresponds to the m-th
     column of the bit matrix and the m-th column of a user codebook.
+
+nearest_points is the one exact search over the superimposed constellation,
+shared by ML detection and the MED. A real GEMM screens every point; only
+rows whose runner-up lies within a derived rounding bound of the best are
+re-checked with ordered_distances, which sums the real-split squared
+differences one dimension at a time in index order. Its results are those
+of a plain per-pair loop that keeps the first minimum.
 """
 
 from __future__ import annotations
@@ -13,9 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# query rows per squared_distance_blocks block (8 MB against the 4096-point
-# Huawei constellation); its buffers are allocated once per search, as fresh
-# 8 MB arrays per step can be handed back to the OS and faulted in again
+# query rows per nearest_points block (8 MB of screen values against the
+# 4096-point Huawei constellation); the screen buffer is allocated once per
+# search, as fresh 8 MB arrays per step can be handed back to the OS and
+# faulted in again
 SEARCH_BLOCK = 256
 
 
@@ -233,25 +241,77 @@ def superimposed_constellation(codebook: Codebook, guard: int = 1_000_000) -> np
             f"superimposed constellation has {size} points, guard is {guard}; "
             "use a sampled lower-bound search instead"
         )
-    pts = np.zeros((1, codebook.config.K), dtype=complex)
+    K = codebook.config.K
+    # (J, M, K) codewords as rows, C-ordered, so every sum and the result are
+    # C-ordered too and nearest_points can view them as interleaved floats
+    words = np.ascontiguousarray(codebook.entries.transpose(0, 2, 1))
+    pts = np.zeros((1, K), dtype=complex)
     for j in range(J):
-        pts = (pts[:, None, :] + codebook.entries[j].T[None, :, :]).reshape(-1, codebook.config.K)
+        pts = (pts[:, None, :] + words[j][None, :, :]).reshape(-1, K)
     return pts
 
 
-def squared_distance_blocks(queries: np.ndarray, points: np.ndarray):
-    """Squared distances (b, n) from each SEARCH_BLOCK rows of real queries
-    (B, D) to real points (n, D), in row order. Each is summed over the D
-    dimensions one at a time in index order, as a plain per-pair loop does.
-    Every block is the same buffer: use it before asking for the next one."""
-    buf = np.empty((2, min(SEARCH_BLOCK, queries.shape[0]), points.shape[0]))
-    for a in range(0, queries.shape[0], SEARCH_BLOCK):
-        q = queries[a : a + SEARCH_BLOCK]
-        d2, diff = buf[:, : q.shape[0]]
-        d2.fill(0)
-        for d in range(points.shape[1]):
-            d2 += np.square(np.subtract(q[:, d, None], points[:, d], out=diff), out=diff)
-        yield d2
+def ordered_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances ||a_i - b_i||^2 of paired complex rows, summed over
+    the real-split dimensions (real parts, then imaginary parts) one at a
+    time in index order, as a plain per-pair loop sums them."""
+    diff = a - b
+    return np.cumsum(np.square(np.concatenate([diff.real, diff.imag], axis=1)), axis=1)[:, -1]
+
+
+def nearest_points(queries: np.ndarray, points: np.ndarray, h: np.ndarray | None = None,
+                   after_self: bool = False) -> np.ndarray:
+    """Index (B,) of the nearest faded point h * points (n, K) to each complex
+    query (B, K), by ordered_distances; among equal distances the lowest
+    index wins. h defaults to ones. With after_self, query i considers only
+    the points j > i (queries are points[:B], B < n): the upper half of a
+    pair search.
+
+    Each block of SEARCH_BLOCK queries is screened with one real GEMM over
+    interleaved float views: ||q - h p||^2 - ||q||^2 = |h p|^2 - 2 (conj(h) q) . p.
+    A row whose runner-up screen value lies within the rounding bound
+    `slack` of its minimum is a near tie: its points within that bound are
+    recomputed exactly by ordered_distances, in ascending index order, and
+    the first minimum wins. Every other row keeps the screen's argmin, which
+    the bound proves to be the exact winner.
+    """
+    n, K = points.shape
+    h = np.ones(K) if h is None else h
+    pf = np.ascontiguousarray(points).view(np.float64)  # (n, 2K) re, im interleaved
+    qf = ((-2 * np.conj(h)) * queries).view(np.float64)  # (B, 2K) -2 conj(h) q
+    w = np.square(pf) @ np.repeat(np.abs(h) ** 2, 2)  # |h p|^2 per point
+    # Rounding bound. With u = eps / 2, D = 2K and S = ||q||^2 + max_n |h p_n|^2,
+    # a point's ordered distance (its h p rounded as complex products, D
+    # rounded squares summed in order) is within (2D + 13) u S of the real
+    # ||q - h p||^2, and its screen value plus ||q||^2 within (2D + 9) u S
+    # (conj(h) q, |h|^2 |p|^2 and a dot product of D terms in any order). So
+    # the exact winner screens at most 2 (4D + 22) u S above the screen's
+    # minimum; the slack rounds that up, and `tiny` covers underflow.
+    scale = np.square(np.abs(queries)).sum(axis=1) + w.max()
+    slack = (8 * K + 32) * np.finfo(float).eps * scale + np.finfo(float).tiny
+    best = np.empty(len(queries), dtype=np.int64)
+    buf = np.empty(min(SEARCH_BLOCK, len(queries)) * n)
+    for a in range(0, len(queries), SEARCH_BLOCK):
+        b = min(SEARCH_BLOCK, len(queries) - a)
+        c0 = a if after_self else 0  # first screened point
+        s = np.matmul(qf[a : a + b], pf[c0:].T, out=buf[: b * (n - c0)].reshape(b, n - c0))
+        s += w[c0:]
+        if after_self:  # mask the points j <= i of the diagonal block
+            np.copyto(s[:, :b], np.inf, where=np.tri(b, dtype=bool))
+        rows = np.arange(b)
+        idx = np.argmin(s, axis=1)
+        low = s[rows, idx]
+        thr = low + slack[a : a + b]
+        s[rows, idx] = np.inf
+        near = np.flatnonzero(s.min(axis=1) <= thr)
+        if near.size:
+            s[near, idx[near]] = low[near]
+            i, j = np.nonzero(s[near] <= thr[near, None])  # row-major: columns ascend
+            e = ordered_distances(queries[a + near[i]], h * points[c0 + j])
+            order = np.lexsort((e, i))  # stable: the lowest column leads its ties
+            idx[near] = j[order[np.r_[True, i[order][1:] != i[order][:-1]]]]
+        best[a : a + b] = c0 + idx
+    return best
 
 
 def tuple_digits(index, alphabet_size: int, n_users: int) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Evaluation: minimum distance of the superimposed constellation and BER.
 
-compute_med scans all pairs of the M^J superimposed codewords exactly with
-core.squared_distance_blocks, the one nearest-point search, which the ML
-detector shares. It sums each squared distance over the real-split
+compute_med finds each superimposed codeword's nearest later codeword with
+core.nearest_points, the one exact search the ML detector shares: a GEMM
+screen over the pairs j > i, with near ties re-checked by
+core.ordered_distances. That sums each squared distance over the real-split
 dimensions one at a time in index order, so the MED and its pair are
 bit-identical to a plain per-pair loop, which the test suite uses as an
 independent oracle. simulate_ber runs seeded Monte Carlo trials through any
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization, apply_channel, ebn0_to_n0, split_real
-from .core import (Codebook, ConfigError, squared_distance_blocks, superimposed_constellation,
+from .core import (Codebook, ConfigError, nearest_points, ordered_distances, superimposed_constellation,
                    tuple_digits)
 from .encoder import superimpose
 from .mpa import N0_FLOOR, MpaConfig, _FactorGraph, _ml_decisions, _mpa_posteriors
@@ -67,24 +68,23 @@ def wilson_interval(errors: int, n: int, z: float = WILSON_Z) -> tuple[float, fl
 def compute_med(codebook: Codebook, guard: int = 1_000_000) -> MedReport:
     """Exact minimum pairwise squared distance over all M^J superimposed points.
 
-    squared_distance_blocks scans every pair of real-split points, so the MED
-    rounds as the naive per-pair loop does; among equal minima the lowest
-    (row, column) pair wins. Runtime is quadratic in M^J; the guard rejects
-    constellations above one million points.
+    nearest_points gives each point i its nearest point j > i: a GEMM screen
+    whose near ties, those within a rounding bound of the row's best, are
+    re-checked exactly, the lowest j winning. The MED is the smallest
+    ordered_distances of these pairs, so it rounds as the naive per-pair loop
+    does, and among equal minima the lowest (i, j) pair wins. Runtime is
+    quadratic in M^J; the guard rejects constellations above one million
+    points.
     """
-    r = split_real(superimposed_constellation(codebook, guard))
-    if len(r) < 2:
+    pts = superimposed_constellation(codebook, guard)
+    if len(pts) < 2:
         raise ConfigError("need at least two constellation points")
-    best, best_pair, a = np.inf, (0, 0), 0  # a: first row of the current block
-    for d2 in squared_distance_blocks(r, r):
-        rows = np.arange(d2.shape[0])
-        d2[rows, a + rows] = np.inf
-        i, j = np.unravel_index(np.argmin(d2), d2.shape)
-        if d2[i, j] < best:  # strictly less: an earlier block keeps a tie
-            best, best_pair = float(d2[i, j]), (a + int(i), int(j))
-        a += d2.shape[0]
+    nearest = nearest_points(pts[:-1], pts, after_self=True)
+    d2 = ordered_distances(pts[:-1], pts[nearest])
+    i = int(np.argmin(d2))  # first row: the lowest pair among equal minima
+    best, best_pair = float(d2[i]), (i, int(nearest[i]))
     digits = tuple_digits(np.array(best_pair), codebook.config.M, codebook.config.J)
-    return MedReport(med=best, arg_pair=tuple(map(tuple, digits.tolist())), phi_size=len(r))
+    return MedReport(med=best, arg_pair=tuple(map(tuple, digits.tolist())), phi_size=len(pts))
 
 
 def compare_codebooks(named_codebooks) -> list[tuple[str, float]]:

@@ -22,11 +22,13 @@ an iteration's temporaries stay inside the L2 cache. Every step is row-wise,
 so blocking changes no bit of the output.
 
 The ML oracle enumerates the entire superimposed constellation and is
-intended for small instances and cross-checks. It splits the received
-vectors and the faded points into real and imaginary parts and scans them
-with core.squared_distance_blocks, the nearest-point search compute_med
-uses too: each squared distance is summed over the 2K real dimensions one at
-a time in index order, and the first minimum (lowest tuple index) wins.
+intended for small instances and cross-checks. It runs core.nearest_points,
+the exact search compute_med uses too, with the channel folded into the
+screen: one GEMM of conj(h) r against the unfaded points, plus |h p|^2.
+Rows whose runner-up lies within the screen's rounding bound of the best
+are re-checked exactly on h p of their candidates only, each squared
+distance summed over the 2K real dimensions one at a time in index order,
+and the first minimum (lowest tuple index) wins.
 """
 
 from __future__ import annotations
@@ -36,14 +38,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, split_real
+from .channel import ChannelRealization
 from .core import (
     Codebook,
     ConfigError,
     IndicatorMatrix,
     SearchSpaceError,
     ShapeError,
-    squared_distance_blocks,
+    nearest_points,
     superimposed_constellation,
     tuple_digits,
 )
@@ -240,10 +242,7 @@ def _ml_decisions(received: np.ndarray, codebook: Codebook, ch: ChannelRealizati
     if cfg.M**cfg.J > guard:
         raise SearchSpaceError(f"ML search over {cfg.M**cfg.J} tuples exceeds guard {guard}")
     pts = points if points is not None else superimposed_constellation(codebook, guard)
-    blocks = squared_distance_blocks(split_real(received), split_real(ch.h * pts))
-    # first minimum = lowest tuple index; the empty array keeps B = 0 at (0, J)
-    best_idx = [np.zeros(0, dtype=np.int64)] + [np.argmin(d2, axis=1) for d2 in blocks]
-    return tuple_digits(np.concatenate(best_idx), cfg.M, cfg.J)
+    return tuple_digits(nearest_points(received, pts, ch.h), cfg.M, cfg.J)
 
 
 def ml_detect(received, codebook: Codebook, ch: ChannelRealization, guard: int = 1_000_000) -> np.ndarray:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +44,15 @@ class TestCliCommands:
     def test_usage_error_nonzero(self):
         assert run_cli(["frobnicate"]) == 1
         assert run_cli([]) == 1
+
+    def test_module_run_exits_with_cli_status(self):
+        # `python -m scmalink.cli` from a source checkout runs main()
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-m", "scmalink.cli", "ber", "--detector", "bogus"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert "invalid choice: 'bogus'" in proc.stderr
 
     def test_compare_single(self, capsys, tmp_path):
         csv = tmp_path / "table.csv"

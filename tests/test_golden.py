@@ -6,9 +6,18 @@ the repr of the float (which round-trips bit-exactly). Any change that moves a
 single bit of these fails here, with no tolerance. Regenerate the file with
 `PYTHONPATH=src python tests/test_golden.py` only for a change that is meant
 to alter the numbers.
+
+The record depends on the BLAS thread count. It matches OpenBLAS at its
+default count on a 2-core machine (2 threads). BLAS splits the decoder's
+matrix products by thread, which changes their summation order: under
+OPENBLAS_NUM_THREADS=1, the benchmark's setting, losses[8] reads
+7.7921185505550215 instead of the recorded 7.792118550555022 and this test
+fails, with or without a code change. Run it at the default thread count;
+the failure message names the thread settings in effect.
 """
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -70,8 +79,9 @@ def test_seeded_outputs_are_bit_identical():
     golden = json.loads(GOLDEN.read_text())
     got = record()
     assert got.keys() == golden.keys()
+    threads = {k: os.environ.get(k) for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     for key in golden:
-        assert got[key] == golden[key], key
+        assert got[key] == golden[key], f"{key} (BLAS thread settings {threads}; recorded at the default)"
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ from scmalink import (
     data_path,
     read_codebook,
     simulate_ber,
+    tuple_digits,
     wilson_interval,
 )
 
@@ -33,6 +34,25 @@ def naive_med_oracle(codebook):
             if d < best:
                 best = d
     return best
+
+
+def per_row_med_oracle(codebook):
+    """Independent oracle without a GEMM: for each row i, the distances to the
+    rows j > i summed one real-split dimension at a time; the first strictly
+    smaller row minimum wins. Returns the MED and its (i, j) pair."""
+    from scmalink import superimposed_constellation
+
+    pts = superimposed_constellation(codebook)
+    r = np.concatenate([pts.real, pts.imag], axis=1)
+    best, pair = np.inf, None
+    for i in range(len(r) - 1):
+        d = np.zeros(len(r) - 1 - i)
+        for dim in range(r.shape[1]):
+            d += (r[i, dim] - r[i + 1 :, dim]) ** 2
+        j = int(np.argmin(d))
+        if d[j] < best:
+            best, pair = d[j], (i, i + 1 + j)
+    return best, pair
 
 
 def random_codebook(rng, n_users, n_resources, n_nonzero, alphabet):
@@ -74,6 +94,27 @@ class TestComputeMed:
         rng = np.random.default_rng(0)
         cb = random_codebook(rng, n_users=3, n_resources=3, n_nonzero=2, alphabet=2)
         assert compute_med(cb).med == naive_med_oracle(cb)
+
+    @pytest.mark.parametrize("kind,seed", [("gaussian", 4), ("grid", 4), ("tied", 0), ("tied", 17)])
+    def test_matches_per_row_oracle_over_many_blocks(self, kind, seed):
+        # 1024 points span four 256-row search blocks. The grid codebook
+        # (entries in thirds) has many pairs at equal distances. In the tied
+        # one, user 0's codewords 0, c, -c give each point two later points at
+        # distance |c| in exact arithmetic, which rounding tells apart by an ulp
+        rng = np.random.default_rng(seed)
+        cb = random_codebook(rng, n_users=5, n_resources=4, n_nonzero=2, alphabet=4)
+        entries = cb.entries.copy()
+        if kind == "grid":
+            entries = np.round(3 * entries) / 3
+        if kind == "tied":
+            c = 0.05 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+            entries[0][list(cb.indicator.supports[0]), :3] = np.stack([0 * c, c, -c], axis=1)
+        cb = Codebook(entries=entries, config=cb.config, indicator=cb.indicator)
+        med, pair = per_row_med_oracle(cb)
+        rep = compute_med(cb)
+        assert rep.phi_size == 1024
+        assert rep.med == med
+        assert rep.arg_pair == tuple(map(tuple, tuple_digits(np.array(pair), 4, 5).tolist()))
 
     def test_scaling_is_quadratic(self):
         rng = np.random.default_rng(1)

@@ -306,6 +306,40 @@ class TestMlDetect:
         with pytest.raises(SearchSpaceError):
             ml_detect(np.zeros(4, dtype=complex), huawei, ChannelRealization.awgn(4, 0.1), guard=100)
 
+    @pytest.mark.parametrize("h", [np.ones(4), np.array([1.3 + 0.4j, 0.2 - 0.9j, 0.7 + 0.1j, -0.5 + 1.6j])],
+                             ids=["awgn", "fading"])
+    def test_midpoints_equal_plain_per_pair_loop(self, huawei, h):
+        # queries at exact midpoints (h p_i + h p_j) / 2 of near pairs are
+        # ties up to rounding: the GEMM screen cannot tell them apart, the
+        # exact re-check must, as the loop below does
+        faded = h * superimposed_constellation(huawei)
+        dims = np.concatenate([faded.real, faded.imag], axis=1)
+
+        def loop_distances(r):
+            # per-dimension sum in index order over real-split dimensions
+            q = np.concatenate([r.real, r.imag], axis=1)
+            d = np.zeros((len(q), len(dims)))
+            for dim in range(dims.shape[1]):
+                d += (q[:, dim, None] - dims[:, dim]) ** 2
+            return d
+
+        rng = np.random.default_rng(5)
+        i = rng.integers(0, 4096, 300)
+        d = loop_distances(faded[i])
+        d[np.arange(300), i] = np.inf
+        j = np.where(np.arange(300) % 3 == 0, rng.integers(0, 4096, 300), np.argmin(d, axis=1))
+        r = (faded[i] + faded[j]) / 2
+        want = np.argmin(loop_distances(r), axis=1)  # first minimum
+        got = _ml_decisions(r, huawei, ChannelRealization(h=h, n0=0.1))
+        assert np.array_equal(got, tuple_digits(want, 4, 6))
+
+    def test_constellation_is_c_ordered_and_unchanged(self, huawei):
+        # C order lets the search view it as floats without a copy; the bytes
+        # are those recorded before the constellation was built C-ordered
+        pts = superimposed_constellation(huawei)
+        assert pts.flags.c_contiguous
+        assert sha256_of(pts) == "e483158b02e5a624a20b396eea00382a1ddb750c51d2ccdab8a8a1f3b7b7e0ec"
+
 
 class TestComplexity:
     def test_paper_formula(self):
