@@ -61,7 +61,6 @@ from .nn import (
 from .training import (
     TrainConfig,
     TrainReport,
-    build_decoder,
     default_init,
     gradient_check,
     lr_schedule,

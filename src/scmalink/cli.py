@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from . import data_path
-from .core import ConfigError, ScmaError, build_bit_matrix
-from .encoder import init_generators
+from .core import ConfigError, ScmaError
+from .encoder import codeword_table, normalize
 from .fileio import (
     CodebookFormatError,
     ber_curve_to_csv,
@@ -183,10 +183,7 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_export(args) -> int:
     gen, _, ind, meta = load_checkpoint(args.checkpoint)
-    bit_matrix = build_bit_matrix(gen.config.M)
-    from .encoder import codeword_table, normalize
-
-    cb = codeword_table(normalize(gen, bit_matrix), bit_matrix, ind)
+    cb = codeword_table(normalize(gen), ind)
     write_codebook(args.out, cb, name=args.name, seed=meta.get("seed"))
     print(f"wrote {args.out}")
     return 0

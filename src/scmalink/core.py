@@ -20,6 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# largest superimposed constellation (M^J points) an exhaustive search builds
+SEARCH_GUARD = 1_000_000
+
 # query rows per nearest_points block (8 MB of screen values against the
 # 4096-point Huawei constellation); the screen buffer is allocated once per
 # search, as fresh 8 MB arrays per step can be handed back to the OS and
@@ -132,12 +135,12 @@ class IndicatorMatrix:
     """Sparse resource-occupancy structure of the J user codebooks.
 
     F is the K x J binary matrix whose column j marks the resources occupied
-    by user j; supports[j] lists those resources in ascending order, which is
-    where user j's N-dimensional symbols are placed.
+    by user j; row j of the (J, N) supports array lists those resources in
+    ascending order, which is where user j's N-dimensional symbols are placed.
     """
 
     F: np.ndarray
-    supports: tuple  # per-user ascending resource indices
+    supports: np.ndarray  # (J, N) int, per-user ascending resource indices
     row_degrees: np.ndarray
 
     @property
@@ -150,7 +153,7 @@ class IndicatorMatrix:
 
     @property
     def n_nonzero(self) -> int:
-        return len(self.supports[0])
+        return self.supports.shape[1]
 
     @property
     def is_regular(self) -> bool:
@@ -174,7 +177,7 @@ def build_indicator(F) -> IndicatorMatrix:
         raise ConfigError(f"ragged column weights {col_weights.tolist()}: every user must occupy the same number of resources")
     if col_weights[0] == 0:
         raise ConfigError("indicator matrix has empty columns")
-    supports = tuple(tuple(int(r) for r in np.flatnonzero(F[:, j])) for j in range(F.shape[1]))
+    supports = np.nonzero(F.T)[1].reshape(F.shape[1], -1)  # row-major: j, then k ascending
     return IndicatorMatrix(F=F, supports=supports, row_degrees=F.sum(axis=1))
 
 
@@ -207,13 +210,14 @@ class Codebook:
         self.validate_support()
 
     def validate_support(self):
-        for j in range(self.config.J):
-            off = np.setdiff1d(np.arange(self.config.K), self.indicator.supports[j])
-            if off.size and np.any(self.entries[j][off] != 0):
-                k_bad = off[np.any(self.entries[j][off] != 0, axis=1)][0]
-                raise ConfigError(
-                    f"user {j} has energy on resource {int(k_bad)} outside its support {self.indicator.supports[j]}"
-                )
+        """Reject energy off the supports, naming the first (user, resource)."""
+        bad = (self.indicator.F.T == 0) & np.any(self.entries != 0, axis=2)  # (J, K)
+        if bad.any():
+            j, k = np.argwhere(bad)[0].tolist()  # row-major: lowest j, then lowest k
+            raise ConfigError(
+                f"user {j} has energy on resource {k} outside its support "
+                f"{tuple(self.indicator.supports[j].tolist())}"
+            )
 
     def user_energies(self) -> np.ndarray:
         """Average codeword energy per user."""
@@ -228,7 +232,7 @@ class Codebook:
         return Codebook(entries=scaled, config=self.config, indicator=self.indicator)
 
 
-def superimposed_constellation(codebook: Codebook, guard: int = 1_000_000) -> np.ndarray:
+def superimposed_constellation(codebook: Codebook) -> np.ndarray:
     """All M^J sums of one codeword per user, shape (M^J, K).
 
     Row order is lexicographic in the message tuple with user 0 as the most
@@ -236,9 +240,9 @@ def superimposed_constellation(codebook: Codebook, guard: int = 1_000_000) -> np
     """
     J, M = codebook.config.J, codebook.config.M
     size = M**J
-    if size > guard:
+    if size > SEARCH_GUARD:
         raise SearchSpaceError(
-            f"superimposed constellation has {size} points, guard is {guard}; "
+            f"superimposed constellation has {size} points, guard is {SEARCH_GUARD}; "
             "use a sampled lower-bound search instead"
         )
     K = codebook.config.K

@@ -65,7 +65,7 @@ def wilson_interval(errors: int, n: int, z: float = WILSON_Z) -> tuple[float, fl
     return (lo, hi)
 
 
-def compute_med(codebook: Codebook, guard: int = 1_000_000) -> MedReport:
+def compute_med(codebook: Codebook) -> MedReport:
     """Exact minimum pairwise squared distance over all M^J superimposed points.
 
     nearest_points gives each point i its nearest point j > i: a GEMM screen
@@ -73,10 +73,10 @@ def compute_med(codebook: Codebook, guard: int = 1_000_000) -> MedReport:
     re-checked exactly, the lowest j winning. The MED is the smallest
     ordered_distances of these pairs, so it rounds as the naive per-pair loop
     does, and among equal minima the lowest (i, j) pair wins. Runtime is
-    quadratic in M^J; the guard rejects constellations above one million
-    points.
+    quadratic in M^J; core.SEARCH_GUARD rejects constellations above one
+    million points.
     """
-    pts = superimposed_constellation(codebook, guard)
+    pts = superimposed_constellation(codebook)
     if len(pts) < 2:
         raise ConfigError("need at least two constellation points")
     nearest = nearest_points(pts[:-1], pts, after_self=True)

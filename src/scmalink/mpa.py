@@ -43,7 +43,6 @@ from .core import (
     Codebook,
     ConfigError,
     IndicatorMatrix,
-    SearchSpaceError,
     ShapeError,
     nearest_points,
     superimposed_constellation,
@@ -236,22 +235,20 @@ def mpa_detect(received, codebook: Codebook, ch: ChannelRealization, cfg: MpaCon
 
 
 def _ml_decisions(received: np.ndarray, codebook: Codebook, ch: ChannelRealization,
-                  points: np.ndarray | None = None, guard: int = 1_000_000) -> np.ndarray:
+                  points: np.ndarray | None = None) -> np.ndarray:
     """Batched exhaustive joint ML: received (B, K) -> decisions (B, J)."""
     cfg = codebook.config
-    if cfg.M**cfg.J > guard:
-        raise SearchSpaceError(f"ML search over {cfg.M**cfg.J} tuples exceeds guard {guard}")
-    pts = points if points is not None else superimposed_constellation(codebook, guard)
+    pts = points if points is not None else superimposed_constellation(codebook)
     return tuple_digits(nearest_points(received, pts, ch.h), cfg.M, cfg.J)
 
 
-def ml_detect(received, codebook: Codebook, ch: ChannelRealization, guard: int = 1_000_000) -> np.ndarray:
+def ml_detect(received, codebook: Codebook, ch: ChannelRealization) -> np.ndarray:
     """Joint maximum-likelihood message tuple for one received vector.
 
     Minimizes ||r - diag(h) sum_j x_{j,m_j}||^2 over all M^J tuples; ties are
     broken toward the lowest tuple index (user 0 most significant).
     """
-    return _ml_decisions(_received_vector(received, codebook), codebook, ch, guard=guard)[0]
+    return _ml_decisions(_received_vector(received, codebook), codebook, ch)[0]
 
 
 def mpa_complexity(cfg: MpaConfig, ind: IndicatorMatrix, alphabet_size: int) -> int:

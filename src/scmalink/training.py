@@ -19,19 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ebn0_to_n0, sample_noise_split
-from .core import (
-    Codebook,
-    ConfigError,
-    IndicatorMatrix,
-    SystemConfig,
-    build_bit_matrix,
-    build_indicator,
-)
+from .core import Codebook, ConfigError, IndicatorMatrix, SystemConfig, build_indicator
 from .encoder import GeneratorSet, codeword_table, init_generators, normalize
 from .nn import AdamState, MultiTaskDecoder, adam_step, cross_entropy
-
-SHARED_WIDTHS = (128, 64)
-SUBNET_WIDTHS = (64, 32, 16)
 
 
 @dataclass(frozen=True)
@@ -86,26 +76,11 @@ def sample_snr(cfg: TrainConfig, rng: np.random.Generator) -> float:
     return float(rng.uniform(cfg.ebn0_min_db, cfg.ebn0_max_db))
 
 
-def build_decoder(sys_cfg: SystemConfig, rng: np.random.Generator,
-                  shared_widths=SHARED_WIDTHS, subnet_widths=SUBNET_WIDTHS,
-                  init_std="scaled") -> MultiTaskDecoder:
-    """Decoder with the default topology for a given system configuration."""
-    return MultiTaskDecoder.build(
-        rng,
-        input_width=2 * sys_cfg.K,
-        n_users=sys_cfg.J,
-        n_messages=sys_cfg.M,
-        shared_widths=shared_widths,
-        subnet_widths=subnet_widths,
-        init_std=init_std,
-    )
-
-
 def random_generators(sys_cfg: SystemConfig, rng: np.random.Generator) -> GeneratorSet:
     """Fallback initialization: entries ~ normal(0, 1/(2N)), then unit energy."""
     g = rng.normal(0.0, 1.0 / np.sqrt(2 * sys_cfg.N),
                    size=(sys_cfg.J, 2 * sys_cfg.N, sys_cfg.bits_per_symbol))
-    return normalize(GeneratorSet(gbar=g, config=sys_cfg), build_bit_matrix(sys_cfg.M))
+    return normalize(GeneratorSet(gbar=g, config=sys_cfg))
 
 
 def default_init(sys_cfg: SystemConfig, ind: IndicatorMatrix, cfg: TrainConfig,
@@ -118,17 +93,17 @@ def default_init(sys_cfg: SystemConfig, ind: IndicatorMatrix, cfg: TrainConfig,
     from the stream train() uses for data and noise.
     """
     init_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
-    decoder = build_decoder(sys_cfg, init_rng)
+    decoder = MultiTaskDecoder.build(init_rng, 2 * sys_cfg.K, sys_cfg.J, sys_cfg.M)
     if codebook is not None:
-        gen = init_generators(codebook.normalized(), build_bit_matrix(sys_cfg.M))
+        gen = init_generators(codebook.normalized())
     else:
         gen = random_generators(sys_cfg, init_rng)
     return gen, decoder
 
 
-def _slot_indices(ind: IndicatorMatrix, K: int):
-    """Real-split positions of each user's symbol in the 2K received vector."""
-    return [np.concatenate([np.array(s), K + np.array(s)]) for s in ind.supports]
+def _slot_indices(ind: IndicatorMatrix) -> np.ndarray:
+    """(J, 2N) real-split positions of each user's symbol in the 2K received vector."""
+    return np.concatenate([ind.supports, ind.n_resources + ind.supports], axis=1)
 
 
 def _labels_from_bits(bits: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]:
@@ -190,8 +165,7 @@ def train(cfg: TrainConfig, sys_cfg: SystemConfig, ind: IndicatorMatrix,
     decoder.check_fits(sys_cfg)
     t0 = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
-    bit_matrix = build_bit_matrix(sys_cfg.M)
-    slots = _slot_indices(ind, sys_cfg.K)
+    slots = _slot_indices(ind)
 
     gbar = init.gbar.copy()
     params = [gbar] + decoder.parameters()
@@ -230,8 +204,8 @@ def train(cfg: TrainConfig, sys_cfg: SystemConfig, ind: IndicatorMatrix,
         if progress_every and t % progress_every == 0:
             print(f"iteration {t}/{cfg.n_iterations}  loss {loss:.4f}  lr {lr:.2e}  snr {snr_db:.1f} dB")
 
-    gen = normalize(GeneratorSet(gbar=gbar, config=sys_cfg), bit_matrix)
-    learned = codeword_table(gen, bit_matrix, ind)
+    gen = normalize(GeneratorSet(gbar=gbar, config=sys_cfg))
+    learned = codeword_table(gen, ind)
     return TrainReport(
         losses=losses[:it_run].copy(),
         learning_rates=lrs[:it_run].copy(),
@@ -285,7 +259,7 @@ def gradient_check(rng: np.random.Generator, step: float = 1e-5) -> float:
         _, labels = _labels_from_bits(bits, M)
         noise = rng.normal(0, 0.3, size=(batch, 2 * K))
         h_split = np.concatenate([rng.uniform(0.5, 1.5, K)] * 2)
-        slots = _slot_indices(ind, K)
+        slots = _slot_indices(ind)
         s, _ = _encoder_forward(gbar, bits, slots, K)
         decoder.forward(s * h_split + noise, remember=True)
         kink = min(np.abs(layer._preact).min() for layer in decoder.layers()

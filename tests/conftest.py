@@ -1,6 +1,12 @@
-import pytest
+import sys
+from pathlib import Path
 
-from scmalink import data_path, read_codebook
+# appended, not prepended: a PYTHONPATH naming another copy of the package wins
+sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
+
+import pytest  # noqa: E402
+
+from scmalink import data_path, read_codebook  # noqa: E402
 
 
 @pytest.fixture(scope="session")

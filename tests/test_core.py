@@ -96,11 +96,11 @@ class TestIndicator:
         assert ind.n_nonzero == 2
         assert ind.is_regular
         # column 1 (user index 0) occupies rows 2 and 4 in 1-based terms
-        assert ind.supports[0] == (1, 3)
+        assert ind.supports[0].tolist() == [1, 3]
 
     def test_identity_indicator(self):
         ind = build_indicator(np.eye(3, dtype=int))
-        assert ind.supports == ((0,), (1,), (2,))
+        assert ind.supports.tolist() == [[0], [1], [2]]
 
     def test_ragged_columns_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,8 @@ from scmalink import (
     superimposed_constellation,
     tuple_digits,
 )
-from scmalink import data_path
+from scmalink import ConfigError, data_path
+from scmalink.training import _slot_indices
 
 
 def gen_from_complex(g_complex, cfg):
@@ -30,7 +33,7 @@ def gen_from_complex(g_complex, cfg):
 
 def encode(gen, ind, msgs):
     """Downlink signal of (batch, J) message tuples through the generators."""
-    return superimpose(codeword_table(gen, build_bit_matrix(gen.config.M), ind), msgs)
+    return superimpose(codeword_table(gen, ind), msgs)
 
 
 @pytest.fixture
@@ -86,7 +89,7 @@ class TestSuperimpose:
 
     def test_matches_codeword_table_lookup(self):
         cb = read_codebook(data_path("huawei_4x6.json"))
-        gen = init_generators(cb, build_bit_matrix(4))
+        gen = init_generators(cb)
         msgs = np.random.default_rng(0).integers(0, 4, (20, 6))
         out = encode(gen, cb.indicator, msgs)
         for row, m in zip(out, msgs):
@@ -119,83 +122,74 @@ class TestSuperimpose:
 class TestNormalize:
     def test_unit_energy_fixed_point(self):
         cfg = SystemConfig(n_users=1, n_resources=2, n_nonzero=1, alphabet_size=2)
-        b = build_bit_matrix(2)
         gen = GeneratorSet(gbar=np.array([[[1.0], [0.0]]]), config=cfg)
-        out = normalize(gen, b)
+        out = normalize(gen)
         assert out.gbar == pytest.approx(gen.gbar, abs=1e-15)
 
     def test_energy_four_scales_by_half(self):
         cfg = SystemConfig(n_users=1, n_resources=2, n_nonzero=1, alphabet_size=2)
-        b = build_bit_matrix(2)
         gen = GeneratorSet(gbar=np.array([[[2.0], [0.0]]]), config=cfg)
-        out = normalize(gen, b)
+        out = normalize(gen)
         assert out.gbar[0, 0, 0] == pytest.approx(1.0)
 
     def test_random_generator_postcondition(self):
         cfg = SystemConfig(n_users=6, n_resources=4, n_nonzero=2, alphabet_size=4)
-        b = build_bit_matrix(4)
         rng = np.random.default_rng(11)
         gen = GeneratorSet(gbar=rng.normal(size=(6, 4, 2)), config=cfg)
-        out = normalize(gen, b)
-        assert out.user_energies(b) == pytest.approx(np.ones(6), abs=1e-12)
+        out = normalize(gen)
+        assert out.user_energies() == pytest.approx(np.ones(6), abs=1e-12)
 
     def test_idempotent(self):
         cfg = SystemConfig(n_users=3, n_resources=4, n_nonzero=2, alphabet_size=4)
-        b = build_bit_matrix(4)
         rng = np.random.default_rng(12)
         gen = GeneratorSet(gbar=rng.normal(size=(3, 4, 2)), config=cfg)
-        once = normalize(gen, b)
-        twice = normalize(once, b)
+        once = normalize(gen)
+        twice = normalize(once)
         assert twice.gbar == pytest.approx(once.gbar, abs=1e-14)
 
     def test_zero_generator_raises(self):
         cfg = SystemConfig(n_users=1, n_resources=2, n_nonzero=1, alphabet_size=2)
         gen = GeneratorSet(gbar=np.zeros((1, 2, 1)), config=cfg)
         with pytest.raises(DegenerateCodebookError):
-            normalize(gen, build_bit_matrix(2))
+            normalize(gen)
 
     def test_frobenius_identity(self):
         # because B B^T = M I, average codeword energy equals ||gbar||_F^2
         cfg = SystemConfig(n_users=4, n_resources=4, n_nonzero=2, alphabet_size=8)
-        b = build_bit_matrix(8)
         rng = np.random.default_rng(13)
         gen = GeneratorSet(gbar=rng.normal(size=(4, 4, 3)), config=cfg)
         frob = np.array([np.linalg.norm(g) ** 2 for g in gen.gbar])
-        assert gen.user_energies(b) == pytest.approx(frob, rel=1e-12)
+        assert gen.user_energies() == pytest.approx(frob, rel=1e-12)
 
 
 class TestInitGenerators:
     def test_pseudo_inverse_roundtrip(self, tiny_cfg):
-        b = build_bit_matrix(4)
         gen = gen_from_complex([np.array([[1.0, 1j]])], tiny_cfg)
         ind = build_indicator([[1], [0]])
-        cb = codeword_table(gen, b, ind)
-        recovered = init_generators(cb, b)
+        cb = codeword_table(gen, ind)
+        recovered = init_generators(cb)
         assert recovered.gbar == pytest.approx(gen.gbar, abs=1e-12)
 
     def test_zero_codebook_gives_zero(self, tiny_cfg):
         ind = build_indicator([[1], [0]])
         with pytest.warns(DegenerateCodebookWarning):
-            cb = codeword_table(GeneratorSet(gbar=np.zeros((1, 2, 2)), config=tiny_cfg),
-                                build_bit_matrix(4), ind)
-        out = init_generators(cb, build_bit_matrix(4))
+            cb = codeword_table(GeneratorSet(gbar=np.zeros((1, 2, 2)), config=tiny_cfg), ind)
+        out = init_generators(cb)
         assert np.all(out.gbar == 0)
 
     def test_huawei_file_is_exactly_linear(self):
         cb = read_codebook(data_path("huawei_4x6.json"))
-        b = build_bit_matrix(4)
-        gen = init_generators(cb, b)
+        gen = init_generators(cb)
         # the fitted generators reproduce the file entries exactly
-        rebuilt = codeword_table(gen, b, cb.indicator)
+        rebuilt = codeword_table(gen, cb.indicator)
         assert rebuilt.entries == pytest.approx(cb.entries, abs=1e-12)
 
 
 class TestCodewordTable:
     def test_direct_multiplication_example(self, tiny_cfg):
-        b = build_bit_matrix(4)
         gen = gen_from_complex([np.array([[1.0, 1j]])], tiny_cfg)
         ind = build_indicator([[0], [1]])
-        cb = codeword_table(gen, b, ind)
+        cb = codeword_table(gen, ind)
         # bits (-1,-1),(-1,+1),(+1,-1),(+1,+1) -> -1-i, -1+i, 1-i, 1+i
         assert cb.entries[0][1] == pytest.approx([-1 - 1j, -1 + 1j, 1 - 1j, 1 + 1j])
         assert np.all(cb.entries[0][0] == 0)
@@ -204,7 +198,73 @@ class TestCodewordTable:
         cfg = SystemConfig(n_users=6, n_resources=4, n_nonzero=2, alphabet_size=4)
         rng = np.random.default_rng(5)
         gen = GeneratorSet(gbar=rng.normal(size=(6, 4, 2)), config=cfg)
-        cb = codeword_table(gen, build_bit_matrix(4), paper_indicator_4x6())
+        cb = codeword_table(gen, paper_indicator_4x6())
         for j in range(6):
             for m in range(4):
                 assert cb.entries[j][:, m] == pytest.approx(-cb.entries[j][:, 3 - m])
+
+
+def random_placement(seed, K, J, N, M):
+    """A random occupancy F with N resources per user, and its system."""
+    rng = np.random.default_rng(seed)
+    F = np.zeros((K, J), dtype=int)
+    for j in range(J):
+        F[rng.permutation(K)[:N], j] = 1
+    cfg = SystemConfig(n_users=J, n_resources=K, n_nonzero=N, alphabet_size=M)
+    return rng, cfg, F, build_indicator(F)
+
+
+class TestPlacementOracle:
+    """Stacked gathers and scatters against a per-user loop over F's columns."""
+
+    # (K, J, N, M); K = N = 3 is a dense placement
+    SYSTEMS = [(5, 10, 2, 4), (3, 5, 3, 8), (4, 6, 2, 2), (6, 4, 3, 4)]
+
+    @pytest.mark.parametrize("K, J, N, M", SYSTEMS)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_codeword_table(self, seed, K, J, N, M):
+        rng, cfg, F, ind = random_placement(seed, K, J, N, M)
+        gen = GeneratorSet(gbar=rng.normal(size=(J, 2 * N, cfg.bits_per_symbol)), config=cfg)
+        B = build_bit_matrix(M).astype(float)
+        expected = np.zeros((J, K, M), dtype=complex)
+        for j in range(J):
+            expected[j, np.flatnonzero(F[:, j]), :] = (gen.gbar[j, :N] + 1j * gen.gbar[j, N:]) @ B
+        assert codeword_table(gen, ind).entries.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("K, J, N, M", SYSTEMS)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_init_generators(self, seed, K, J, N, M):
+        rng, cfg, F, ind = random_placement(seed, K, J, N, M)
+        entries = np.zeros((J, K, M), dtype=complex)
+        for j in range(J):
+            entries[j, np.flatnonzero(F[:, j]), :] = rng.normal(size=(N, M)) + 1j * rng.normal(size=(N, M))
+        B = build_bit_matrix(M).astype(float)
+        expected = np.empty((J, 2 * N, cfg.bits_per_symbol))
+        for j in range(J):
+            g = entries[j, np.flatnonzero(F[:, j]), :] @ B.T @ np.linalg.inv(B @ B.T)
+            expected[j] = np.vstack([g.real, g.imag])
+        out = init_generators(Codebook(entries=entries, config=cfg, indicator=ind))
+        assert out.gbar.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("K, J, N, M", SYSTEMS)
+    def test_slot_indices(self, K, J, N, M):
+        _, _, F, ind = random_placement(0, K, J, N, M)
+        expected = np.stack([np.concatenate([np.flatnonzero(F[:, j]), K + np.flatnonzero(F[:, j])])
+                             for j in range(J)])
+        slots = _slot_indices(ind)
+        assert slots.dtype == expected.dtype and slots.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("K, J, N, M", [s for s in SYSTEMS if s[0] > s[2]])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_validate_support_names_first_violation(self, seed, K, J, N, M):
+        rng, cfg, F, ind = random_placement(seed, K, J, N, M)
+        entries = np.zeros((J, K, M), dtype=complex)
+        off = np.argwhere(F.T == 0)  # (j, k) cells outside the supports
+        for j, k in off[rng.permutation(len(off))[:4]]:
+            entries[j, k, rng.integers(M)] = 0.5 - 0.25j
+        first = next((j, k) for j in range(J) for k in range(K)
+                     if F[k, j] == 0 and np.any(entries[j, k] != 0))
+        support = tuple(np.flatnonzero(F[:, first[0]]).tolist())
+        msg = f"user {first[0]} has energy on resource {first[1]} outside its support {support}"
+        with pytest.raises(ConfigError, match=re.escape(msg)):
+            Codebook(entries=entries, config=cfg, indicator=ind)

@@ -27,7 +27,7 @@ from scmalink.fileio import (
     experiment_config_from_dict,
 )
 from scmalink.metrics import BerCurve, BerPoint
-from scmalink.training import build_decoder, random_generators
+from scmalink.training import random_generators
 
 
 def random_codebook(rng):
@@ -101,7 +101,8 @@ class TestCheckpoint:
         ind = build_indicator([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
         rng = np.random.default_rng(4)
         gen = random_generators(sys_cfg, rng)
-        dec = build_decoder(sys_cfg, rng, shared_widths=(8, 6), subnet_widths=(5,))
+        dec = MultiTaskDecoder.build(rng, 2 * sys_cfg.K, sys_cfg.J, sys_cfg.M,
+                                     shared_widths=(8, 6), subnet_widths=(5,))
         path = tmp_path / "model.bin"
         save_checkpoint(path, gen, dec, ind, meta={"seed": 9, "config_hash": "abc"})
         gen2, dec2, ind2, meta = load_checkpoint(path)
@@ -152,7 +153,8 @@ class TestCheckpoint:
         sys_cfg = SystemConfig(3, 3, 2, 4)
         ind = build_indicator([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
         rng = np.random.default_rng(4)
-        dec = build_decoder(sys_cfg, rng, shared_widths=(8, 6), subnet_widths=(5,))
+        dec = MultiTaskDecoder.build(rng, 2 * sys_cfg.K, sys_cfg.J, sys_cfg.M,
+                                     shared_widths=(8, 6), subnet_widths=(5,))
         save_checkpoint(path, random_generators(sys_cfg, rng), dec, ind)
         raw = path.read_bytes()
         (hlen,) = struct.unpack("<I", raw[8:12])

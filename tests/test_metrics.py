@@ -133,10 +133,10 @@ class TestComputeMed:
         assert compute_med(rotated).med == pytest.approx(base, abs=1e-9)
 
     def test_guard(self):
-        rng = np.random.default_rng(3)
-        cb = random_codebook(rng, 3, 3, 2, 2)
-        with pytest.raises(SearchSpaceError):
-            compute_med(cb, guard=4)
+        # 4^10 = 1,048,576 points exceed core.SEARCH_GUARD: rejected before any is built
+        cb = random_codebook(np.random.default_rng(3), 10, 5, 2, 4)
+        with pytest.raises(SearchSpaceError, match="1048576 points"):
+            compute_med(cb)
 
 
 class TestCompareCodebooks:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
@@ -302,9 +303,16 @@ class TestMlDetect:
         dec_perm = ml_detect(r, permuted, ch)
         assert np.array_equal(dec_perm, dec[perm])
 
-    def test_guard(self, huawei):
-        with pytest.raises(SearchSpaceError):
-            ml_detect(np.zeros(4, dtype=complex), huawei, ChannelRealization.awgn(4, 0.1), guard=100)
+    def test_guard(self):
+        # ten users on every pair of five resources: 4^10 = 1,048,576 tuples
+        # exceed core.SEARCH_GUARD and are rejected before any is built
+        F = np.zeros((5, 10), dtype=int)
+        for j, pair in enumerate(itertools.combinations(range(5), 2)):
+            F[list(pair), j] = 1
+        cfg = SystemConfig(n_users=10, n_resources=5, n_nonzero=2, alphabet_size=4)
+        cb = Codebook(entries=np.zeros((10, 5, 4), dtype=complex), config=cfg, indicator=build_indicator(F))
+        with pytest.raises(SearchSpaceError, match="1048576 points"):
+            ml_detect(np.zeros(5, dtype=complex), cb, ChannelRealization.awgn(5, 0.1))
 
     @pytest.mark.parametrize("h", [np.ones(4), np.array([1.3 + 0.4j, 0.2 - 0.9j, 0.7 + 0.1j, -0.5 + 1.6j])],
                              ids=["awgn", "fading"])

@@ -3,10 +3,10 @@ import pytest
 
 from scmalink import (
     ConfigError,
+    MultiTaskDecoder,
     SystemConfig,
     TrainConfig,
     build_bit_matrix,
-    build_decoder,
     build_indicator,
     gradient_check,
     lr_schedule,
@@ -31,7 +31,8 @@ def small_train_cfg(**overrides):
 
 def small_decoder(sys_cfg, seed=1):
     rng = np.random.default_rng(seed)
-    return build_decoder(sys_cfg, rng, shared_widths=(12, 8), subnet_widths=(6,))
+    return MultiTaskDecoder.build(rng, 2 * sys_cfg.K, sys_cfg.J, sys_cfg.M,
+                                  shared_widths=(12, 8), subnet_widths=(6,))
 
 
 class TestLrSchedule:
