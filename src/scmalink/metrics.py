@@ -124,7 +124,9 @@ def simulate_ber(codebook: Codebook, detector: str, ebn0_db_list, *,
     channel and the chosen detector until min_errors bit errors or max_bits
     simulated bits. Chunk c of point i draws from generator seeded
     (seed, i, c), so results are reproducible for a fixed seed and
-    independent of the worker count.
+    independent of the worker count. With workers > 1 the chunks of a wave
+    run on threads that share one decoder, whose inference forward writes no
+    layer state.
     """
     if detector not in ("mpa", "ml", "neural"):
         raise ConfigError(f"unknown detector {detector!r}")
@@ -133,7 +135,7 @@ def simulate_ber(codebook: Codebook, detector: str, ebn0_db_list, *,
             raise ConfigError("the neural detector needs a trained decoder model")
         decoder.check_fits(codebook.config)
     for name, value in (("batch_size", batch_size), ("min_errors", min_errors),
-                        ("max_bits", max_bits)):
+                        ("max_bits", max_bits), ("workers", workers)):
         if value < 1:
             raise ConfigError(f"{name} must be >= 1, got {value}")
     cfg = codebook.config
@@ -163,7 +165,7 @@ def simulate_ber(codebook: Codebook, detector: str, ebn0_db_list, *,
         bits = 0
         chunk = 0
         while errors < min_errors and bits < max_bits:
-            wave = list(range(chunk, chunk + max(1, workers)))
+            wave = list(range(chunk, chunk + workers))
             chunk += len(wave)
             if workers > 1:
                 with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -10,6 +10,16 @@ The J subnetworks have one shape, so each subnetwork depth is one
 DenseLayer holding every user's weights stacked as (J, out, in) and biases
 as (J, out); its activations are (J, batch, width). A trunk layer holds
 (out, in) weights and (out,) biases.
+
+A remembered (training) forward and its backward write into arrays each
+layer owns, allocated again only when the batch shape changes: the
+pre-activation, a relu output, the relu mask and the input gradient. They
+stay valid until the next remembered forward. Weight and bias gradients are
+written in place. Fresh (J, batch, width) arrays every step cost page
+faults, as the allocator hands them back to the OS. The probabilities and
+backward_cross_entropy's input gradient leave the decoder, so they are
+fresh. Inference (remember=False) allocates: simulate_ber runs one
+decoder's inference forward on several threads at once.
 """
 
 from __future__ import annotations
@@ -51,6 +61,7 @@ class DenseLayer:
         self.grad_bias = np.zeros_like(b)
         self._input = None
         self._preact = None
+        self._buffers = {}
 
     @property
     def n_in(self):
@@ -60,33 +71,53 @@ class DenseLayer:
     def n_out(self):
         return self.weights.shape[-2]
 
+    def _buffer(self, name, shape, dtype=float):
+        """The layer's own array `name`, allocated again only when `shape` changes."""
+        buf = self._buffers.get(name)
+        if buf is None or buf.shape != shape:
+            buf = self._buffers[name] = np.empty(shape, dtype)
+        return buf
+
     def forward(self, x, remember=False):
-        z = x @ np.swapaxes(self.weights, -1, -2)
-        z += self.bias[..., None, :]
+        """Layer output for a (batch, in) or (J, batch, in) input; remembered,
+        it is a layer buffer unless the layer is a softmax head."""
+        w_t = np.swapaxes(self.weights, -1, -2)
         if remember:
+            shape = (*self.weights.shape[:-2], x.shape[-2], self.n_out)
+            z = np.matmul(x, w_t, out=self._buffer("z", shape))
             self._input = x
             self._preact = z
+        else:
+            z = x @ w_t
+        z += self.bias[..., None, :]
         if self.activation == "relu":
             # the pre-activation is overwritten only when no backward needs it
-            return np.maximum(z, 0.0) if remember else np.maximum(z, 0.0, out=z)
+            return np.maximum(z, 0.0, out=self._buffer("a", z.shape) if remember else z)
         if self.activation == "softmax":
             return softmax(z)
         return z
 
     def backward_preact(self, grad_z):
-        """Backward from the gradient w.r.t. the pre-activation z."""
+        """Backward from the gradient w.r.t. the pre-activation z; the
+        parameter gradients are written in place."""
         if self._input is None:
             raise ConfigError("backward called without a remembered forward pass")
-        self.grad_weights = np.swapaxes(grad_z, -1, -2) @ self._input
-        self.grad_bias = grad_z.sum(axis=-2)
-        return grad_z @ self.weights
+        np.matmul(np.swapaxes(grad_z, -1, -2), self._input, out=self.grad_weights)
+        np.sum(grad_z, axis=-2, out=self.grad_bias)
+        shape = (*grad_z.shape[:-1], self.n_in)
+        return np.matmul(grad_z, self.weights, out=self._buffer("grad_in", shape))
 
     def backward(self, grad_out):
         """Backward from the gradient w.r.t. the layer output, which a relu
-        layer masks in place (a fresh (J, batch, width) array per depth costs
-        page faults)."""
+        layer masks in place.
+
+        The returned input gradient is a buffer of this layer, like the
+        pre-activation and relu output of a remembered forward: each stays
+        valid until the next remembered forward, which overwrites it.
+        """
         if self.activation == "relu":
-            grad_z = np.multiply(grad_out, self._preact > 0, out=grad_out)
+            mask = np.greater(self._preact, 0, out=self._buffer("mask", grad_out.shape, bool))
+            grad_z = np.multiply(grad_out, mask, out=grad_out)
         elif self.activation == "linear":
             grad_z = grad_out
         else:
@@ -185,7 +216,8 @@ class MultiTaskDecoder:
 
         Uses the fused softmax identity: the gradient at each head's
         pre-activation is (p - q) / batch. The trunk output feeds every user,
-        so its gradient is the sum over users.
+        so its gradient is the sum over users. The returned gradient is a
+        fresh array; the layers' own buffers stay inside the decoder.
         """
         if probs.shape != labels.shape:
             raise ShapeError(f"probs {probs.shape} and labels {labels.shape} differ")
@@ -196,7 +228,7 @@ class MultiTaskDecoder:
         g = g.sum(axis=0)
         for layer in reversed(self.shared):
             g = layer.backward(g)
-        return g
+        return g.copy()
 
     def layers(self):
         yield from self.shared
@@ -228,10 +260,11 @@ def cross_entropy(probs, labels) -> float:
 
 
 def dnn_complexity(dec: MultiTaskDecoder) -> int:
-    """Dominant matrix-multiplication cost: the largest consecutive width product."""
+    """Multiply-adds per decoded vector: every trunk width product plus J
+    times every subnetwork width product (49,536 for the paper decoder)."""
     chain, sub = dec.widths()
-    pairs = [a * b for a, b in zip(chain, chain[1:])] + [a * b for a, b in zip(sub, sub[1:])]
-    return int(max(pairs))
+    trunk = sum(a * b for a, b in zip(chain, chain[1:]))
+    return int(trunk + dec.n_users * sum(a * b for a, b in zip(sub, sub[1:])))
 
 
 @dataclass

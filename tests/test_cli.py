@@ -177,6 +177,14 @@ class TestMalformedInputs:
                         "--out", str(out)]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_validation_error(self, tmp_path, capsys, workers):
+        out = tmp_path / "ber.csv"
+        assert run_cli(["ber", "--codebook", HUAWEI, "--snr", "8", "--workers", workers,
+                        "--out", str(out)]) == 1
+        assert "workers" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_snr_list_is_validation_error(self, tmp_path):
         out = tmp_path / "ber.csv"
         assert run_cli(["ber", "--codebook", HUAWEI, "--snr", ",", "--out", str(out)]) == 1

@@ -5,6 +5,7 @@ from scmalink import (
     Codebook,
     ConfigError,
     MpaConfig,
+    MultiTaskDecoder,
     SearchSpaceError,
     SystemConfig,
     build_indicator,
@@ -206,6 +207,17 @@ class TestSimulateBer:
         d = simulate_ber(huawei, "mpa", [6.0], workers=2, **kwargs)
         assert c == d  # bit-exact for a fixed (seed, worker count)
 
+    def test_neural_shared_decoder_matches_one_worker(self, huawei):
+        # two threads run one decoder's inference forward at once; it must
+        # write no layer state, so the curve equals the one-worker curve
+        dec = MultiTaskDecoder.build(np.random.default_rng(5), 8, 6, 4)
+        kwargs = dict(min_errors=10**9, max_bits=8 * 2000 * 12, seed=6, batch_size=2000,
+                      decoder=dec)
+        one = simulate_ber(huawei, "neural", [4.0, 10.0], **kwargs)
+        two = simulate_ber(huawei, "neural", [4.0, 10.0], workers=2, **kwargs)
+        assert one.points[0].bits == 8 * 2000 * 12
+        assert two == one
+
     def test_neural_requires_decoder(self, huawei):
         with pytest.raises(ConfigError, match="decoder"):
             simulate_ber(huawei, "neural", [8.0])
@@ -223,7 +235,7 @@ class TestSimulateBer:
         assert pt.bits >= 24_000
         assert pt.bit_errors < 100
 
-    @pytest.mark.parametrize("budget", ["batch_size", "min_errors", "max_bits"])
+    @pytest.mark.parametrize("budget", ["batch_size", "min_errors", "max_bits", "workers"])
     def test_budget_below_one_rejected(self, huawei, budget):
         kwargs = dict(min_errors=10, max_bits=12_000, batch_size=500)
         kwargs[budget] = 0

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,94 @@ class TestBackward:
         assert np.linalg.norm(a - n) / max(np.linalg.norm(a), np.linalg.norm(n)) < 1e-5
 
 
+def paper_decoder(seed):
+    return MultiTaskDecoder.build(np.random.default_rng(seed), 8, 6, 4)
+
+
+def fresh_copy(dec):
+    """The same parameters in new layers that hold no buffers yet."""
+    def copy(layer):
+        return DenseLayer(layer.weights.copy(), layer.bias.copy(), layer.activation)
+    return MultiTaskDecoder([copy(l) for l in dec.shared], [copy(l) for l in dec.user_layers])
+
+
+def random_batch(rng, size, n_users=6, n_messages=4):
+    x = rng.normal(size=(size, 8))
+    labels = np.zeros((size, n_users, n_messages))
+    msgs = rng.integers(0, n_messages, size=(size, n_users))
+    np.put_along_axis(labels, msgs[..., None], 1.0, axis=-1)
+    return x, labels
+
+
+def remembered_step(dec, x, labels):
+    """One remembered forward and backward: probabilities, input gradient."""
+    probs = dec.forward(x, remember=True)
+    return probs, dec.backward_cross_entropy(probs, labels)
+
+
+def assert_same_bytes(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestLayerBuffers:
+    """A remembered forward and its backward reuse per-layer buffers; every
+    result must equal a run on layers that never held any."""
+
+    def test_batch_size_changes_match_fresh_copies(self):
+        rng = np.random.default_rng(20)
+        dec = paper_decoder(20)
+        adam = AdamState.for_parameters(dec.parameters())
+        for size in (1000, 333, 3):
+            x, labels = random_batch(rng, size)
+            twin = fresh_copy(dec)
+            got = remembered_step(dec, x, labels)
+            want = remembered_step(twin, x, labels)
+            assert_same_bytes(got, want)
+            assert_same_bytes(dec.gradients(), twin.gradients())
+            adam_step(dec.parameters(), dec.gradients(), adam, 1e-3)
+
+    def test_outputs_survive_the_next_step(self):
+        rng = np.random.default_rng(21)
+        dec = paper_decoder(21)
+        got = remembered_step(dec, *random_batch(rng, 500))
+        kept = [a.copy() for a in got]
+        remembered_step(dec, *random_batch(rng, 500))
+        assert_same_bytes(got, kept)
+
+    def test_inference_between_forward_and_backward_changes_nothing(self):
+        rng = np.random.default_rng(22)
+        dec = paper_decoder(22)
+        x, labels = random_batch(rng, 500)
+        twin = fresh_copy(dec)
+        want = remembered_step(twin, x, labels)
+        probs = dec.forward(x, remember=True)
+        dec.forward(rng.normal(size=x.shape))
+        got = probs, dec.backward_cross_entropy(probs, labels)
+        assert_same_bytes(got, want)
+        assert_same_bytes(dec.gradients(), twin.gradients())
+
+    def test_remembered_step_allocates_less_than_one_layer(self):
+        # one (6, 1000, 64) float64 activation is 3,072,000 bytes; allocating
+        # the layer arrays afresh every step peaked at about 20.7 MB
+        rng = np.random.default_rng(23)
+        dec = paper_decoder(23)
+        x, labels = random_batch(rng, 1000)
+        remembered_step(dec, x, labels)  # allocates the buffers
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            for _ in range(3):
+                remembered_step(dec, x, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak < 6 * 1000 * 64 * 8
+
+
 class TestAdam:
     def test_first_step_magnitude_is_lr(self):
         # bias correction makes m_hat/sqrt(v_hat) = sign(g) at t=1
@@ -216,7 +306,7 @@ class TestComplexity:
     def test_default_topology_estimate(self):
         rng = np.random.default_rng(9)
         dec = MultiTaskDecoder.build(rng, 8, 6, 4)
-        assert dnn_complexity(dec) == 128 * 64
+        assert dnn_complexity(dec) == 49_536
 
     def test_single_small_layer(self):
         rng = np.random.default_rng(10)
@@ -226,4 +316,4 @@ class TestComplexity:
     def test_wide_shared_dominates(self):
         rng = np.random.default_rng(11)
         dec = MultiTaskDecoder.build(rng, 8, 2, 4, shared_widths=(128, 64), subnet_widths=(16,))
-        assert dnn_complexity(dec) == 8192
+        assert dnn_complexity(dec) == 11_392
