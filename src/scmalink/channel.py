@@ -58,8 +58,7 @@ def sample_noise_split(rng: np.random.Generator, n0: float, shape) -> np.ndarray
     return rng.normal(0.0, np.sqrt(n0 / 2.0), size=shape)
 
 
-def apply_channel(signal, ch: ChannelRealization, rng: np.random.Generator | None = None,
-                  noise_free: bool = False) -> np.ndarray:
+def apply_channel(signal, ch: ChannelRealization, rng: np.random.Generator) -> np.ndarray:
     """diag(h) @ s plus complex Gaussian noise of total variance n0 per entry.
 
     Accepts a (K,) vector or a (batch, K) array and returns the received
@@ -70,11 +69,9 @@ def apply_channel(signal, ch: ChannelRealization, rng: np.random.Generator | Non
     k = ch.h.size
     if s.shape[-1] != k:
         raise ShapeError(f"signal has {s.shape[-1]} resources, channel has {k}")
+    # the faded signal is allocated before the noise: batched MPA speed
+    # follows where its block arrays land on the heap, which this order sets
     faded = ch.h * s
-    if noise_free:
-        return faded
-    if rng is None:
-        raise ConfigError("a random generator is required unless noise_free=True")
     e = sample_noise_split(rng, ch.n0, s.shape[:-1] + (2 * k,))
     return faded + e[..., :k] + 1j * e[..., k:]
 

@@ -108,11 +108,6 @@ class SystemConfig:
     def bits_per_symbol(self) -> int:
         return int(round(np.log2(self.alphabet_size)))
 
-    @property
-    def overloading(self) -> float:
-        """Users per resource (lambda)."""
-        return self.n_users / self.n_resources
-
 
 def build_bit_matrix(alphabet_size: int) -> np.ndarray:
     """All +/-1 bit patterns of log2(M) bits as columns, ascending by value.

@@ -54,11 +54,6 @@ class GeneratorSet:
             raise ConfigError("generator entries must be finite")
         object.__setattr__(self, "gbar", g)
 
-    def complex_generators(self) -> np.ndarray:
-        """(J, N, log2 M) complex view: G_j = real rows + i * imaginary rows."""
-        n = self.config.N
-        return self.gbar[:, :n, :] + 1j * self.gbar[:, n:, :]
-
     def user_energies(self) -> np.ndarray:
         """Per-user average codeword energy (1/M) sum_m ||gbar_j b_m||^2."""
         splits = np.einsum("jab,bm->jam", self.gbar, build_bit_matrix(self.config.M).astype(float))
@@ -111,7 +106,8 @@ def codeword_table(gen: GeneratorSet, ind: IndicatorMatrix) -> Codebook:
     if ind.n_users != cfg.J or ind.n_resources != cfg.K or ind.n_nonzero != cfg.N:
         raise ShapeError("indicator matrix dimensions do not match the generator config")
     entries = np.zeros((cfg.J, cfg.K, cfg.M), dtype=complex)
-    words = gen.complex_generators() @ build_bit_matrix(cfg.M).astype(float)  # (J, N, M)
+    g = gen.gbar[:, : cfg.N] + 1j * gen.gbar[:, cfg.N :]  # G_j: real rows + i * imaginary rows
+    words = g @ build_bit_matrix(cfg.M).astype(float)  # (J, N, M)
     np.put_along_axis(entries, ind.supports[:, :, None], words, axis=1)
     if np.any((np.abs(entries) ** 2).sum(axis=(1, 2)) == 0):
         warnings.warn("codeword table contains an all-zero user codebook", DegenerateCodebookWarning)

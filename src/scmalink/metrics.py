@@ -52,14 +52,14 @@ class BerCurve:
     points: tuple
 
 
-def wilson_interval(errors: int, n: int, z: float = WILSON_Z) -> tuple[float, float]:
+def wilson_interval(errors: int, n: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     if n == 0:
         return (0.0, 1.0)
     p = errors / n
-    denom = 1.0 + z**2 / n
-    center = (p + z**2 / (2 * n)) / denom
-    half = z * np.sqrt(p * (1 - p) / n + z**2 / (4 * n**2)) / denom
+    denom = 1.0 + WILSON_Z**2 / n
+    center = (p + WILSON_Z**2 / (2 * n)) / denom
+    half = WILSON_Z * np.sqrt(p * (1 - p) / n + WILSON_Z**2 / (4 * n**2)) / denom
     lo = 0.0 if errors == 0 else max(0.0, center - half)
     hi = 1.0 if errors == n else min(1.0, center + half)
     return (lo, hi)
@@ -117,7 +117,7 @@ def simulate_ber(codebook: Codebook, detector: str, ebn0_db_list, *,
                  min_errors: int = 200, max_bits: int = 100_000_000,
                  seed: int = 0, decoder=None, mpa_cfg: MpaConfig = MpaConfig(),
                  batch_size: int = 2000, workers: int = 1,
-                 codebook_id: str = "", noise_free: bool = False) -> BerCurve:
+                 codebook_id: str = "") -> BerCurve:
     """Monte Carlo bit error rate of one codebook/detector combination.
 
     Per SNR point, random message tuples run through superposition, the AWGN
@@ -149,7 +149,7 @@ def simulate_ber(codebook: Codebook, detector: str, ebn0_db_list, *,
         msgs = rng.integers(0, cfg.M, size=(batch_size, cfg.J))
         tx = superimpose(codebook, msgs)
         ch = ChannelRealization.awgn(cfg.K, max(n0, N0_FLOOR))
-        r = apply_channel(tx, ch, rng, noise_free=noise_free)
+        r = apply_channel(tx, ch, rng)
         if detector == "mpa":
             dec = np.argmax(_mpa_posteriors(r, codebook, ch, mpa_cfg, graph), axis=2)
         elif detector == "ml":

@@ -1,25 +1,22 @@
 """Multiuser detection: Max-Log MPA over the factor graph plus an ML oracle.
 
 The message-passing detector exchanges log-domain messages between resource
-nodes and user nodes of the sparse occupancy graph. The default update is
-max-sum (Max-Log); exact sum-product is available as a config option. All K
-resources are stacked into one array per quantity, each padded to the maximum
-row degree d with a phantom user whose M codewords are zero, so regular and
-irregular graphs share one code path and an iteration loops only over the d
-slots of a resource.
+nodes and user nodes of the sparse occupancy graph, with max-sum (Max-Log)
+updates. All K resources are stacked into one array per quantity, each
+padded to the maximum row degree d with a phantom user whose M codewords are
+zero, so regular and irregular graphs share one code path and an iteration
+loops only over the d slots of a resource.
 
 The resource-to-user update views the combination metrics of a resource as a
 cube with one length-M axis per slot. For each slot, the max over the other
 slot axes is folded off one axis at a time with elementwise np.maximum over
 halves of that axis, and the max over the later slots is shared between
 slots. Each message is that max minus the slot's own incoming message, which
-rounds exactly as the max of the differences would. Sum-product adds
-log sum exp(excl - max) to the same maxima, summed as one np.sum over a
-(B, K, M, ..., M) array, so both update rules share one path. The batch runs
-in blocks of BLOCK vectors, with the vectors on the last axis of every
-array: inner loops run over vectors rather than over length-M slot axes, and
-an iteration's temporaries stay inside the L2 cache. Every step is row-wise,
-so blocking changes no bit of the output.
+rounds exactly as the max of the differences would. The batch runs in
+blocks of BLOCK vectors, with the vectors on the last axis of every array:
+inner loops run over vectors rather than over length-M slot axes, and an
+iteration's temporaries stay inside the L2 cache. Every step is row-wise, so
+blocking changes no bit of the output.
 
 The ML oracle enumerates the entire superimposed constellation and is
 intended for small instances and cross-checks. It runs core.nearest_points,
@@ -60,14 +57,10 @@ BLOCK = 256
 @dataclass(frozen=True)
 class MpaConfig:
     n_iter: int = 10
-    damping: float = 0.0
-    max_log: bool = True  # False selects exact sum-product updates
 
     def __post_init__(self):
         if self.n_iter < 1:
             raise ConfigError(f"n_iter must be >= 1, got {self.n_iter}")
-        if not 0.0 <= self.damping < 1.0:
-            raise ConfigError(f"damping must be in [0, 1), got {self.damping}")
 
 
 @dataclass(frozen=True)
@@ -122,9 +115,8 @@ class _FactorGraph:
 
     Resource k holds its users in ascending order in slots 0..d-1, then the
     phantom user J in the slots left over. The phantom adds zero to every
-    combination, so each real combination appears M times per phantom slot:
-    a max is unchanged, and a log-sum-exp gains log M, a constant over the
-    message that normalization removes. No user node reads a phantom slot.
+    combination, so each real combination appears M times per phantom slot
+    and a max is unchanged. No user node reads a phantom slot.
     """
 
     def __init__(self, codebook: Codebook):
@@ -193,24 +185,11 @@ def _block_posteriors(received: np.ndarray, faded: np.ndarray, n0: float,
         for s in range(1, d):
             total += v_axis[s]
         for s, peak in enumerate(_slot_maxima(total, d)):
-            if cfg.max_log:
-                np.subtract(peak, v_slot[s], out=r_slot[s])
-                continue
-            # log sum exp(excl - m); np.sum's order follows the memory layout,
-            # so it sums a (b, K) + (M,) * d copy
-            m = peak - v_slot[s]
-            excl = total - v_axis[s]
-            excl -= m.reshape(v_axis[s].shape)
-            np.exp(excl, out=excl)
-            others = tuple(2 + a for a in range(d) if a != s)
-            lse = np.sum(np.moveaxis(excl, (d, d + 1), (1, 0)).copy(), axis=others)
-            np.add(m, np.log(lse).T, out=r_slot[s])
+            np.subtract(peak, v_slot[s], out=r_slot[s])
         # user-to-resource: sum of the other resources' messages, normalized
         incoming = r_msg[g.edges]  # (J, N, M, b)
         msg = incoming.sum(axis=1, keepdims=True) - incoming
         msg -= _fold_max(msg, 2)[:, :, None]
-        if cfg.damping:  # at damping 0 the blend equals msg bit for bit
-            msg = cfg.damping * v[g.edges] + (1 - cfg.damping) * msg
         v[g.edges] = msg
 
     # posteriors from the final resource-to-user messages, as (b, J, M)

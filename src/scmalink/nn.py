@@ -31,6 +31,10 @@ import numpy as np
 from .core import ConfigError, ShapeError, SystemConfig
 
 LOG_CLAMP = 1e-30  # avoids -inf on collapsed probabilities
+# Adam's moment decay rates and denominator guard (Kingma & Ba defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def softmax(z):
@@ -38,7 +42,7 @@ def softmax(z):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-_ACTIVATIONS = ("relu", "linear", "softmax")
+_ACTIVATIONS = ("relu", "softmax")
 
 
 class DenseLayer:
@@ -90,12 +94,10 @@ class DenseLayer:
         else:
             z = x @ w_t
         z += self.bias[..., None, :]
-        if self.activation == "relu":
-            # the pre-activation is overwritten only when no backward needs it
-            return np.maximum(z, 0.0, out=self._buffer("a", z.shape) if remember else z)
         if self.activation == "softmax":
             return softmax(z)
-        return z
+        # the pre-activation is overwritten only when no backward needs it
+        return np.maximum(z, 0.0, out=self._buffer("a", z.shape) if remember else z)
 
     def backward_preact(self, grad_z):
         """Backward from the gradient w.r.t. the pre-activation z; the
@@ -115,16 +117,14 @@ class DenseLayer:
         pre-activation and relu output of a remembered forward: each stays
         valid until the next remembered forward, which overwrites it.
         """
-        if self.activation == "relu":
-            mask = np.greater(self._preact, 0, out=self._buffer("mask", grad_out.shape, bool))
-            grad_z = np.multiply(grad_out, mask, out=grad_out)
-        elif self.activation == "linear":
-            grad_z = grad_out
-        else:
+        if self.activation != "relu":
             raise ConfigError(
                 "softmax layers are fused with the cross-entropy loss; use backward_preact"
             )
-        return self.backward_preact(grad_z)
+        if self._preact is None:
+            raise ConfigError("backward called without a remembered forward pass")
+        mask = np.greater(self._preact, 0, out=self._buffer("mask", grad_out.shape, bool))
+        return self.backward_preact(np.multiply(grad_out, mask, out=grad_out))
 
 
 class MultiTaskDecoder:
@@ -254,8 +254,6 @@ def cross_entropy(probs, labels) -> float:
     if p.shape != q.shape:
         raise ShapeError(f"probs {p.shape} and labels {q.shape} differ")
     ce = -(q * np.log(np.maximum(p, LOG_CLAMP))).sum(axis=-1)
-    if ce.ndim == 1:  # single sample (J,)
-        return float(ce.sum())
     return float(ce.sum(axis=-1).mean())
 
 
@@ -274,19 +272,10 @@ class AdamState:
     m: list
     v: list
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def for_parameters(cls, params, beta1=0.9, beta2=0.999, eps=1e-8):
-        return cls(
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-            beta1=beta1,
-            beta2=beta2,
-            eps=eps,
-        )
+    def for_parameters(cls, params):
+        return cls(m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params])
 
 
 def adam_step(params, grads, state: AdamState, lr: float):
@@ -294,7 +283,7 @@ def adam_step(params, grads, state: AdamState, lr: float):
     if len(params) != len(state.m) or len(params) != len(grads):
         raise ShapeError("parameter, gradient and state lists must align")
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1**state.step
     c2 = 1.0 - b2**state.step
     for p, g, m, v in zip(params, grads, state.m, state.v):
@@ -302,5 +291,5 @@ def adam_step(params, grads, state: AdamState, lr: float):
         m += (1 - b1) * g
         v *= b2
         v += (1 - b2) * g**2
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
     return params

@@ -58,7 +58,6 @@ class TrainReport:
     codebook: Codebook
     wall_seconds: float
     iterations_run: int
-    seed: int
     aborted: bool = False
     abort_reason: str = ""
 
@@ -214,7 +213,6 @@ def train(cfg: TrainConfig, sys_cfg: SystemConfig, ind: IndicatorMatrix,
         codebook=learned,
         wall_seconds=time.perf_counter() - t0,
         iterations_run=it_run,
-        seed=cfg.seed,
         aborted=aborted,
         abort_reason=reason,
     )

@@ -1,5 +1,11 @@
+import os
 import sys
 from pathlib import Path
+
+# test_golden.py's record was taken with OpenBLAS on 2 threads, and BLAS splits
+# the decoder's matrix products by thread, which changes their summation
+# order; the count is pinned before numpy is first imported
+os.environ["OPENBLAS_NUM_THREADS"] = "2"
 
 # appended, not prepended: a PYTHONPATH naming another copy of the package wins
 sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))

@@ -21,7 +21,6 @@ def labels(bit_vectors, m):
 class TestSystemConfig:
     def test_paper_dimensions(self):
         cfg = SystemConfig(n_users=6, n_resources=4, n_nonzero=2, alphabet_size=4)
-        assert cfg.overloading == pytest.approx(1.5)
         assert cfg.bits_per_symbol == 2
 
     @pytest.mark.parametrize(

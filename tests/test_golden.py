@@ -7,13 +7,12 @@ single bit of these fails here, with no tolerance. Regenerate the file with
 `PYTHONPATH=src python tests/test_golden.py` only for a change that is meant
 to alter the numbers.
 
-The record depends on the BLAS thread count. It matches OpenBLAS at its
-default count on a 2-core machine (2 threads). BLAS splits the decoder's
-matrix products by thread, which changes their summation order: under
-OPENBLAS_NUM_THREADS=1, the benchmark's setting, losses[8] reads
-7.7921185505550215 instead of the recorded 7.792118550555022 and this test
-fails, with or without a code change. Run it at the default thread count;
-the failure message names the thread settings in effect.
+The record depends on the BLAS thread count. It was taken with OpenBLAS on
+2 threads, and conftest.py sets OPENBLAS_NUM_THREADS=2 before numpy is
+imported. BLAS splits the decoder's matrix products by thread, which changes
+their summation order: on 1 thread, the benchmark's setting, losses[8] reads
+7.7921185505550215 instead of the recorded 7.792118550555022. The failure
+message names the thread settings in effect.
 """
 
 import json

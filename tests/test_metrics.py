@@ -181,10 +181,12 @@ class TestSimulateBer:
         return read_codebook(data_path("huawei_4x6.json")).normalized()
 
     def test_noise_free_is_error_free(self, huawei):
+        # practically noise-free: at 60 dB the noise sigma is about 5e-4 per
+        # real dimension, against a half-minimum distance of about 0.37
         for detector in ("mpa", "ml"):
             curve = simulate_ber(
-                huawei, detector, [8.0], min_errors=10, max_bits=12_000,
-                seed=1, batch_size=500, noise_free=True,
+                huawei, detector, [60.0], min_errors=10, max_bits=12_000,
+                seed=1, batch_size=500,
             )
             assert curve.points[0].bit_errors == 0
             assert curve.points[0].ber == 0.0

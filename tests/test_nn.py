@@ -135,6 +135,12 @@ class TestBackward:
         expected = (probs - labels) / 8
         assert head.grad_bias == pytest.approx(expected.sum(axis=0), abs=1e-12)
 
+    def test_backward_without_remembered_forward_raises(self):
+        layer = DenseLayer(np.ones((3, 2)), np.zeros(3))
+        for backward in (layer.backward, layer.backward_preact):
+            with pytest.raises(ConfigError, match="remembered forward"):
+                backward(np.ones((1, 3)))
+
     def test_zero_upstream_gives_zero_gradients(self):
         rng = np.random.default_rng(7)
         dec = small_decoder(rng)
@@ -145,11 +151,11 @@ class TestBackward:
             assert np.allclose(g, 0, atol=1e-12)
 
     def test_finite_difference_all_layer_types(self):
-        # decoder with relu, linear hidden and softmax head
+        # decoder with relu trunk and subnetwork layers and a softmax head
         rng = np.random.default_rng(8)
         shared = [
             DenseLayer(rng.normal(0, 0.7, size=(5, 3)), np.zeros(5), "relu"),
-            DenseLayer(rng.normal(0, 0.7, size=(4, 5)), np.zeros(4), "linear"),
+            DenseLayer(rng.normal(0, 0.7, size=(4, 5)), np.zeros(4), "relu"),
         ]
         user_layers = [
             DenseLayer(rng.normal(0, 0.7, size=(2, 4, 4)), np.zeros((2, 4)), "relu"),
