@@ -15,7 +15,6 @@ import numpy as np
 
 from . import data_path
 from .core import ConfigError, ScmaError
-from .encoder import codeword_table, normalize
 from .fileio import (
     CodebookFormatError,
     ber_curve_to_csv,
@@ -27,14 +26,17 @@ from .fileio import (
     write_codebook,
 )
 from .metrics import MpaConfig, compare_codebooks, compute_med, simulate_ber
-from .training import default_init, gradient_check, train
+from .training import default_init, gradient_check, learned_codebook, train
 
 
 def _db(text: str, spec: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise CodebookFormatError(f"bad SNR value {text!r} in {spec!r}") from None
+    if not np.isfinite(value):
+        raise CodebookFormatError(f"SNR value {text!r} in {spec!r} is not finite")
+    return value
 
 
 def parse_snr_spec(spec: str) -> list[float]:
@@ -46,13 +48,13 @@ def parse_snr_spec(spec: str) -> list[float]:
         start, step, stop = (_db(p, spec) for p in parts)
         if step <= 0:
             raise CodebookFormatError("SNR range step must be positive")
-        out = []
+        points = []
         x = start
         while x <= stop + 1e-9:
-            out.append(round(x, 10))
+            points.append(round(x, 10))
             x += step
-        return out
-    points = [_db(p, spec) for p in spec.split(",") if p.strip()]
+    else:
+        points = [_db(p, spec) for p in spec.split(",") if p.strip()]
     if not points:
         raise CodebookFormatError(f"no SNR value in {spec!r}")
     return points
@@ -84,6 +86,8 @@ def _cmd_compare(args) -> int:
         name, _, path = item.partition("=")
         if not path:
             name, path = Path(item).stem, item
+        if name in named:
+            raise CodebookFormatError(f"codebook name {name!r} given twice")
         named[name] = read_codebook(path)
     rows = compare_codebooks(named)
     width = max(len(n) for n in named)
@@ -183,8 +187,7 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_export(args) -> int:
     gen, _, ind, meta = load_checkpoint(args.checkpoint)
-    cb = codeword_table(normalize(gen), ind)
-    write_codebook(args.out, cb, name=args.name, seed=meta.get("seed"))
+    write_codebook(args.out, learned_codebook(gen, ind), name=args.name, seed=meta.get("seed"))
     print(f"wrote {args.out}")
     return 0
 

@@ -201,6 +201,8 @@ class Codebook:
         expected = (self.config.J, self.config.K, self.config.M)
         if e.shape != expected:
             raise ShapeError(f"codebook entries shape {e.shape}, expected {expected}")
+        if not np.all(np.isfinite(e)):
+            raise ConfigError("codebook entries must be finite")
         object.__setattr__(self, "entries", e)
         self.validate_support()
 

@@ -16,7 +16,11 @@ that codebook. The training loop keeps its own differentiable encoding in the
 generator domain, one user at a time: that loop is the fastest exact scatter
 measured. One stacked product with a single np.add.at scatter gives the same
 bits but takes 1.4-2x as long per forward at batch 1000, and a gather from a
-codeword table is slower than the loop too.
+codeword table is slower than the loop too. A product with a 0/1 placement
+matrix (one GEMM for every user) ran 1.7x faster at batch 1000 and matched on
+the Huawei graph, but it sums in BLAS's order: it differed from the loop on
+93 of 300 random graphs with K <= 6 and J <= 8. The generator gradient
+scatters nothing, so it takes one stacked product for all users.
 """
 
 from __future__ import annotations

@@ -7,9 +7,9 @@ strings, which round-trip bit-exactly through repr/float.
 
 All three formats carry the same "system" block, read and written by one pair
 of helpers. Every malformed file raises CodebookFormatError naming the file
-and the offending field: missing keys, values of the wrong type (a bool field
-takes only a JSON bool), unknown config keys, truncated checkpoints and bytes
-after a checkpoint's last array.
+and the offending field: missing keys, values of the wrong type (a JSON
+boolean is never a number), non-finite codewords, unknown config keys,
+truncated checkpoints and bytes after a checkpoint's last array.
 """
 
 from __future__ import annotations
@@ -82,10 +82,10 @@ def _check_keys(block, allowed, where: str):
 
 
 def _typed(block, key: str, kind: type, where: str):
-    """block[key] converted to kind; a bool field takes only a JSON bool."""
+    """block[key] converted to kind; a JSON bool is rejected, not read as 0 or 1."""
     try:
         value = block[key]
-        if isinstance(value, bool) != (kind is bool):
+        if isinstance(value, bool):
             raise TypeError(f"expected {kind.__name__}, got {value!r}")
         return kind(value)
     except (KeyError, TypeError, ValueError) as exc:
@@ -168,7 +168,11 @@ def codebook_from_dict(doc: dict, where: str = "codebook") -> Codebook:
                 )
             for k, pair in enumerate(cw):
                 try:
+                    if any(isinstance(x, bool) for x in pair):
+                        raise TypeError("a JSON boolean is not a number")
                     entries[j, k, m] = float(pair[0]) + 1j * float(pair[1])
+                    if not np.isfinite(entries[j, k, m]):
+                        raise ValueError("not finite")
                 except (TypeError, ValueError, IndexError) as exc:
                     raise CodebookFormatError(
                         f"{where}: user {j} codeword {m} resource {k}: bad [re, im] pair {pair!r}"
@@ -210,8 +214,12 @@ def _train_from_dict(block, where: str) -> TrainConfig:
     types = get_type_hints(TrainConfig)
     keys = {_TRAIN_KEY_RENAMES.get(name, name): name for name in types}
     _check_keys(block, keys, where)
-    return TrainConfig(**{name: _typed(block, key, types[name], where)
-                          for key, name in keys.items() if key in block})
+    values = {name: _typed(block, key, types[name], where) for key, name in keys.items() if key in block}
+    try:
+        return TrainConfig(**values)
+    except ConfigError as exc:
+        fields = ", ".join(map(repr, block))
+        raise CodebookFormatError(f"{where}: fields {fields} are not a valid training config ({exc})") from exc
 
 
 def experiment_config_from_dict(doc: dict, where: str = "config") -> ExperimentConfig:

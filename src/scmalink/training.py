@@ -34,15 +34,17 @@ class TrainConfig:
     ebn0_min_db: float = 5.0
     ebn0_max_db: float = 11.0
     seed: int = 0
-    floor_decay: bool = False  # use floor(t/D) instead of the real exponent t/D
 
     def __post_init__(self):
+        for name in ("alpha0", "beta", "ebn0_min_db", "ebn0_max_db"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.alpha0 > 0:
-            raise ConfigError("initial learning rate must be positive")
+            raise ConfigError("initial learning rate alpha0 must be positive")
         if not 0 < self.beta <= 1:
-            raise ConfigError("decay factor must be in (0, 1]")
+            raise ConfigError("decay factor beta must be in (0, 1]")
         if self.decay_step < 1:
-            raise ConfigError("decay step must be >= 1")
+            raise ConfigError("decay_step must be >= 1")
         if self.batch_size < 1 or self.n_iterations < 1:
             raise ConfigError("batch size and iteration count must be >= 1")
         if self.ebn0_min_db > self.ebn0_max_db:
@@ -63,11 +65,10 @@ class TrainReport:
 
 
 def lr_schedule(cfg: TrainConfig, t: int) -> float:
-    """alpha_t = alpha0 * beta^(t/D); t/D is a real exponent by default."""
+    """alpha_t = alpha0 * beta^(t/D), with t/D a real exponent."""
     if t < 0:
         raise ConfigError("iteration index must be >= 0")
-    exponent = (t // cfg.decay_step) if cfg.floor_decay else (t / cfg.decay_step)
-    return cfg.alpha0 * cfg.beta**exponent
+    return cfg.alpha0 * cfg.beta**(t / cfg.decay_step)
 
 
 def sample_snr(cfg: TrainConfig, rng: np.random.Generator) -> float:
@@ -98,6 +99,11 @@ def default_init(sys_cfg: SystemConfig, ind: IndicatorMatrix, cfg: TrainConfig,
     else:
         gen = random_generators(sys_cfg, init_rng)
     return gen, decoder
+
+
+def learned_codebook(gen: GeneratorSet, ind: IndicatorMatrix) -> Codebook:
+    """The codebook of trained generators: normalized to unit energy, then tabulated."""
+    return codeword_table(normalize(gen), ind)
 
 
 def _slot_indices(ind: IndicatorMatrix) -> np.ndarray:
@@ -143,13 +149,11 @@ def _loss_and_gradients(gbar, decoder, bits, labels, noise, slots, K, h_split=No
     loss = cross_entropy(probs, labels)
     grad_r = decoder.backward_cross_entropy(probs, labels)
     grad_s = grad_r * h
-    grad_g = np.empty_like(gbar)
-    for j, g in enumerate(gbar):
-        delta = grad_s[:, slots[j]]  # (batch, 2N)
-        raw = delta.T @ bits[:, j, :]  # d loss / d (g / ||g||)
-        a = g / norms[j]
-        grad_g[j] = (raw - np.sum(raw * a) * a) / norms[j]
-    return loss, grad_g
+    # d loss / d (g / ||g||), then through the normalization, every user at once
+    raw = np.matmul(grad_s[:, slots].transpose(1, 2, 0), bits.transpose(1, 0, 2))
+    n = np.array(norms)[:, None, None]
+    a = gbar / n
+    return loss, (raw - np.sum(raw * a, axis=(1, 2), keepdims=True) * a) / n
 
 
 def train(cfg: TrainConfig, sys_cfg: SystemConfig, ind: IndicatorMatrix,
@@ -203,14 +207,13 @@ def train(cfg: TrainConfig, sys_cfg: SystemConfig, ind: IndicatorMatrix,
         if progress_every and t % progress_every == 0:
             print(f"iteration {t}/{cfg.n_iterations}  loss {loss:.4f}  lr {lr:.2e}  snr {snr_db:.1f} dB")
 
-    gen = normalize(GeneratorSet(gbar=gbar, config=sys_cfg))
-    learned = codeword_table(gen, ind)
+    gen = GeneratorSet(gbar=gbar, config=sys_cfg)
     return TrainReport(
         losses=losses[:it_run].copy(),
         learning_rates=lrs[:it_run].copy(),
         generators=gen,
         decoder=decoder,
-        codebook=learned,
+        codebook=learned_codebook(gen, ind),
         wall_seconds=time.perf_counter() - t0,
         iterations_run=it_run,
         aborted=aborted,
@@ -258,14 +261,12 @@ def gradient_check(rng: np.random.Generator, step: float = 1e-5) -> float:
         noise = rng.normal(0, 0.3, size=(batch, 2 * K))
         h_split = np.concatenate([rng.uniform(0.5, 1.5, K)] * 2)
         slots = _slot_indices(ind)
-        s, _ = _encoder_forward(gbar, bits, slots, K)
-        decoder.forward(s * h_split + noise, remember=True)
+        _, grad_g = _loss_and_gradients(gbar, decoder, bits, labels, noise, slots, K, h_split)
         kink = min(np.abs(layer._preact).min() for layer in decoder.layers()
                    if layer.activation == "relu")
         if kink > 100 * step:
             break
 
-    _, grad_g = _loss_and_gradients(gbar, decoder, bits, labels, noise, slots, K, h_split)
     analytic = [grad_g] + [g.copy() for g in decoder.gradients()]
 
     arrays = [gbar] + decoder.parameters()

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,6 +30,12 @@ class TestSnrSpec:
     def test_bad_spec(self):
         with pytest.raises(CodebookFormatError):
             parse_snr_spec("4:2")
+
+    # an infinite stop never ends the range; the others give no point at all
+    @pytest.mark.parametrize("spec", ["0:1:inf", "nan:1:5", "0:nan:5", "-inf:1:5", "12:2:4", "inf"])
+    def test_non_finite_or_empty_rejected(self, spec):
+        with pytest.raises(CodebookFormatError, match=re.escape(repr(spec))):
+            parse_snr_spec(spec)
 
 
 class TestCliCommands:
@@ -98,9 +105,11 @@ class TestCliCommands:
         out_cb = tmp_path / "exported.json"
         assert run_cli(["export", "--checkpoint", str(tmp_path / "checkpoint.bin"),
                         "--out", str(out_cb)]) == 0
-        exported = read_codebook(out_cb)
-        learned = read_codebook(tmp_path / "learned_codebook.json")
-        assert exported.entries == pytest.approx(learned.entries, abs=1e-12)
+        # the same codebook derivation as train's: only the name differs
+        exported = json.loads(out_cb.read_text())
+        learned = json.loads((tmp_path / "learned_codebook.json").read_text())
+        assert exported.pop("name") == "exported" and learned.pop("name") == "learned"
+        assert exported == learned
 
     def test_train_determinism(self, tmp_path):
         cfg = {
@@ -138,7 +147,10 @@ class TestMalformedInputs:
     @pytest.mark.parametrize(
         "block, key, value",
         [("train", "iterations", "many"), ("system", "users", "six"),
-         ("train", "floor_decay", "false")],
+         ("train", "beta", True),
+         # the right type, but values TrainConfig rejects
+         ("train", "beta", 1.5), ("train", "alpha0", float("inf")),
+         ("train", "ebn0_min_db", float("nan")), ("train", "decay_step", 0)],
     )
     def test_bad_config_value_names_file_and_field(self, tmp_path, capsys, block, key, value):
         cfg = {"system": dict(PAPER_SYSTEM),
@@ -149,8 +161,8 @@ class TestMalformedInputs:
         cfg_path.write_text(json.dumps(cfg))
         assert run_cli(["train", "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
-        assert str(cfg_path) in err and repr(key) in err
-        assert not (tmp_path / "checkpoint.bin").exists()
+        assert f"{cfg_path}.{block}" in err and repr(key) in err
+        assert list(tmp_path.iterdir()) == [cfg_path]
 
     # str() would turn either value into a path, so each must be a JSON string
     @pytest.mark.parametrize("key, value", [("output_dir", 5), ("init_codebook", 7)])
@@ -165,6 +177,19 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert str(cfg_path) in err and repr(key) in err
         assert not (tmp_path / "checkpoint.bin").exists()
+
+    @pytest.mark.parametrize("snr", ["12:2:4", "nan:1:5", "0:1:inf"])
+    def test_empty_or_non_finite_snr_range_is_validation_error(self, tmp_path, capsys, snr):
+        out = tmp_path / "ber.csv"
+        assert run_cli(["ber", "--codebook", HUAWEI, "--snr", snr, "--out", str(out)]) == 1
+        assert repr(snr) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_compare_repeated_name_is_validation_error(self, capsys):
+        assert run_cli(["compare", HUAWEI, HUAWEI]) == 1
+        assert "'huawei_4x6'" in capsys.readouterr().err
+        assert run_cli(["compare", f"H={HUAWEI}", f"H={HUAWEI}"]) == 1
+        assert "'H'" in capsys.readouterr().err
 
     def test_non_numeric_snr_is_validation_error(self, tmp_path):
         out = tmp_path / "ber.csv"

@@ -117,6 +117,14 @@ class TestCodebook:
         with pytest.raises(ConfigError, match="user 2.*resource 3"):
             Codebook(entries=entries, config=cfg, indicator=ind)
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan, complex(0.0, -np.inf)])
+    def test_non_finite_entry_rejected(self, value):
+        cfg = SystemConfig(n_users=2, n_resources=2, n_nonzero=1, alphabet_size=2)
+        entries = np.zeros((2, 2, 2), dtype=complex)
+        entries[0, 0, 1] = value
+        with pytest.raises(ConfigError, match="finite"):
+            Codebook(entries=entries, config=cfg, indicator=build_indicator(np.eye(2, dtype=int)))
+
     def test_normalized_unit_energy(self):
         cfg = SystemConfig(n_users=2, n_resources=2, n_nonzero=1, alphabet_size=2)
         ind = build_indicator(np.eye(2, dtype=int))

@@ -78,6 +78,19 @@ class TestCodebookFiles:
         with pytest.raises(CodebookFormatError, match="user 1 codeword 2 resource 0"):
             read_codebook(path)
 
+    # float() accepts all four; a JSON boolean is not a number and the MED of
+    # a non-finite codeword reads nan
+    @pytest.mark.parametrize("pair", [[True, False], ["0.5", True], ["inf", "0"], ["0", "nan"]],
+                             ids=["bool-re", "bool-im", "inf-re", "nan-im"])
+    def test_bool_or_non_finite_pair_rejected(self, tmp_path, pair):
+        cb = random_codebook(np.random.default_rng(2))
+        doc = codebook_to_dict(cb)
+        doc["codewords"][1][2][0] = pair
+        path = tmp_path / "badpair.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CodebookFormatError, match=r"user 1 codeword 2 resource 0: bad \[re, im\] pair"):
+            read_codebook(path)
+
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text('{"format": "something-else", "version": 1}')
@@ -265,10 +278,10 @@ class TestExperimentConfig:
         doc["paths"] = {"init_codebook": None, "output_dir": "runs"}
         assert experiment_config_from_dict(doc).paths.init_codebook is None
 
-    def test_hash_covers_floor_decay(self):
+    def test_hash_covers_beta(self):
         doc = self.base_doc()
         plain = experiment_config_from_dict(doc).config_hash()
-        doc["train"]["floor_decay"] = True
+        doc["train"]["beta"] = 0.5
         assert experiment_config_from_dict(doc).config_hash() != plain
 
     def test_file_roundtrip(self, tmp_path):
