@@ -7,7 +7,6 @@ files, inconsistent inputs), 2 on runtime failures.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -27,6 +26,8 @@ from .fileio import (
 )
 from .metrics import MpaConfig, compare_codebooks, compute_med, simulate_ber
 from .training import default_init, gradient_check, learned_codebook, train
+
+MAX_SNR_POINTS = 10_000
 
 
 def _db(text: str, spec: str) -> float:
@@ -48,23 +49,15 @@ def parse_snr_spec(spec: str) -> list[float]:
         start, step, stop = (_db(p, spec) for p in parts)
         if step <= 0:
             raise CodebookFormatError("SNR range step must be positive")
-        points = []
-        x = start
-        while x <= stop + 1e-9:
-            points.append(round(x, 10))
-            x += step
+        count = (stop - start + 1e-9) // step + 1
+        if not count <= MAX_SNR_POINTS:  # also rejects the NaN of an overflowed range
+            raise CodebookFormatError(f"SNR range {spec!r} has more than {MAX_SNR_POINTS} points")
+        points = [round(start + i * step, 10) for i in range(int(count))]
     else:
         points = [_db(p, spec) for p in spec.split(",") if p.strip()]
     if not points:
         raise CodebookFormatError(f"no SNR value in {spec!r}")
     return points
-
-
-def _outdir(args) -> Path:
-    out = getattr(args, "out_dir", None) or os.environ.get("SCMALINK_OUTDIR", ".")
-    p = Path(out)
-    p.mkdir(parents=True, exist_ok=True)
-    return p
 
 
 def _cmd_med(args) -> int:
@@ -122,7 +115,10 @@ def _cmd_ber(args) -> int:
             f"{pt.ebn0_db:6.2f} dB  ber {pt.ber:.3e}  "
             f"[{pt.ci_low:.3e}, {pt.ci_high:.3e}]  ({pt.bit_errors}/{pt.bits} bits)"
         )
-    out = args.out or str(_outdir(args) / f"ber_{Path(args.codebook).stem}_{args.detector}.csv")
+    out = args.out
+    if not out:
+        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+        out = Path(args.out_dir) / f"ber_{Path(args.codebook).stem}_{args.detector}.csv"
     ber_curve_to_csv(curve, out)
     print(f"wrote {out}")
     return 0
@@ -172,14 +168,16 @@ def _cmd_train(args) -> int:
 def _cmd_gradcheck(args) -> int:
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+    if not 0 < args.tolerance < np.inf:
+        raise ConfigError(f"--tolerance must be finite and > 0, got {args.tolerance}")
     rng = np.random.default_rng(args.seed)
-    worst = 0.0
+    errors = []
     for i in range(args.trials):
-        err = gradient_check(rng, step=args.step)
-        worst = max(worst, err)
-        print(f"instance {i + 1:2d}: relative error {err:.3e}")
+        errors.append(gradient_check(rng, step=args.step))
+        print(f"instance {i + 1:2d}: relative error {errors[-1]:.3e}")
+    worst = np.max(errors)  # NaN if any instance is NaN
     print(f"worst relative error {worst:.3e} over {args.trials} instances")
-    if worst >= args.tolerance:
+    if not worst < args.tolerance:
         print(f"FAIL: exceeds tolerance {args.tolerance:g}", file=sys.stderr)
         return 2
     return 0
@@ -221,8 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mpa-iterations", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out", default=None)
-    p.add_argument("--out-dir", default=None)
+    p.add_argument("--out", default=None, help="CSV file to write")
+    p.add_argument("--out-dir", default=".",
+                   help="directory for ber_<codebook stem>_<detector>.csv when --out is not given")
     p.set_defaults(func=_cmd_ber)
 
     p = sub.add_parser("train", help="run the training loop from a config file")

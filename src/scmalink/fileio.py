@@ -147,6 +147,13 @@ def write_codebook(path, codebook: Codebook, name: str = "", seed=None) -> None:
     Path(path).write_text(json.dumps(codebook_to_dict(codebook, name, seed), indent=1) + "\n")
 
 
+def _check_list(value, length: int, field: str, items: str, where: str) -> None:
+    if not isinstance(value, list):
+        raise CodebookFormatError(f"{where}: {field} must be a list of {length} {items}, got {value!r}")
+    if len(value) != length:
+        raise CodebookFormatError(f"{where}: {field} lists {len(value)} {items}, expected {length}")
+
+
 def codebook_from_dict(doc: dict, where: str = "codebook") -> Codebook:
     if _require(doc, "format", where) != CODEBOOK_FORMAT:
         raise CodebookFormatError(f"{where}: format {doc.get('format')!r} is not {CODEBOOK_FORMAT!r}")
@@ -155,25 +162,22 @@ def codebook_from_dict(doc: dict, where: str = "codebook") -> Codebook:
     cfg, ind = _system_from_dict(_require(doc, "system", where), _require(doc, "F", where),
                                  f"{where}.system")
     raw = _require(doc, "codewords", where)
-    if len(raw) != cfg.J:
-        raise CodebookFormatError(f"{where}: {len(raw)} users listed, system says {cfg.J}")
+    _check_list(raw, cfg.J, "codewords", "users", where)
     entries = np.zeros((cfg.J, cfg.K, cfg.M), dtype=complex)
     for j, user in enumerate(raw):
-        if len(user) != cfg.M:
-            raise CodebookFormatError(f"{where}: user {j} has {len(user)} codewords, expected {cfg.M}")
+        _check_list(user, cfg.M, f"user {j}", "codewords", where)
         for m, cw in enumerate(user):
-            if len(cw) != cfg.K:
-                raise CodebookFormatError(
-                    f"{where}: user {j} codeword {m} has {len(cw)} entries, expected {cfg.K}"
-                )
+            _check_list(cw, cfg.K, f"user {j} codeword {m}", "entries", where)
             for k, pair in enumerate(cw):
                 try:
+                    if not isinstance(pair, list) or len(pair) != 2:
+                        raise TypeError("not a list of two numbers")
                     if any(isinstance(x, bool) for x in pair):
                         raise TypeError("a JSON boolean is not a number")
                     entries[j, k, m] = float(pair[0]) + 1j * float(pair[1])
                     if not np.isfinite(entries[j, k, m]):
                         raise ValueError("not finite")
-                except (TypeError, ValueError, IndexError) as exc:
+                except (TypeError, ValueError) as exc:
                     raise CodebookFormatError(
                         f"{where}: user {j} codeword {m} resource {k}: bad [re, im] pair {pair!r}"
                     ) from exc

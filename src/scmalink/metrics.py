@@ -14,12 +14,14 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain, count
 
 import numpy as np
 
 from .channel import ChannelRealization, apply_channel, ebn0_to_n0, split_real
-from .core import (Codebook, ConfigError, nearest_points, ordered_distances, superimposed_constellation,
-                   tuple_digits)
+from .core import (Codebook, ConfigError, build_bit_matrix, nearest_points, ordered_distances,
+                   superimposed_constellation, tuple_digits)
 from .encoder import superimpose
 from .mpa import N0_FLOOR, MpaConfig, _FactorGraph, _ml_decisions, _mpa_posteriors
 
@@ -108,9 +110,9 @@ def compare_codebooks(named_codebooks) -> list[tuple[str, float]]:
 
 
 def _bit_error_table(m: int) -> np.ndarray:
-    a = np.arange(m)
-    xor = a[:, None] ^ a[None, :]
-    return np.array([[bin(x).count("1") for x in row] for row in xor], dtype=np.int64)
+    """(M, M) table of the bits in which the labels of symbols a and b differ."""
+    b = build_bit_matrix(m)
+    return (b[:, :, None] != b[:, None, :]).sum(axis=0)
 
 
 def simulate_ber(codebook: Codebook, detector: str, ebn0_db_list, *,
@@ -121,12 +123,15 @@ def simulate_ber(codebook: Codebook, detector: str, ebn0_db_list, *,
     """Monte Carlo bit error rate of one codebook/detector combination.
 
     Per SNR point, random message tuples run through superposition, the AWGN
-    channel and the chosen detector until min_errors bit errors or max_bits
-    simulated bits. Chunk c of point i draws from generator seeded
-    (seed, i, c), so results are reproducible for a fixed seed and
-    independent of the worker count. With workers > 1 the chunks of a wave
-    run on threads that share one decoder, whose inference forward writes no
-    layer state.
+    channel and the chosen detector in chunks of batch_size tuples. Chunk c
+    of point i draws from the generator seeded (seed, i, c). Chunk results
+    are taken in chunk order, and the point stops after the first chunk that
+    brings its totals to min_errors bit errors or max_bits simulated bits, so
+    a point does not depend on the worker count. One thread pool serves the
+    whole call: it runs the chunks workers at a time, dropping those of a
+    wave that follow the stopping chunk, and its threads share one decoder,
+    whose inference forward writes no layer state. With workers=1 the chunks
+    run one by one on the calling thread.
     """
     if detector not in ("mpa", "ml", "neural"):
         raise ConfigError(f"unknown detector {detector!r}")
@@ -142,9 +147,8 @@ def simulate_ber(codebook: Codebook, detector: str, ebn0_db_list, *,
     graph = _FactorGraph(codebook) if detector == "mpa" else None
     points = superimposed_constellation(codebook) if detector == "ml" else None
     errtab = _bit_error_table(cfg.M)
-    bits_per_tuple = cfg.J * cfg.bits_per_symbol
 
-    def run_chunk(point_idx: int, chunk_idx: int, n0: float) -> tuple[int, int]:
+    def run_chunk(point_idx: int, chunk_idx: int, n0: float) -> int:
         rng = np.random.default_rng([seed, point_idx, chunk_idx])
         msgs = rng.integers(0, cfg.M, size=(batch_size, cfg.J))
         tx = superimpose(codebook, msgs)
@@ -156,36 +160,22 @@ def simulate_ber(codebook: Codebook, detector: str, ebn0_db_list, *,
             dec = _ml_decisions(r, codebook, ch, points=points)
         else:
             dec = np.argmax(decoder.forward(split_real(r)), axis=2)
-        return int(errtab[msgs, dec].sum()), batch_size * bits_per_tuple
+        return int(errtab[msgs, dec].sum())
 
+    chunk_bits = batch_size * cfg.J * cfg.bits_per_symbol
     rows = []
-    for pt, ebn0 in enumerate(ebn0_db_list):
-        n0 = ebn0_to_n0(ebn0, cfg.M)
-        errors = 0
-        bits = 0
-        chunk = 0
-        while errors < min_errors and bits < max_bits:
-            wave = list(range(chunk, chunk + workers))
-            chunk += len(wave)
-            if workers > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    results = list(pool.map(lambda c: run_chunk(pt, c, n0), wave))
-            else:
-                results = [run_chunk(pt, c, n0) for c in wave]
-            for e, b in results:  # merge in chunk order
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        run = pool.map if workers > 1 else map
+        for pt, ebn0 in enumerate(ebn0_db_list):
+            point_chunk = partial(run_chunk, pt, n0=ebn0_to_n0(ebn0, cfg.M))
+            waves = (run(point_chunk, range(c, c + workers)) for c in count(0, workers))
+            errors = bits = 0
+            for e in chain.from_iterable(waves):
                 errors += e
-                bits += b
-        lo, hi = wilson_interval(errors, bits)
-        rows.append(
-            BerPoint(
-                ebn0_db=float(ebn0),
-                bits=bits,
-                bit_errors=errors,
-                ber=errors / bits,
-                ci_low=lo,
-                ci_high=hi,
-                detector=detector,
-                codebook_id=codebook_id,
-            )
-        )
+                bits += chunk_bits
+                if errors >= min_errors or bits >= max_bits:
+                    break
+            lo, hi = wilson_interval(errors, bits)
+            rows.append(BerPoint(ebn0_db=float(ebn0), bits=bits, bit_errors=errors, ber=errors / bits,
+                                 ci_low=lo, ci_high=hi, detector=detector, codebook_id=codebook_id))
     return BerCurve(points=tuple(rows))

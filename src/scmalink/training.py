@@ -230,8 +230,8 @@ def gradient_check(rng: np.random.Generator, step: float = 1e-5) -> float:
     one-sided slopes instead of the derivative. Returns the relative error
     ||analytic - numeric|| / max(norms).
     """
-    if not step > 0:
-        raise ConfigError(f"finite-difference step must be positive, got {step}")
+    if not 0 < step < np.inf:
+        raise ConfigError(f"finite-difference step must be positive and finite, got {step}")
     for _ in range(50):
         K = int(rng.integers(2, 4))
         N = int(rng.integers(1, K + 1))

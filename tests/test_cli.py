@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from scmalink import (MultiTaskDecoder, SystemConfig, data_path, paper_indicator_4x6,
                       random_generators, read_codebook, save_checkpoint)
+from scmalink import cli
 from scmalink.cli import parse_snr_spec, run_cli
 from scmalink.fileio import CodebookFormatError
 
@@ -36,6 +38,25 @@ class TestSnrSpec:
     def test_non_finite_or_empty_rejected(self, spec):
         with pytest.raises(CodebookFormatError, match=re.escape(repr(spec))):
             parse_snr_spec(spec)
+
+    def test_long_range_does_not_drift(self):
+        points = parse_snr_spec("0:0.3:999")
+        assert len(points) == 3331
+        assert points[-1] == 999.0
+
+    # a step below the float spacing at the start, 10^15 points, and a span
+    # that overflows to inf: each is counted and rejected before any point is built
+    @pytest.mark.parametrize("spec", ["1e20:1:1e21", "0:1e-9:1e6", "-1.7e308:1e-300:1.7e308"])
+    def test_range_with_too_many_points_rejected_at_once(self, spec):
+        t0 = time.perf_counter()
+        with pytest.raises(CodebookFormatError, match=re.escape(repr(spec))):
+            parse_snr_spec(spec)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_range_at_the_point_limit_accepted(self):
+        assert len(parse_snr_spec(f"0:1:{cli.MAX_SNR_POINTS - 1}")) == cli.MAX_SNR_POINTS
+        with pytest.raises(CodebookFormatError):
+            parse_snr_spec(f"0:1:{cli.MAX_SNR_POINTS}")
 
 
 class TestCliCommands:
@@ -79,9 +100,23 @@ class TestCliCommands:
         assert lines[0] == "ebn0_db,bits,bit_errors,ber,ci_low,ci_high,detector,codebook_id"
         assert len(lines) == 2
 
+    def test_ber_out_dir_default_file_name(self, tmp_path, capsys):
+        out_dir = tmp_path / "new" / "dir"
+        assert run_cli(["ber", "--codebook", HUAWEI, "--snr", "8", "--min-errors", "20",
+                        "--max-bits", "30000", "--out-dir", str(out_dir)]) == 0
+        out = out_dir / "ber_huawei_4x6_mpa.csv"
+        assert out.read_text().startswith("ebn0_db,bits,")
+        assert f"wrote {out}" in capsys.readouterr().out
+
     def test_gradcheck(self, capsys):
         assert run_cli(["gradcheck", "--trials", "3", "--seed", "1"]) == 0
         assert "worst relative error" in capsys.readouterr().out
+
+    def test_gradcheck_nan_error_fails(self, monkeypatch, capsys):
+        errors = iter([1e-9, float("nan"), 1e-9])
+        monkeypatch.setattr(cli, "gradient_check", lambda rng, step: next(errors))
+        assert run_cli(["gradcheck", "--trials", "3"]) == 2
+        assert "worst relative error nan" in capsys.readouterr().out
 
     def test_train_and_export_roundtrip(self, tmp_path, capsys):
         cfg = {
@@ -216,7 +251,7 @@ class TestMalformedInputs:
         assert not out.exists()
 
     def test_ragged_f_names_file_and_field(self, tmp_path, capsys):
-        doc = json.loads(open(HUAWEI).read())
+        doc = json.loads(Path(HUAWEI).read_text())
         doc["F"][1] = doc["F"][1][:-1]
         path = tmp_path / "ragged.json"
         path.write_text(json.dumps(doc))
@@ -230,13 +265,22 @@ class TestMalformedInputs:
         (lambda doc: doc["F"][0].__setitem__(0, 2), "'F'"),
     ], ids=["alphabet-3", "F-entry-2"])
     def test_invalid_system_value_names_file_and_field(self, tmp_path, capsys, edit, field):
-        doc = json.loads(open(HUAWEI).read())
+        doc = json.loads(Path(HUAWEI).read_text())
         edit(doc)
         path = tmp_path / "invalid.json"
         path.write_text(json.dumps(doc))
         assert run_cli(["med", "--codebook", str(path)]) == 1
         err = capsys.readouterr().err
         assert str(path) in err and field in err
+
+    def test_codewords_not_a_list_names_file_and_field(self, tmp_path, capsys):
+        doc = json.loads(Path(HUAWEI).read_text())
+        doc["codewords"] = 5
+        path = tmp_path / "scalar.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(["med", "--codebook", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "codewords" in err
 
     def test_non_utf8_codebook_names_file(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"
@@ -258,7 +302,9 @@ class TestMalformedInputs:
         assert "2 messages" in err and "M = 4" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--step", "0")])
+    @pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--step", "0"), ("--step", "inf"),
+                                             ("--tolerance", "nan"), ("--tolerance", "inf"),
+                                             ("--tolerance", "0")])
     def test_invalid_gradcheck_flag_is_validation_error(self, capsys, flag, value):
         assert run_cli(["gradcheck", flag, value]) == 1
         assert flag.lstrip("-") in capsys.readouterr().err

@@ -91,6 +91,34 @@ class TestCodebookFiles:
         with pytest.raises(CodebookFormatError, match=r"user 1 codeword 2 resource 0: bad \[re, im\] pair"):
             read_codebook(path)
 
+    # float() reads the string "12" as 1, then 2; the others have no usable pair
+    @pytest.mark.parametrize("pair", [["0.5", "-0.25", "junk"], ["0.5"], "12", {"a": 1}],
+                             ids=["three-entries", "one-entry", "string", "object"])
+    def test_pair_must_be_a_list_of_two(self, tmp_path, pair):
+        doc = codebook_to_dict(random_codebook(np.random.default_rng(2)))
+        doc["codewords"][1][2][0] = pair
+        path = tmp_path / "badpair.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CodebookFormatError, match=r"user 1 codeword 2 resource 0: bad \[re, im\] pair"):
+            read_codebook(path)
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda cw: 5, "codewords"),
+        (lambda cw: cw[:2], "codewords"),
+        (lambda cw: cw[:1] + [{"0": cw[1][0]}] + cw[2:], "user 1"),
+        (lambda cw: cw[:1] + [cw[1][:3]] + cw[2:], "user 1"),
+        (lambda cw: [cw[0], [cw[1][0], "codeword"] + cw[1][2:], cw[2]], "user 1 codeword 1"),
+        (lambda cw: [cw[0], [cw[1][0], cw[1][1][:2]] + cw[1][2:], cw[2]], "user 1 codeword 1"),
+    ], ids=["codewords-int", "two-users", "user-object", "three-codewords", "codeword-string",
+            "two-entries"])
+    def test_codeword_levels_must_be_lists_of_stated_length(self, tmp_path, edit, field):
+        doc = codebook_to_dict(random_codebook(np.random.default_rng(3)))
+        doc["codewords"] = edit(doc["codewords"])
+        path = tmp_path / "badlevel.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CodebookFormatError, match=re.escape(f"{path}: {field} ")):
+            read_codebook(path)
+
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text('{"format": "something-else", "version": 1}')

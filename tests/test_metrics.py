@@ -17,6 +17,7 @@ from scmalink import (
     tuple_digits,
     wilson_interval,
 )
+from scmalink.metrics import _bit_error_table
 
 
 def naive_med_oracle(codebook):
@@ -175,6 +176,14 @@ class TestWilson:
         assert lo < 0.037 < hi
 
 
+@pytest.mark.parametrize("m", [2, 4, 8, 16, 64])
+def test_bit_error_table_is_popcount_of_xor(m):
+    reference = [[bin(a ^ b).count("1") for b in range(m)] for a in range(m)]
+    table = _bit_error_table(m)
+    assert table.dtype == np.int64
+    assert table.tolist() == reference
+
+
 class TestSimulateBer:
     @pytest.fixture(scope="class")
     def huawei(self):
@@ -208,6 +217,16 @@ class TestSimulateBer:
         c = simulate_ber(huawei, "mpa", [6.0], workers=2, **kwargs)
         d = simulate_ber(huawei, "mpa", [6.0], workers=2, **kwargs)
         assert c == d  # bit-exact for a fixed (seed, worker count)
+        assert a == c  # and the same point whatever the worker count
+
+    # the point stops inside a wave of two or three chunks; the chunks after
+    # the stopping one are dropped, so the totals do not depend on the workers
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_point_independent_of_workers(self, huawei, workers):
+        kwargs = dict(min_errors=150, seed=0, batch_size=500)
+        one = simulate_ber(huawei, "mpa", [8.0], **kwargs)
+        assert (one.points[0].bit_errors, one.points[0].bits) == (210, 18_000)
+        assert simulate_ber(huawei, "mpa", [8.0], workers=workers, **kwargs) == one
 
     def test_neural_shared_decoder_matches_one_worker(self, huawei):
         # two threads run one decoder's inference forward at once; it must

@@ -106,6 +106,7 @@ class TestTrainLoop:
         assert report.codebook.user_energies() == pytest.approx(np.ones(3), abs=1e-9)
         report.codebook.validate_support()
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
     def test_abort_on_nonfinite_loss(self, small_setup):
         sys_cfg, ind = small_setup
         cfg = small_train_cfg(n_iterations=8)
