@@ -98,6 +98,12 @@ def _cmd_ber(args) -> int:
         if not args.model:
             raise CodebookFormatError("--model checkpoint is required for the neural detector")
         _, decoder, _, _ = load_checkpoint(args.model)
+    out = args.out
+    if not out:
+        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+        out = Path(args.out_dir) / f"ber_{Path(args.codebook).stem}_{args.detector}.csv"
+    elif not Path(out).parent.is_dir():  # checked before the simulation, not after it
+        raise ConfigError(f"--out {out}: directory {Path(out).parent} does not exist")
     curve = simulate_ber(
         cb,
         detector=args.detector,
@@ -115,10 +121,6 @@ def _cmd_ber(args) -> int:
             f"{pt.ebn0_db:6.2f} dB  ber {pt.ber:.3e}  "
             f"[{pt.ci_low:.3e}, {pt.ci_high:.3e}]  ({pt.bit_errors}/{pt.bits} bits)"
         )
-    out = args.out
-    if not out:
-        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
-        out = Path(args.out_dir) / f"ber_{Path(args.codebook).stem}_{args.detector}.csv"
     ber_curve_to_csv(curve, out)
     print(f"wrote {out}")
     return 0

@@ -7,11 +7,13 @@ Conventions used throughout the package:
     column of the bit matrix and the m-th column of a user codebook.
 
 nearest_points is the one exact search over the superimposed constellation,
-shared by ML detection and the MED. A real GEMM screens every point; only
-rows whose runner-up lies within a derived rounding bound of the best are
-re-checked with ordered_distances, which sums the real-split squared
-differences one dimension at a time in index order. Its results are those
-of a plain per-pair loop that keeps the first minimum.
+shared by ML detection and the MED. A real GEMM screens every point, in
+float32 for a batch of at least SEARCH_BLOCK queries whose magnitudes lie in
+a range that keeps float32 clear of overflow and underflow, else in float64;
+only rows whose runner-up lies within a rounding bound derived for that
+dtype are re-checked with ordered_distances, which sums the real-split
+squared differences in float64 one dimension at a time in index order. Its
+results are those of a plain per-pair loop that keeps the first minimum.
 """
 
 from __future__ import annotations
@@ -23,11 +25,13 @@ import numpy as np
 # largest superimposed constellation (M^J points) an exhaustive search builds
 SEARCH_GUARD = 1_000_000
 
-# query rows per nearest_points block (8 MB of screen values against the
-# 4096-point Huawei constellation); the screen buffer is allocated once per
-# search, as fresh 8 MB arrays per step can be handed back to the OS and
-# faulted in again
-SEARCH_BLOCK = 256
+# query rows per nearest_points block: 2 MB of float32 screen values against
+# the 4096-point Huawei constellation, one core's L2 cache. On a 2-core Xeon,
+# 9 alternating 12 s benchmark pairs read evaluate.ml at 1.53M bits/s with
+# either 128 or 64 rows and evaluate.med at 226M pairs/s with 128 against
+# 218M with 64. The screen buffer is allocated once per search, as fresh
+# arrays per step can be handed back to the OS and faulted in again
+SEARCH_BLOCK = 128
 
 
 class ScmaError(Exception):
@@ -269,29 +273,56 @@ def nearest_points(queries: np.ndarray, points: np.ndarray, h: np.ndarray | None
     pair search.
 
     Each block of SEARCH_BLOCK queries is screened with one real GEMM over
-    interleaved float views: ||q - h p||^2 - ||q||^2 = |h p|^2 - 2 (conj(h) q) . p.
-    A row whose runner-up screen value lies within the rounding bound
-    `slack` of its minimum is a near tie: its points within that bound are
-    recomputed exactly by ordered_distances, in ascending index order, and
-    the first minimum wins. Every other row keeps the screen's argmin, which
-    the bound proves to be the exact winner.
+    interleaved float views: ||q - h p||^2 - ||q||^2 = |h p|^2 + x . p with
+    x = -2 conj(h) q. A row whose runner-up screen value lies within the
+    rounding bound `slack` of its minimum is a near tie: its points within
+    that bound are recomputed exactly by ordered_distances, in ascending
+    index order, and the first minimum wins. Every other row keeps the
+    screen's argmin, which the bound proves to be the exact winner.
+
+    The screen runs in float32 when the call has at least SEARCH_BLOCK
+    queries, every S = ||q||^2 + max_n |h p_n|^2 is at least 2^-40, and the
+    largest of S, x_i^2 and p_i^2 is at most 2^100; otherwise, and so for
+    every single-vector call, it runs in float64. x, p and w = |h p|^2 are
+    built in float64 and rounded once to the screen dtype.
+
+    Rounding bound. Let D = 2K, u = eps / 2 of the screen dtype and
+    u64 = 2^-53. A point's ordered distance (its h p rounded as complex
+    products, D rounded squares summed in order) is within
+    E_o = (2D + 13) u64 S of the real ||q - h p||^2. If its screen value
+    plus ||q||^2 is within E_s of it too, the exact winner screens at most
+    2 (E_s + E_o) above the screen's minimum, and a runner-up beyond that
+    proves the argmin. In float64, E_s = (2D + 9) u64 S: conj(h) q,
+    |h|^2 |p|^2 and a dot product of D terms in any order. In float32,
+    sum_i |x_i p_i| <= 2 sum_k |q_k| |h_k p_k| <= S and w <= S, so rounding
+    x and p costs 2u S, the dot product of D terms in any order
+    gamma_D S <= 1.01 D u S (Higham, Accuracy and Stability of Numerical
+    Algorithms, 3.1; K < 2^16), rounding w u S and adding it to the dot
+    product 2u S: (1.01 D + 5) u S, plus (D + 10) u64 S of float64 error in
+    x and w and second-order terms. Each underflowing rounding, flushed or
+    gradual, errs by at most tiny32 = 2^-126, so underflow adds at most
+    2D tiny32 (max|x| + max|p| + 2) < D 2^-73, below D 2^-9 u S once
+    S >= 2^-40 and max|x|, max|p| <= 2^50; with no lower limit on S, that
+    term would make every point a near tie. Every product and partial sum
+    of the screen is at most about S, every screen value about 2S, so below
+    2^102, and every operand 2^50, far below float32's overflow at 2^128.
+    So E_s <= (2D + 16) u S in either dtype, E_o <= (2D + 16) u64 S, and
+    slack = 2 (2D + 16) (u + u64) S = (4K + 16) (eps + eps64) S, which in
+    float64 is (8K + 32) eps64 S; tiny(dt) covers float64 underflow.
     """
     n, K = points.shape
     h = np.ones(K) if h is None else h
     pf = np.ascontiguousarray(points).view(np.float64)  # (n, 2K) re, im interleaved
-    qf = ((-2 * np.conj(h)) * queries).view(np.float64)  # (B, 2K) -2 conj(h) q
+    qf = ((-2 * np.conj(h)) * queries).view(np.float64)  # (B, 2K) x = -2 conj(h) q
     w = np.square(pf) @ np.repeat(np.abs(h) ** 2, 2)  # |h p|^2 per point
-    # Rounding bound. With u = eps / 2, D = 2K and S = ||q||^2 + max_n |h p_n|^2,
-    # a point's ordered distance (its h p rounded as complex products, D
-    # rounded squares summed in order) is within (2D + 13) u S of the real
-    # ||q - h p||^2, and its screen value plus ||q||^2 within (2D + 9) u S
-    # (conj(h) q, |h|^2 |p|^2 and a dot product of D terms in any order). So
-    # the exact winner screens at most 2 (4D + 22) u S above the screen's
-    # minimum; the slack rounds that up, and `tiny` covers underflow.
-    scale = np.square(np.abs(queries)).sum(axis=1) + w.max()
-    slack = (8 * K + 32) * np.finfo(float).eps * scale + np.finfo(float).tiny
+    scale = np.square(np.abs(queries)).sum(axis=1) + w.max()  # S per query
+    dt = (np.float32 if len(queries) >= SEARCH_BLOCK and scale.min() >= 2.0**-40
+          and max(scale.max(), np.abs(qf).max() ** 2, np.abs(pf).max() ** 2) <= 2.0**100
+          else np.float64)
+    qf, pf, w = qf.astype(dt, copy=False), pf.astype(dt, copy=False), w.astype(dt, copy=False)
+    slack = (4 * K + 16) * (np.finfo(dt).eps + np.finfo(float).eps) * scale + np.finfo(dt).tiny
     best = np.empty(len(queries), dtype=np.int64)
-    buf = np.empty(min(SEARCH_BLOCK, len(queries)) * n)
+    buf = np.empty(min(SEARCH_BLOCK, len(queries)) * n, dtype=dt)
     for a in range(0, len(queries), SEARCH_BLOCK):
         b = min(SEARCH_BLOCK, len(queries) - a)
         c0 = a if after_self else 0  # first screened point

@@ -2,7 +2,8 @@
 
 compute_med finds each superimposed codeword's nearest later codeword with
 core.nearest_points, the one exact search the ML detector shares: a GEMM
-screen over the pairs j > i, with near ties re-checked by
+screen over the pairs j > i, in float32 for constellations of moderate size
+and magnitude, with near ties re-checked in float64 by
 core.ordered_distances. That sums each squared distance over the real-split
 dimensions one at a time in index order, so the MED and its pair are
 bit-identical to a plain per-pair loop, which the test suite uses as an
@@ -70,13 +71,14 @@ def wilson_interval(errors: int, n: int) -> tuple[float, float]:
 def compute_med(codebook: Codebook) -> MedReport:
     """Exact minimum pairwise squared distance over all M^J superimposed points.
 
-    nearest_points gives each point i its nearest point j > i: a GEMM screen
-    whose near ties, those within a rounding bound of the row's best, are
-    re-checked exactly, the lowest j winning. The MED is the smallest
-    ordered_distances of these pairs, so it rounds as the naive per-pair loop
-    does, and among equal minima the lowest (i, j) pair wins. Runtime is
-    quadratic in M^J; core.SEARCH_GUARD rejects constellations above one
-    million points.
+    nearest_points gives each point i its nearest point j > i: a GEMM screen,
+    in float32 unless the points are too few, too large or too small for it
+    (see nearest_points), whose near ties, those within a rounding bound of
+    the row's best, are re-checked exactly in float64, the lowest j winning.
+    The MED is the smallest ordered_distances of these pairs, so it rounds
+    as the naive per-pair loop does, and among equal minima the lowest
+    (i, j) pair wins. Runtime is quadratic in M^J; core.SEARCH_GUARD rejects
+    constellations above one million points.
     """
     pts = superimposed_constellation(codebook)
     if len(pts) < 2:

@@ -21,9 +21,11 @@ blocking changes no bit of the output.
 The ML oracle enumerates the entire superimposed constellation and is
 intended for small instances and cross-checks. It runs core.nearest_points,
 the exact search compute_med uses too, with the channel folded into the
-screen: one GEMM of conj(h) r against the unfaded points, plus |h p|^2.
-Rows whose runner-up lies within the screen's rounding bound of the best
-are re-checked exactly on h p of their candidates only, each squared
+screen: one GEMM of conj(h) r against the unfaded points, plus |h p|^2, in
+float32 for a batch of at least core.SEARCH_BLOCK vectors of moderate
+magnitude and in float64 otherwise, a single vector included. Rows whose
+runner-up lies within the screen's rounding bound of the best are
+re-checked exactly in float64 on h p of their candidates only, each squared
 distance summed over the 2K real dimensions one at a time in index order,
 and the first minimum (lowest tuple index) wins.
 """

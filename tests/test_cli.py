@@ -100,6 +100,18 @@ class TestCliCommands:
         assert lines[0] == "ebn0_db,bits,bit_errors,ber,ci_low,ci_high,detector,codebook_id"
         assert len(lines) == 2
 
+    def test_ber_out_in_missing_directory_fails_before_simulating(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "simulate_ber", lambda *a, **kw: calls.append((a, kw)))
+        out = tmp_path / "missing" / "x.csv"
+        assert run_cli(["ber", "--codebook", HUAWEI, "--snr", "8", "--min-errors", "2000",
+                        "--out", str(out)]) == 1
+        assert calls == []
+        err = capsys.readouterr().err
+        assert "--out" in err and str(out.parent) in err
+        assert not out.parent.exists()
+
     def test_ber_out_dir_default_file_name(self, tmp_path, capsys):
         out_dir = tmp_path / "new" / "dir"
         assert run_cli(["ber", "--codebook", HUAWEI, "--snr", "8", "--min-errors", "20",

@@ -99,10 +99,11 @@ class TestComputeMed:
 
     @pytest.mark.parametrize("kind,seed", [("gaussian", 4), ("grid", 4), ("tied", 0), ("tied", 17)])
     def test_matches_per_row_oracle_over_many_blocks(self, kind, seed):
-        # 1024 points span four 256-row search blocks. The grid codebook
-        # (entries in thirds) has many pairs at equal distances. In the tied
-        # one, user 0's codewords 0, c, -c give each point two later points at
-        # distance |c| in exact arithmetic, which rounding tells apart by an ulp
+        # 1024 points span many SEARCH_BLOCK-row search blocks, screened in
+        # float32. The grid codebook (entries in thirds) has many pairs at
+        # equal distances. In the tied one, user 0's codewords 0, c, -c give
+        # each point two later points at distance |c| in exact arithmetic,
+        # which rounding tells apart by an ulp
         rng = np.random.default_rng(seed)
         cb = random_codebook(rng, n_users=5, n_resources=4, n_nonzero=2, alphabet=4)
         entries = cb.entries.copy()
@@ -117,6 +118,18 @@ class TestComputeMed:
         assert rep.phi_size == 1024
         assert rep.med == med
         assert rep.arg_pair == tuple(map(tuple, tuple_digits(np.array(pair), 4, 5).tolist()))
+
+    @pytest.mark.parametrize("k", [-70, -20, 20, 70])
+    def test_power_of_two_scaling_is_exact(self, k):
+        # at 2^-20 and 2^20 the pair screen runs in float32, at 2^-70 and
+        # 2^70 it falls back to float64; scaling by 2^k is exact in float64,
+        # so the MED scales by 4^k bit for bit and keeps its pair
+        cb = read_codebook(data_path("huawei_4x6.json")).normalized()
+        base = compute_med(cb)
+        rep = compute_med(Codebook(entries=cb.entries * 2.0**k, config=cb.config,
+                                   indicator=cb.indicator))
+        assert rep.med == 4.0**k * base.med
+        assert rep.arg_pair == base.arg_pair
 
     def test_scaling_is_quadratic(self):
         rng = np.random.default_rng(1)

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +27,13 @@ from scmalink import (
     superimposed_constellation,
     tuple_digits,
 )
-from scmalink.core import SEARCH_BLOCK
+from scmalink import core
+from scmalink.core import SEARCH_BLOCK, nearest_points
 from scmalink.mpa import BLOCK, N0_FLOOR, _ml_decisions, _mpa_posteriors, _slot_maxima
+
+
+# a fixed fading vector h whose gains differ by resource
+FADING = np.array([1.3 + 0.4j, 0.2 - 0.9j, 0.7 + 0.1j, -0.5 + 1.6j])
 
 
 @pytest.fixture(scope="module")
@@ -279,13 +285,53 @@ class TestMlDetect:
 
     @pytest.mark.parametrize("B", [0, 1, SEARCH_BLOCK - 1, SEARCH_BLOCK, SEARCH_BLOCK + 1])
     def test_batch_rows_equal_single_vector_runs(self, huawei, B):
+        # from SEARCH_BLOCK rows on, the batch is screened in float32 and a
+        # single vector in float64
         rng = np.random.default_rng(B)
-        ch = ChannelRealization.awgn(4, ebn0_to_n0(6.0, 4))
-        r = apply_channel(superimpose(huawei, rng.integers(0, 4, (B, 6))), ch, rng)
-        dec = _ml_decisions(r, huawei, ch)
-        assert dec.shape == (B, 6)
-        for i in range(B):
-            assert np.array_equal(dec[i], ml_detect(r[i], huawei, ch))
+        n0 = ebn0_to_n0(6.0, 4)
+        for ch in (ChannelRealization.awgn(4, n0), ChannelRealization(h=FADING, n0=n0)):
+            r = apply_channel(superimpose(huawei, rng.integers(0, 4, (B, 6))), ch, rng)
+            dec = _ml_decisions(r, huawei, ch)
+            assert dec.shape == (B, 6)
+            for i in range(B):
+                assert np.array_equal(dec[i], ml_detect(r[i], huawei, ch))
+
+    def test_batch_screen_is_float32(self, huawei):
+        # a float64 screen of one block against the 4096 points alone takes
+        # SEARCH_BLOCK * 4096 * 8 bytes
+        rng = np.random.default_rng(64)
+        pts = superimposed_constellation(huawei)
+        ch = ChannelRealization(h=FADING, n0=ebn0_to_n0(8.0, 4))
+        r = apply_channel(superimpose(huawei, rng.integers(0, 4, (SEARCH_BLOCK, 6))), ch, rng)
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            nearest_points(r, pts, ch.h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak < SEARCH_BLOCK * 4096 * 8
+
+    @pytest.mark.parametrize("k", [-70, 70])
+    def test_decisions_exact_at_extreme_scales(self, huawei, k, monkeypatch):
+        # at 2^70 the screen's S = ||q||^2 + max |h p|^2 lies beyond float32's
+        # range, and at 2^-70 its products underflow float32. Scaling by 2^k
+        # is exact in float64, so the decisions must be the unscaled ones,
+        # and an underflowing screen must not make every point a near tie
+        rng = np.random.default_rng(70)
+        ch = ChannelRealization(h=FADING, n0=ebn0_to_n0(8.0, 4))
+        r = apply_channel(superimpose(huawei, rng.integers(0, 4, (300, 6))), ch, rng)
+        want = _ml_decisions(r, huawei, ch)
+        scaled = Codebook(entries=huawei.entries * 2.0**k, config=huawei.config,
+                          indicator=huawei.indicator)
+        rechecked = []
+        exact = core.ordered_distances
+        monkeypatch.setattr(core, "ordered_distances",
+                            lambda a, b: rechecked.append(len(a)) or exact(a, b))
+        assert np.array_equal(_ml_decisions(r * 2.0**k, scaled, ch), want)
+        assert sum(rechecked) <= len(r)
 
     def test_permutation_equivariance(self, huawei):
         perm = [3, 1, 5, 0, 2, 4]
@@ -311,8 +357,7 @@ class TestMlDetect:
         with pytest.raises(SearchSpaceError, match="1048576 points"):
             ml_detect(np.zeros(5, dtype=complex), cb, ChannelRealization.awgn(5, 0.1))
 
-    @pytest.mark.parametrize("h", [np.ones(4), np.array([1.3 + 0.4j, 0.2 - 0.9j, 0.7 + 0.1j, -0.5 + 1.6j])],
-                             ids=["awgn", "fading"])
+    @pytest.mark.parametrize("h", [np.ones(4), FADING], ids=["awgn", "fading"])
     def test_midpoints_equal_plain_per_pair_loop(self, huawei, h):
         # queries at exact midpoints (h p_i + h p_j) / 2 of near pairs are
         # ties up to rounding: the GEMM screen cannot tell them apart, the
