@@ -12,7 +12,6 @@ from .core import (
     Codebook,
     ConfigError,
     DegenerateCodebookError,
-    DegenerateCodebookWarning,
     IndicatorMatrix,
     ScmaError,
     SearchSpaceError,
@@ -20,7 +19,6 @@ from .core import (
     SystemConfig,
     build_bit_matrix,
     build_indicator,
-    paper_indicator_4x6,
     superimposed_constellation,
     tuple_digits,
 )

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,15 +17,15 @@ from . import data_path
 from .core import ConfigError, ScmaError
 from .fileio import (
     CodebookFormatError,
-    ber_curve_to_csv,
+    codebook_to_dict,
     load_checkpoint,
-    med_table_to_csv,
     read_codebook,
     read_experiment_config,
     save_checkpoint,
     write_codebook,
+    write_csv,
 )
-from .metrics import MpaConfig, compare_codebooks, compute_med, simulate_ber
+from .metrics import BerPoint, MpaConfig, compare_codebooks, compute_med, simulate_ber
 from .training import default_init, gradient_check, learned_codebook, train
 
 MAX_SNR_POINTS = 10_000
@@ -69,7 +70,7 @@ def _cmd_med(args) -> int:
     print(f"constellation points {report.phi_size}")
     print(f"achieved by message tuples {report.arg_pair[0]} and {report.arg_pair[1]}")
     if args.csv:
-        med_table_to_csv([(Path(args.codebook).stem, report.med)], args.csv)
+        write_csv(args.csv, ("name", "med"), [(Path(args.codebook).stem, report.med)])
     return 0
 
 
@@ -87,7 +88,7 @@ def _cmd_compare(args) -> int:
     for name, med in rows:
         print(f"{name:<{width}}  {med:.6g}")
     if args.csv:
-        med_table_to_csv(rows, args.csv)
+        write_csv(args.csv, ("name", "med"), rows)
     return 0
 
 
@@ -121,18 +122,17 @@ def _cmd_ber(args) -> int:
             f"{pt.ebn0_db:6.2f} dB  ber {pt.ber:.3e}  "
             f"[{pt.ci_low:.3e}, {pt.ci_high:.3e}]  ({pt.bit_errors}/{pt.bits} bits)"
         )
-    ber_curve_to_csv(curve, out)
+    write_csv(out, [f.name for f in fields(BerPoint)], map(astuple, curve.points))
     print(f"wrote {out}")
     return 0
 
 
 def _cmd_train(args) -> int:
+    if args.progress < 0:
+        raise ConfigError(f"--progress must be >= 0, got {args.progress}")
     exp = read_experiment_config(args.config)
-    train_cfg = exp.train
-    if args.seed is not None:
-        from dataclasses import replace
-
-        train_cfg = replace(train_cfg, seed=args.seed)
+    if args.seed is not None:  # the stored config hash is that of the run
+        exp = replace(exp, train=replace(exp.train, seed=args.seed))
     init_path = exp.paths.init_codebook
     init_cb = None
     if init_path:
@@ -140,8 +140,8 @@ def _cmd_train(args) -> int:
         if not candidate.exists():
             candidate = Path(args.config).parent / init_path
         init_cb = read_codebook(candidate)
-    gen, decoder = default_init(exp.system, exp.indicator, train_cfg, init_cb)
-    report = train(train_cfg, exp.system, exp.indicator, gen, decoder,
+    gen, decoder = default_init(exp.system, exp.indicator, exp.train, init_cb)
+    report = train(exp.train, exp.system, exp.indicator, gen, decoder,
                    progress_every=args.progress)
     if report.aborted:
         print(f"training aborted: {report.abort_reason}", file=sys.stderr)
@@ -152,17 +152,16 @@ def _cmd_train(args) -> int:
     )
     out = Path(exp.paths.output_dir) if not args.out_dir else Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    meta = {"config_hash": exp.config_hash(), "seed": train_cfg.seed,
+    meta = {"config_hash": exp.config_hash(), "seed": exp.train.seed,
+            "init_codebook_hash": None if init_cb is None else codebook_to_dict(init_cb)["config_hash"],
             "iterations": report.iterations_run, "aborted": report.aborted}
     ckpt = out / "checkpoint.bin"
     save_checkpoint(ckpt, report.generators, report.decoder, exp.indicator, meta)
     cb_path = out / "learned_codebook.json"
-    write_codebook(cb_path, report.codebook, name="learned", seed=train_cfg.seed)
+    write_codebook(cb_path, report.codebook, name="learned", seed=exp.train.seed)
     trace = out / "loss_trace.csv"
-    with open(trace, "w") as fh:
-        fh.write("iteration,loss,learning_rate\n")
-        for i, (l, lr) in enumerate(zip(report.losses, report.learning_rates), start=1):
-            fh.write(f"{i},{l!r},{lr!r}\n")
+    write_csv(trace, ("iteration", "loss", "learning_rate"),
+              zip(range(1, report.iterations_run + 1), report.losses, report.learning_rates))
     print(f"wrote {ckpt}, {cb_path}, {trace}")
     return 0 if not report.aborted else 2
 

@@ -54,10 +54,6 @@ class SearchSpaceError(ScmaError):
     """An exhaustive enumeration would exceed its guard size."""
 
 
-class DegenerateCodebookWarning(UserWarning):
-    """Emitted when an all-zero user codebook is constructed."""
-
-
 def is_power_of_two(m: int) -> bool:
     return m >= 1 and (m & (m - 1)) == 0
 
@@ -155,12 +151,14 @@ class IndicatorMatrix:
         return self.supports.shape[1]
 
     @property
-    def is_regular(self) -> bool:
-        return bool(np.all(self.row_degrees == self.row_degrees[0]))
-
-    @property
     def max_row_degree(self) -> int:
         return int(self.row_degrees.max())
+
+    def check_fits(self, cfg: SystemConfig) -> None:
+        """Raise ShapeError unless this graph has the J, K and N of cfg."""
+        dims, want = (self.n_users, self.n_resources, self.n_nonzero), (cfg.J, cfg.K, cfg.N)
+        if dims != want:
+            raise ShapeError(f"indicator matrix (J, K, N) = {dims} does not match the system's {want}")
 
 
 def build_indicator(F) -> IndicatorMatrix:
@@ -180,18 +178,6 @@ def build_indicator(F) -> IndicatorMatrix:
     return IndicatorMatrix(F=F, supports=supports, row_degrees=F.sum(axis=1))
 
 
-def paper_indicator_4x6() -> IndicatorMatrix:
-    """The standard 4-resource / 6-user occupancy pattern (d_f = 3, N = 2)."""
-    return build_indicator(
-        [
-            [0, 1, 1, 0, 1, 0],
-            [1, 0, 1, 0, 0, 1],
-            [0, 1, 0, 1, 0, 1],
-            [1, 0, 0, 1, 1, 0],
-        ]
-    )
-
-
 @dataclass(frozen=True)
 class Codebook:
     """J sparse complex codebooks: entries[j][:, m] is user j's m-th codeword."""
@@ -207,6 +193,7 @@ class Codebook:
             raise ShapeError(f"codebook entries shape {e.shape}, expected {expected}")
         if not np.all(np.isfinite(e)):
             raise ConfigError("codebook entries must be finite")
+        self.indicator.check_fits(self.config)
         object.__setattr__(self, "entries", e)
         self.validate_support()
 

@@ -25,7 +25,6 @@ scatters nothing, so it takes one stacked product for all users.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +33,6 @@ from .core import (
     Codebook,
     ConfigError,
     DegenerateCodebookError,
-    DegenerateCodebookWarning,
     IndicatorMatrix,
     ShapeError,
     SystemConfig,
@@ -107,12 +105,9 @@ def init_generators(codebook: Codebook) -> GeneratorSet:
 def codeword_table(gen: GeneratorSet, ind: IndicatorMatrix) -> Codebook:
     """Materialize the full sparse codebook X_j = V_j G_j B for every user."""
     cfg = gen.config
-    if ind.n_users != cfg.J or ind.n_resources != cfg.K or ind.n_nonzero != cfg.N:
-        raise ShapeError("indicator matrix dimensions do not match the generator config")
+    ind.check_fits(cfg)
     entries = np.zeros((cfg.J, cfg.K, cfg.M), dtype=complex)
     g = gen.gbar[:, : cfg.N] + 1j * gen.gbar[:, cfg.N :]  # G_j: real rows + i * imaginary rows
     words = g @ build_bit_matrix(cfg.M).astype(float)  # (J, N, M)
     np.put_along_axis(entries, ind.supports[:, :, None], words, axis=1)
-    if np.any((np.abs(entries) ** 2).sum(axis=(1, 2)) == 0):
-        warnings.warn("codeword table contains an all-zero user codebook", DegenerateCodebookWarning)
     return Codebook(entries=entries, config=cfg, indicator=ind)

@@ -111,10 +111,9 @@ def _system_from_dict(block, F, where: str) -> tuple[SystemConfig, IndicatorMatr
         raise CodebookFormatError(f"{where}: fields {fields} are not a valid system ({exc})") from exc
     try:
         ind = build_indicator(np.array(F))
+        ind.check_fits(cfg)
     except (ValueError, ConfigError, ShapeError) as exc:  # ValueError: a ragged list of rows
         raise CodebookFormatError(f"{where}: bad field 'F' ({exc})") from exc
-    if ind.n_users != cfg.J or ind.n_resources != cfg.K or ind.n_nonzero != cfg.N:
-        raise CodebookFormatError(f"{where}: F matrix does not match the stated dimensions")
     return cfg, ind
 
 
@@ -337,19 +336,7 @@ def load_checkpoint(path):
     return gen, decoder, ind, meta
 
 
-BER_CSV_HEADER = "ebn0_db,bits,bit_errors,ber,ci_low,ci_high,detector,codebook_id"
-
-
-def ber_curve_to_csv(curve, path) -> None:
-    lines = [BER_CSV_HEADER]
-    for pt in curve.points:
-        lines.append(
-            f"{_fmt(pt.ebn0_db)},{pt.bits},{pt.bit_errors},{_fmt(pt.ber)},"
-            f"{_fmt(pt.ci_low)},{_fmt(pt.ci_high)},{pt.detector},{pt.codebook_id}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def med_table_to_csv(rows, path) -> None:
-    lines = ["name,med"] + [f"{name},{_fmt(med)}" for name, med in rows]
+def write_csv(path, header, rows) -> None:
+    """Column names, then one line per row; every float, numpy's too, by _fmt."""
+    lines = [",".join(_fmt(x) if isinstance(x, float) else str(x) for x in row) for row in (header, *rows)]
     Path(path).write_text("\n".join(lines) + "\n")

@@ -32,7 +32,6 @@ and the first minimum (lowest tuple index) wins.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,11 +232,7 @@ def ml_detect(received, codebook: Codebook, ch: ChannelRealization) -> np.ndarra
 
 
 def mpa_complexity(cfg: MpaConfig, ind: IndicatorMatrix, alphabet_size: int) -> int:
-    """Operation-count model N_iter * K * d_f^2 * M^d_f of the detector."""
+    """Operation count N_iter * K * d^2 * M^d of the detector, d the maximum row
+    degree: it pads every resource to d slots, so the count holds on irregular graphs too."""
     df = ind.max_row_degree
-    if not ind.is_regular:
-        warnings.warn(
-            f"irregular row degrees {ind.row_degrees.tolist()}; using max degree {df}",
-            stacklevel=2,
-        )
     return int(cfg.n_iter * ind.n_resources * df**2 * alphabet_size**df)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ebn0_to_n0, sample_noise_split
-from .core import Codebook, ConfigError, IndicatorMatrix, SystemConfig, build_indicator
+from .core import Codebook, ConfigError, IndicatorMatrix, ShapeError, SystemConfig, build_indicator
 from .encoder import GeneratorSet, codeword_table, init_generators, normalize
 from .nn import AdamState, MultiTaskDecoder, adam_step, cross_entropy
 
@@ -166,6 +166,9 @@ def train(cfg: TrainConfig, sys_cfg: SystemConfig, ind: IndicatorMatrix,
     the parameters of the last finite iteration.
     """
     decoder.check_fits(sys_cfg)
+    ind.check_fits(sys_cfg)
+    if init.config != sys_cfg:
+        raise ShapeError(f"generators are for {init.config}, not for the trained system {sys_cfg}")
     t0 = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     slots = _slot_indices(ind)

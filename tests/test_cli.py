@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scmalink import (MultiTaskDecoder, SystemConfig, data_path, paper_indicator_4x6,
-                      random_generators, read_codebook, save_checkpoint)
+from scmalink import (MultiTaskDecoder, SystemConfig, compute_med, data_path, load_checkpoint,
+                      random_generators, read_codebook, read_experiment_config, save_checkpoint)
 from scmalink import cli
 from scmalink.cli import parse_snr_spec, run_cli
 from scmalink.fileio import CodebookFormatError
@@ -65,6 +65,12 @@ class TestCliCommands:
         out = capsys.readouterr().out
         med = float(out.split()[1])
         assert abs(med - 0.56) <= 0.02
+
+    def test_med_csv_is_name_and_repr_of_the_med(self, tmp_path, capsys):
+        csv = tmp_path / "med.csv"
+        assert run_cli(["med", "--codebook", HUAWEI, "--csv", str(csv)]) == 0
+        med = compute_med(read_codebook(HUAWEI).normalized()).med
+        assert csv.read_text() == f"name,med\nhuawei_4x6,{float(med)!r}\n"
 
     def test_med_missing_file_is_validation_error(self, capsys):
         assert run_cli(["med", "--codebook", "/no/such/file.json"]) == 1
@@ -147,7 +153,9 @@ class TestCliCommands:
         assert (tmp_path / "learned_codebook.json").exists()
         trace = (tmp_path / "loss_trace.csv").read_text().strip().split("\n")
         assert trace[0] == "iteration,loss,learning_rate"
-        assert len(trace) == 4
+        rows = [line.split(",") for line in trace[1:]]
+        assert [int(row[0]) for row in rows] == [1, 2, 3]
+        assert all(np.isfinite(float(cell)) for row in rows for cell in row[1:])
 
         out_cb = tmp_path / "exported.json"
         assert run_cli(["export", "--checkpoint", str(tmp_path / "checkpoint.bin"),
@@ -177,6 +185,32 @@ class TestCliCommands:
             assert run_cli(["train", "--config", str(cfg_path)]) == 0
             outs.append((outdir / "learned_codebook.json").read_text())
         assert outs[0] == outs[1]
+
+    def test_stored_config_hash_is_that_of_the_run(self, tmp_path, capsys):
+        def config(seed):
+            return {"system": PAPER_SYSTEM, "train": {"iterations": 1, "batch_size": 8, "seed": seed},
+                    "paths": {"init_codebook": HUAWEI}}
+
+        base = tmp_path / "seed3.json"
+        base.write_text(json.dumps(config(3)))
+        hashes = []
+        for seed in (5, 6):
+            out = tmp_path / f"run{seed}"
+            assert run_cli(["train", "--config", str(base), "--seed", str(seed),
+                            "--out-dir", str(out)]) == 0
+            meta = load_checkpoint(out / "checkpoint.bin")[3]
+            stated = tmp_path / f"seed{seed}.json"
+            stated.write_text(json.dumps(config(seed)))
+            assert meta["config_hash"] == read_experiment_config(stated).config_hash()
+            assert meta["init_codebook_hash"] == json.loads(Path(HUAWEI).read_text())["config_hash"]
+            hashes.append(meta["config_hash"])
+        assert hashes[0] != hashes[1]
+
+    def test_random_init_stores_no_codebook_hash(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"system": PAPER_SYSTEM, "train": {"iterations": 1, "batch_size": 8}}))
+        assert run_cli(["train", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+        assert load_checkpoint(tmp_path / "checkpoint.bin")[3]["init_codebook_hash"] is None
 
     def test_ber_neural_needs_model(self):
         assert run_cli(["ber", "--codebook", HUAWEI, "--detector", "neural",
@@ -306,7 +340,7 @@ class TestMalformedInputs:
         rng = np.random.default_rng(0)
         dec = MultiTaskDecoder.build(rng, 8, 6, 2, shared_widths=(8,), subnet_widths=(4,))
         model = tmp_path / "m2.bin"
-        save_checkpoint(model, random_generators(sys_cfg, rng), dec, paper_indicator_4x6())
+        save_checkpoint(model, random_generators(sys_cfg, rng), dec, read_codebook(HUAWEI).indicator)
         out = tmp_path / "ber.csv"
         assert run_cli(["ber", "--codebook", HUAWEI, "--detector", "neural", "--model", str(model),
                         "--snr", "8", "--max-bits", "1000", "--out", str(out)]) == 1
@@ -320,3 +354,11 @@ class TestMalformedInputs:
     def test_invalid_gradcheck_flag_is_validation_error(self, capsys, flag, value):
         assert run_cli(["gradcheck", flag, value]) == 1
         assert flag.lstrip("-") in capsys.readouterr().err
+
+    def test_negative_progress_is_validation_error(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"system": PAPER_SYSTEM, "train": {"iterations": 1, "batch_size": 8}}))
+        assert run_cli(["train", "--config", str(cfg), "--progress", "-1",
+                        "--out-dir", str(tmp_path / "out")]) == 1
+        assert "--progress" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

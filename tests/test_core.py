@@ -4,10 +4,10 @@ import pytest
 from scmalink import (
     Codebook,
     ConfigError,
+    ShapeError,
     SystemConfig,
     build_bit_matrix,
     build_indicator,
-    paper_indicator_4x6,
 )
 from scmalink.training import _labels_from_bits
 
@@ -89,11 +89,10 @@ class TestOneHot:
 
 
 class TestIndicator:
-    def test_paper_4x6(self):
-        ind = paper_indicator_4x6()
+    def test_paper_4x6(self, huawei_codebook):
+        ind = huawei_codebook.indicator
         assert np.all(ind.row_degrees == 3)
         assert ind.n_nonzero == 2
-        assert ind.is_regular
         # column 1 (user index 0) occupies rows 2 and 4 in 1-based terms
         assert ind.supports[0].tolist() == [1, 3]
 
@@ -107,15 +106,23 @@ class TestIndicator:
 
 
 class TestCodebook:
-    def test_support_violation_names_user_and_resource(self):
+    def test_support_violation_names_user_and_resource(self, huawei_codebook):
         cfg = SystemConfig(n_users=6, n_resources=4, n_nonzero=2, alphabet_size=4)
-        ind = paper_indicator_4x6()
+        ind = huawei_codebook.indicator
         entries = np.zeros((6, 4, 4), dtype=complex)
         for j in range(6):
             entries[j, list(ind.supports[j]), :] = 1.0
         entries[2, 3, 0] = 0.5  # user 2 never occupies resource 3
         with pytest.raises(ConfigError, match="user 2.*resource 3"):
             Codebook(entries=entries, config=cfg, indicator=ind)
+
+    @pytest.mark.parametrize("F", [np.ones((4, 1), dtype=int), np.ones((4, 6), dtype=int)])
+    def test_indicator_that_disagrees_with_config_rejected(self, huawei_codebook, F):
+        # J = 1, then N = 4, under the J = 6, N = 2 system: neither graph leaves a
+        # codeword's energy off its support, so only the dimensions catch them
+        with pytest.raises(ShapeError, match="does not match"):
+            Codebook(entries=huawei_codebook.entries, config=huawei_codebook.config,
+                     indicator=build_indicator(F))
 
     @pytest.mark.parametrize("value", [np.inf, np.nan, complex(0.0, -np.inf)])
     def test_non_finite_entry_rejected(self, value):

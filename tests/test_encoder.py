@@ -6,7 +6,6 @@ import pytest
 from scmalink import (
     Codebook,
     DegenerateCodebookError,
-    DegenerateCodebookWarning,
     GeneratorSet,
     ShapeError,
     SystemConfig,
@@ -15,7 +14,6 @@ from scmalink import (
     codeword_table,
     init_generators,
     normalize,
-    paper_indicator_4x6,
     read_codebook,
     superimpose,
     superimposed_constellation,
@@ -73,11 +71,10 @@ class TestEncodeUser:
 
 
 class TestSuperimpose:
-    def test_zero_generators(self):
+    def test_zero_generators(self, huawei_codebook):
         cfg = SystemConfig(n_users=6, n_resources=4, n_nonzero=2, alphabet_size=4)
         gen = GeneratorSet(gbar=np.zeros((6, 4, 2)), config=cfg)
-        with pytest.warns(DegenerateCodebookWarning):
-            out = encode(gen, paper_indicator_4x6(), np.zeros((1, 6), dtype=int))
+        out = encode(gen, huawei_codebook.indicator, np.zeros((1, 6), dtype=int))
         assert np.all(out == 0)
 
     def test_destructive_cancellation(self):
@@ -172,8 +169,7 @@ class TestInitGenerators:
 
     def test_zero_codebook_gives_zero(self, tiny_cfg):
         ind = build_indicator([[1], [0]])
-        with pytest.warns(DegenerateCodebookWarning):
-            cb = codeword_table(GeneratorSet(gbar=np.zeros((1, 2, 2)), config=tiny_cfg), ind)
+        cb = codeword_table(GeneratorSet(gbar=np.zeros((1, 2, 2)), config=tiny_cfg), ind)
         out = init_generators(cb)
         assert np.all(out.gbar == 0)
 
@@ -194,11 +190,11 @@ class TestCodewordTable:
         assert cb.entries[0][1] == pytest.approx([-1 - 1j, -1 + 1j, 1 - 1j, 1 + 1j])
         assert np.all(cb.entries[0][0] == 0)
 
-    def test_antipodal_symmetry(self):
+    def test_antipodal_symmetry(self, huawei_codebook):
         cfg = SystemConfig(n_users=6, n_resources=4, n_nonzero=2, alphabet_size=4)
         rng = np.random.default_rng(5)
         gen = GeneratorSet(gbar=rng.normal(size=(6, 4, 2)), config=cfg)
-        cb = codeword_table(gen, paper_indicator_4x6())
+        cb = codeword_table(gen, huawei_codebook.indicator)
         for j in range(6):
             for m in range(4):
                 assert cb.entries[j][:, m] == pytest.approx(-cb.entries[j][:, 3 - m])

@@ -19,10 +19,10 @@ from scmalink import (
     save_checkpoint,
     write_codebook,
 )
+from scmalink import cli
 from scmalink.fileio import (
     CHECKPOINT_MAGIC,
     CodebookFormatError,
-    ber_curve_to_csv,
     codebook_to_dict,
     experiment_config_from_dict,
 )
@@ -319,13 +319,14 @@ class TestExperimentConfig:
         assert exp.train.seed == 7
 
 
-def test_ber_csv_schema(tmp_path):
-    curve = BerCurve(points=(
-        BerPoint(8.0, 1000, 17, 0.017, 0.01, 0.027, "mpa", "huawei_4x6"),
-    ))
+def test_ber_csv_schema(tmp_path, monkeypatch):
+    point = BerPoint(8.0, 1000, 17, 0.017, 0.01, 0.027, "mpa", "huawei_4x6")
+    monkeypatch.setattr(cli, "simulate_ber", lambda *a, **kw: BerCurve(points=(point,)))
     path = tmp_path / "ber.csv"
-    ber_curve_to_csv(curve, path)
+    assert cli.run_cli(["ber", "--codebook", str(data_path("huawei_4x6.json")), "--out", str(path)]) == 0
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "ebn0_db,bits,bit_errors,ber,ci_low,ci_high,detector,codebook_id"
     cells = lines[1].split(",")
-    assert cells[1] == "1000" and cells[6] == "mpa" and cells[7] == "huawei_4x6"
+    assert cells[1] == "1000" and cells[2] == "17" and cells[6] == "mpa" and cells[7] == "huawei_4x6"
+    floats = (point.ebn0_db, point.ber, point.ci_low, point.ci_high)
+    assert [cells[i] for i in (0, 3, 4, 5)] == [repr(float(x)) for x in floats]

@@ -21,7 +21,6 @@ from scmalink import (
     ml_detect,
     mpa_complexity,
     mpa_detect,
-    paper_indicator_4x6,
     read_codebook,
     superimpose,
     superimposed_constellation,
@@ -392,18 +391,17 @@ class TestMlDetect:
 
 
 class TestComplexity:
-    def test_paper_formula(self):
-        assert mpa_complexity(MpaConfig(n_iter=10), paper_indicator_4x6(), 4) == 23040
+    def test_paper_formula(self, huawei):
+        assert mpa_complexity(MpaConfig(n_iter=10), huawei.indicator, 4) == 23040
 
     def test_minimal(self):
         ind = build_indicator([[1]])
         assert mpa_complexity(MpaConfig(n_iter=1), ind, 2) == 2
 
-    def test_six_iterations(self):
-        assert mpa_complexity(MpaConfig(n_iter=6), paper_indicator_4x6(), 4) == 13824
+    def test_six_iterations(self, huawei):
+        assert mpa_complexity(MpaConfig(n_iter=6), huawei.indicator, 4) == 13824
 
-    def test_irregular_uses_max_degree_with_warning(self):
+    def test_irregular_counts_the_padded_max_degree(self):
+        # row degrees 3, 1, 1, 1: every resource is padded to 3 slots
         ind = build_indicator([[1, 1, 1], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        with pytest.warns(UserWarning, match="irregular"):
-            est = mpa_complexity(MpaConfig(n_iter=2), ind, 2)
-        assert est == 2 * 4 * 9 * 8
+        assert mpa_complexity(MpaConfig(n_iter=2), ind, 2) == 2 * 4 * 9 * 8

@@ -4,6 +4,7 @@ import pytest
 from scmalink import (
     ConfigError,
     MultiTaskDecoder,
+    ShapeError,
     SystemConfig,
     TrainConfig,
     build_bit_matrix,
@@ -14,6 +15,7 @@ from scmalink import (
     sample_snr,
     train,
 )
+from scmalink import training
 from scmalink.training import _loss_and_gradients, _slot_indices
 
 
@@ -125,6 +127,25 @@ class TestTrainLoop:
         gen = random_generators(sys_cfg, np.random.default_rng(6))
         with pytest.raises(ConfigError):
             train(small_train_cfg(), sys_cfg, ind, gen, small_decoder(other))
+
+    def test_generators_of_another_system_rejected_before_a_step(self, small_setup, huawei_codebook,
+                                                                  monkeypatch):
+        # 3-user generators under the 6-user paper system, with a decoder that fits the system
+        steps = []
+        monkeypatch.setattr(training, "_loss_and_gradients", lambda *a: steps.append(a))
+        sys_cfg, _ = small_setup
+        paper = huawei_codebook.config
+        gen = random_generators(sys_cfg, np.random.default_rng(6))
+        with pytest.raises(ShapeError, match="generators"):
+            train(small_train_cfg(), paper, huawei_codebook.indicator, gen, small_decoder(paper))
+        assert steps == []
+
+    def test_indicator_of_another_system_rejected(self, small_setup):
+        sys_cfg, _ = small_setup
+        gen = random_generators(sys_cfg, np.random.default_rng(6))
+        one_resource_each = build_indicator(np.eye(3, dtype=int))  # N = 1, the system's N = 2
+        with pytest.raises(ShapeError, match="does not match"):
+            train(small_train_cfg(), sys_cfg, one_resource_each, gen, small_decoder(sys_cfg))
 
 
 class TestConfigValidation:
