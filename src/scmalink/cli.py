@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import astuple, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -122,7 +122,8 @@ def _cmd_ber(args) -> int:
             f"{pt.ebn0_db:6.2f} dB  ber {pt.ber:.3e}  "
             f"[{pt.ci_low:.3e}, {pt.ci_high:.3e}]  ({pt.bit_errors}/{pt.bits} bits)"
         )
-    write_csv(out, [f.name for f in fields(BerPoint)], map(astuple, curve.points))
+    columns = [f.name for f in fields(BerPoint) if f.name != "user_errors"]
+    write_csv(out, columns, ([getattr(pt, c) for c in columns] for pt in curve.points))
     print(f"wrote {out}")
     return 0
 
@@ -140,7 +141,10 @@ def _cmd_train(args) -> int:
         if not candidate.exists():
             candidate = Path(args.config).parent / init_path
         init_cb = read_codebook(candidate)
-    gen, decoder = default_init(exp.system, exp.indicator, exp.train, init_cb)
+    try:
+        gen, decoder = default_init(exp.system, exp.indicator, exp.train, init_cb)
+    except ConfigError as exc:  # default_init checks only the init codebook
+        raise ConfigError(f"{candidate}: {exc}") from exc
     report = train(exp.train, exp.system, exp.indicator, gen, decoder,
                    progress_every=args.progress)
     if report.aborted:

@@ -24,7 +24,7 @@ from .channel import ChannelRealization, apply_channel, ebn0_to_n0, split_real
 from .core import (Codebook, ConfigError, build_bit_matrix, nearest_points, ordered_distances,
                    superimposed_constellation, tuple_digits)
 from .encoder import superimpose
-from .mpa import N0_FLOOR, MpaConfig, _FactorGraph, _ml_decisions, _mpa_posteriors
+from .mpa import N0_FLOOR, MpaConfig, _FactorGraph, _ml_decisions, _mpa_decisions, _mpa_posteriors
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -48,6 +48,7 @@ class BerPoint:
     ci_high: float
     detector: str
     codebook_id: str
+    user_errors: tuple = ()  # bit errors of each user; they sum to bit_errors
 
 
 @dataclass(frozen=True)
@@ -134,6 +135,13 @@ def simulate_ber(codebook: Codebook, detector: str, ebn0_db_list, *,
     wave that follow the stopping chunk, and its threads share one decoder,
     whose inference forward writes no layer state. With workers=1 the chunks
     run one by one on the calling thread.
+
+    The MPA detector decides a chunk by a float32 run (mpa._mpa_decisions)
+    and re-runs the rows it cannot vouch for, those with a top-two margin
+    within its rounding bound, through the float64 _mpa_posteriors. Rows
+    are independent, so every decision and every count is that of the
+    float64 detector. A point keeps each user's bit errors beside their
+    total, and the stopping rule reads the total.
     """
     if detector not in ("mpa", "ml", "neural"):
         raise ConfigError(f"unknown detector {detector!r}")
@@ -150,19 +158,20 @@ def simulate_ber(codebook: Codebook, detector: str, ebn0_db_list, *,
     points = superimposed_constellation(codebook) if detector == "ml" else None
     errtab = _bit_error_table(cfg.M)
 
-    def run_chunk(point_idx: int, chunk_idx: int, n0: float) -> int:
+    def run_chunk(point_idx: int, chunk_idx: int, n0: float) -> np.ndarray:
         rng = np.random.default_rng([seed, point_idx, chunk_idx])
         msgs = rng.integers(0, cfg.M, size=(batch_size, cfg.J))
         tx = superimpose(codebook, msgs)
         ch = ChannelRealization.awgn(cfg.K, max(n0, N0_FLOOR))
         r = apply_channel(tx, ch, rng)
         if detector == "mpa":
-            dec = np.argmax(_mpa_posteriors(r, codebook, ch, mpa_cfg, graph), axis=2)
+            dec, unsure = _mpa_decisions(r, codebook, ch, mpa_cfg, graph)
+            dec[unsure] = np.argmax(_mpa_posteriors(r[unsure], codebook, ch, mpa_cfg, graph), axis=2)
         elif detector == "ml":
             dec = _ml_decisions(r, codebook, ch, points=points)
         else:
             dec = np.argmax(decoder.forward(split_real(r)), axis=2)
-        return int(errtab[msgs, dec].sum())
+        return errtab[msgs, dec].sum(axis=0)  # (J,) bit errors per user
 
     chunk_bits = batch_size * cfg.J * cfg.bits_per_symbol
     rows = []
@@ -171,13 +180,16 @@ def simulate_ber(codebook: Codebook, detector: str, ebn0_db_list, *,
         for pt, ebn0 in enumerate(ebn0_db_list):
             point_chunk = partial(run_chunk, pt, n0=ebn0_to_n0(ebn0, cfg.M))
             waves = (run(point_chunk, range(c, c + workers)) for c in count(0, workers))
-            errors = bits = 0
+            user_errors = np.zeros(cfg.J, dtype=np.int64)
+            bits = 0
             for e in chain.from_iterable(waves):
-                errors += e
+                user_errors += e
+                errors = int(user_errors.sum())
                 bits += chunk_bits
                 if errors >= min_errors or bits >= max_bits:
                     break
             lo, hi = wilson_interval(errors, bits)
             rows.append(BerPoint(ebn0_db=float(ebn0), bits=bits, bit_errors=errors, ber=errors / bits,
-                                 ci_low=lo, ci_high=hi, detector=detector, codebook_id=codebook_id))
+                                 ci_low=lo, ci_high=hi, detector=detector, codebook_id=codebook_id,
+                                 user_errors=tuple(user_errors.tolist())))
     return BerCurve(points=tuple(rows))

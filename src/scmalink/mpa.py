@@ -18,6 +18,15 @@ inner loops run over vectors rather than over length-M slot axes, and an
 iteration's temporaries stay inside the L2 cache. Every step is row-wise, so
 blocking changes no bit of the output.
 
+_block_totals iterates in the dtype of the channel metric it is given.
+_mpa_posteriors, and so mpa_detect, runs it in float64. _mpa_decisions,
+which simulate_ber calls, rounds the float64 metric to float32 and decides by
+the argmax of the float32 totals. Max-Log only adds, subtracts and takes
+maxima, so the float32 error has a bound in the run's largest message,
+derived in its docstring. A row where some user's top-two margin is not above that bound is
+returned as unsure. The caller re-runs those rows in float64 and takes the
+argmax of their posteriors, so every decision is the float64 one.
+
 The ML oracle enumerates the entire superimposed constellation and is
 intended for small instances and cross-checks. It runs core.nearest_points,
 the exact search compute_med uses too, with the channel folded into the
@@ -74,8 +83,9 @@ class PosteriorSet:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 2:
             raise ShapeError(f"posteriors must be (J, M), got shape {p.shape}")
-        if np.any(p < 0) or np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-9):
-            raise ConfigError("posteriors must be valid distributions")
+        # written as what must hold, so NaN fails it
+        if not (np.all(p >= 0) and np.all(np.abs(p.sum(axis=1) - 1.0) <= 1e-9)):
+            raise ConfigError("posteriors must be finite, non-negative and sum to 1")
         object.__setattr__(self, "probs", p)
 
     def hard_decisions(self) -> np.ndarray:
@@ -141,37 +151,106 @@ class _FactorGraph:
         self.edges = order[: J * cfg.N].reshape(J, cfg.N)
 
 
-def _mpa_posteriors(received: np.ndarray, codebook: Codebook, ch: ChannelRealization,
-                    cfg: MpaConfig, graph: _FactorGraph | None = None) -> np.ndarray:
-    """Batched message passing: received (B, K) complex -> posteriors (B, J, M)."""
-    g = graph if graph is not None else _FactorGraph(codebook)
-    B = received.shape[0]
-    # noiseless candidates (M^d, K, 1) of every combination on every resource
+def _channel_metrics(received: np.ndarray, ch: ChannelRealization, g: _FactorGraph):
+    """(a, phi) per BLOCK of received (B, K) from row a on: the block's float64
+    channel metric phi (M^d, K, b), -|r - h s|^2 / N0 for every combination s
+    on every resource."""
     faded = (ch.h[:, None] * g.sums).T[:, :, None]
     n0 = max(ch.n0, N0_FLOOR)
-    post = np.empty((B, g.J, g.M))
-    for a in range(0, B, BLOCK):
-        post[a : a + BLOCK] = _block_posteriors(received[a : a + BLOCK], faded, n0, g, cfg)
+    for a in range(0, received.shape[0], BLOCK):
+        yield a, -np.abs(received[a : a + BLOCK].T[None] - faded) ** 2 / n0
+
+
+def _mpa_posteriors(received: np.ndarray, codebook: Codebook, ch: ChannelRealization,
+                    cfg: MpaConfig, graph: _FactorGraph | None = None) -> np.ndarray:
+    """Batched message passing in float64: received (B, K) complex -> posteriors (B, J, M)."""
+    g = graph if graph is not None else _FactorGraph(codebook)
+    post = np.empty((received.shape[0], g.J, g.M))
+    for a, phi in _channel_metrics(received, ch, g):
+        tot = _block_totals(phi, g, cfg)[0]
+        tot -= tot.max(axis=2, keepdims=True)
+        p = np.exp(tot)
+        post[a : a + BLOCK] = p / p.sum(axis=2, keepdims=True)
     return post
 
 
-def _block_posteriors(received: np.ndarray, faded: np.ndarray, n0: float,
-                      g: _FactorGraph, cfg: MpaConfig) -> np.ndarray:
-    """All iterations on one block: received (b, K) -> posteriors (b, J, M).
+def _mpa_decisions(received: np.ndarray, codebook: Codebook, ch: ChannelRealization,
+                   cfg: MpaConfig, graph: _FactorGraph | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Max-Log decisions (B, J) from a float32 run, and the rows it cannot vouch for.
+
+    Each block's float64 channel metric is rounded once to float32 and
+    iterated by _block_totals. Every decision is the argmax of a float32
+    total. A row is sure when each user's margin between its top two totals
+    exceeds bound = 2 E (1 + 4 E + 2^-10) R + 2^-40; then each decision is
+    the argmax of the row's float64 posteriors. The other rows' indices are
+    returned: the caller re-runs them through _mpa_posteriors.
+
+    Rounding bound. Let u = 2^-24, u64 = 2^-53, d the padded row degree, N
+    the resources per user and R the largest |r| of the row's
+    resource-to-user messages over the float32 iterations. Take each
+    message's error against Max-Log in exact arithmetic on the float64
+    metric, up to a constant over its M entries: a constant shifts every
+    later total of a user alike, so it moves no margin. Metrics, messages and
+    totals are all <= 0, so a sum of them has relative rounding error at most
+    gamma_k = k u / (1 - k u), and a max keeps relative errors. The
+    normalised user-to-resource messages v obey |v| <= (N - 1) R.
+    - Resource update: the d - 1 other slots' message errors add. The
+      metric's rounding costs u R, the d additions of a combination
+      gamma_d N R and the subtraction of the slot's own message u R, so
+      e_r <= (d - 1) e_v + (d N + 2) u R.
+    - User update: the N - 1 other resources' errors add. The sum over N,
+      the subtraction and the normalisation cost gamma_{N-1} N R +
+      2 (N - 1) u R, so e_v <= (N - 1) e_r + (N - 1)(N + 2) u R.
+    - Totals: e_tot <= N e_r + N (N - 1) u R.
+    With e_v = 0 at the start, n_iter iterations give e_tot <= C u R, where
+    C = N c G + N (N - 1), c = d N + 2 + (d - 1)(N - 1)(N + 2), and
+    G = sum_{i < n_iter} ((d - 1)(N - 1))^i. The float64 run obeys the same
+    bound with u64, so with E = C (u + u64) a margin of either run lies
+    within 2 E R of the exact one. The factor 1 + 4 E covers the excess of
+    the exact magnitudes and of the float64 R over R, 1 + 2^-10 the
+    second-order terms and the float32 rounding of the margin. 2^-40 covers
+    float32 underflow, at most 2^-150 per metric, and leaves a float64 margin
+    that exp and the division of the posteriors cannot close. On the Huawei
+    graph at 10 iterations C = 32,738, so the bound is 3.9e-3 R. G grows
+    geometrically: from about 18 iterations on that graph, every row is
+    re-run. Below R = 2^100 no float32 value the max selects can overflow.
+    A row with a larger, infinite or NaN R gets an infinite bound, and a NaN
+    margin fails the test, so such rows are re-run too.
+    """
+    g = graph if graph is not None else _FactorGraph(codebook)
+    d, n = g.d, g.edges.shape[1]
+    growth = sum(((d - 1) * (n - 1)) ** i for i in range(cfg.n_iter))
+    e = (n * (d * n + 2 + (d - 1) * (n - 1) * (n + 2)) * growth + n * (n - 1)) * (2.0**-24 + 2.0**-53)
+    slack = 2 * e * (1 + 4 * e + 2.0**-10)
+    dec = np.empty((received.shape[0], g.J), dtype=np.int64)
+    sure = np.empty(received.shape[0], dtype=bool)
+    # overflow and NaN in the float32 run are expected; the bound catches their rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, phi in _channel_metrics(received, ch, g):
+            tot, r_max = _block_totals(phi.astype(np.float32), g, cfg)
+            dec[a : a + BLOCK] = np.argmax(tot, axis=2)
+            top2 = np.sort(tot, axis=2)[:, :, -2:]  # NaN sorts last
+            bound = np.where(r_max < 2.0**100, slack * r_max + 2.0**-40, np.inf)
+            sure[a : a + BLOCK] = np.all(top2[:, :, 1] - top2[:, :, 0] > bound[:, None], axis=1)
+    return dec, np.flatnonzero(~sure)
+
+
+def _block_totals(phi: np.ndarray, g: _FactorGraph, cfg: MpaConfig) -> tuple[np.ndarray, np.ndarray]:
+    """All iterations on one block, in phi's dtype: channel metric phi
+    (M^d, K, b) -> each user's final log-domain totals (b, J, M), and the
+    largest |r| (b,) of any resource-to-user message over the iterations.
 
     The block's vectors run along the last axis of every array, so each
     elementwise step loops innermost over b contiguous values, not over a
     length-M slot axis.
     """
-    b = received.shape[0]
-    M, K, d = g.M, g.K, g.d
-    # channel metric of every combination on every resource: (M^d, K, b)
-    phi = -np.abs(received.T[None] - faded) ** 2 / n0
+    M, K, d, b = g.M, g.K, g.d, phi.shape[-1]
     cube_shape = (M,) * d + (K, b)
-    total = np.empty(cube_shape)
+    total = np.empty(cube_shape, phi.dtype)
     # user-to-resource (v) and resource-to-user messages per (resource, slot),
     # uniform start; v4 and r4 are (K, d, M, b) views
-    v, r_msg = np.zeros((2, K * d, M, b))
+    v, r_msg = np.zeros((2, K * d, M, b), phi.dtype)
+    low = np.zeros((K * d, M, b), phi.dtype)  # every message is <= 0
     v4, r4 = v.reshape(K, d, M, b), r_msg.reshape(K, d, M, b)
     # per slot s: its (M, K, b) messages, and the same broadcast along slot
     # axis s of the cube
@@ -187,17 +266,15 @@ def _block_posteriors(received: np.ndarray, faded: np.ndarray, n0: float,
             total += v_axis[s]
         for s, peak in enumerate(_slot_maxima(total, d)):
             np.subtract(peak, v_slot[s], out=r_slot[s])
+        np.minimum(low, r_msg, out=low)
         # user-to-resource: sum of the other resources' messages, normalized
         incoming = r_msg[g.edges]  # (J, N, M, b)
         msg = incoming.sum(axis=1, keepdims=True) - incoming
         msg -= _fold_max(msg, 2)[:, :, None]
         v[g.edges] = msg
 
-    # posteriors from the final resource-to-user messages, as (b, J, M)
     tot = np.ascontiguousarray(r_msg[g.edges].sum(axis=1).transpose(2, 0, 1))
-    tot -= tot.max(axis=2, keepdims=True)
-    p = np.exp(tot)
-    return p / p.sum(axis=2, keepdims=True)
+    return tot, -low.min(axis=(0, 1))
 
 
 def _received_vector(received, codebook: Codebook) -> np.ndarray:
@@ -205,6 +282,8 @@ def _received_vector(received, codebook: Codebook) -> np.ndarray:
     r = np.asarray(received, dtype=complex)
     if r.shape != (codebook.config.K,):
         raise ShapeError(f"received vector shape {r.shape}, expected ({codebook.config.K},)")
+    if not np.all(np.isfinite(r)):
+        raise ConfigError(f"received vector has a non-finite entry: {r.tolist()}")
     return r[None, :]
 
 

@@ -95,6 +95,10 @@ def default_init(sys_cfg: SystemConfig, ind: IndicatorMatrix, cfg: TrainConfig,
     init_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
     decoder = MultiTaskDecoder.build(init_rng, 2 * sys_cfg.K, sys_cfg.J, sys_cfg.M)
     if codebook is not None:
+        # the fit is on the codebook's supports and train places it on ind's
+        if not np.array_equal(codebook.indicator.F, ind.F):
+            raise ConfigError(f"init codebook: field 'F' {codebook.indicator.F.tolist()} "
+                              f"differs from the config's {ind.F.tolist()}")
         gen = init_generators(codebook.normalized())
     else:
         gen = random_generators(sys_cfg, init_rng)

@@ -206,6 +206,17 @@ class TestCliCommands:
             hashes.append(meta["config_hash"])
         assert hashes[0] != hashes[1]
 
+    def test_init_codebook_on_another_graph_names_file_and_field(self, tmp_path, capsys):
+        # the paper graph with users 0 and 1 swapped; the Huawei file keeps its own
+        system = dict(PAPER_SYSTEM, F=[[row[1], row[0], *row[2:]] for row in PAPER_SYSTEM["F"]])
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"system": system, "train": {"iterations": 1, "batch_size": 8},
+                                   "paths": {"init_codebook": HUAWEI, "output_dir": str(tmp_path)}}))
+        assert run_cli(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert HUAWEI in err and "'F'" in err
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_random_init_stores_no_codebook_hash(self, tmp_path, capsys):
         cfg = tmp_path / "exp.json"
         cfg.write_text(json.dumps({"system": PAPER_SYSTEM, "train": {"iterations": 1, "batch_size": 8}}))

@@ -2,22 +2,28 @@ import numpy as np
 import pytest
 
 from scmalink import (
+    ChannelRealization,
     Codebook,
     ConfigError,
     MpaConfig,
     MultiTaskDecoder,
     SearchSpaceError,
     SystemConfig,
+    apply_channel,
+    build_bit_matrix,
     build_indicator,
     compare_codebooks,
     compute_med,
     data_path,
+    ebn0_to_n0,
     read_codebook,
     simulate_ber,
+    superimpose,
     tuple_digits,
     wilson_interval,
 )
 from scmalink.metrics import _bit_error_table
+from scmalink.mpa import _ml_decisions, _mpa_posteriors
 
 
 def naive_med_oracle(codebook):
@@ -251,6 +257,28 @@ class TestSimulateBer:
         two = simulate_ber(huawei, "neural", [4.0, 10.0], workers=2, **kwargs)
         assert one.points[0].bits == 8 * 2000 * 12
         assert two == one
+
+    @pytest.mark.parametrize("detector", ["mpa", "ml"])
+    def test_user_errors_sum_to_total_and_equal_per_user_loop(self, huawei, detector):
+        # three chunks of 500 at 6 dB, redrawn here from their seeds (3, 0, c)
+        cfg, batch, chunks = huawei.config, 500, 3
+        pt = simulate_ber(huawei, detector, [6.0], min_errors=10**9, seed=3, batch_size=batch,
+                          max_bits=chunks * batch * cfg.J * cfg.bits_per_symbol).points[0]
+        assert len(pt.user_errors) == cfg.J and sum(pt.user_errors) == pt.bit_errors > 0
+        labels = build_bit_matrix(cfg.M)  # (bits, M)
+        ch = ChannelRealization.awgn(cfg.K, ebn0_to_n0(6.0, cfg.M))
+        want = [0] * cfg.J
+        for c in range(chunks):
+            rng = np.random.default_rng([3, 0, c])
+            msgs = rng.integers(0, cfg.M, size=(batch, cfg.J))
+            r = apply_channel(superimpose(huawei, msgs), ch, rng)
+            if detector == "ml":
+                dec = _ml_decisions(r, huawei, ch)
+            else:
+                dec = np.argmax(_mpa_posteriors(r, huawei, ch, MpaConfig()), axis=2)
+            for j in range(cfg.J):
+                want[j] += int((labels[:, msgs[:, j]] != labels[:, dec[:, j]]).sum())
+        assert list(pt.user_errors) == want
 
     def test_neural_requires_decoder(self, huawei):
         with pytest.raises(ConfigError, match="decoder"):

@@ -12,6 +12,8 @@ from scmalink import (
     Codebook,
     ConfigError,
     MpaConfig,
+    PosteriorSet,
+    ScmaError,
     SearchSpaceError,
     SystemConfig,
     apply_channel,
@@ -28,7 +30,8 @@ from scmalink import (
 )
 from scmalink import core
 from scmalink.core import SEARCH_BLOCK, nearest_points
-from scmalink.mpa import BLOCK, N0_FLOOR, _ml_decisions, _mpa_posteriors, _slot_maxima
+from scmalink.mpa import (BLOCK, N0_FLOOR, _ml_decisions, _mpa_decisions, _mpa_posteriors,
+                          _slot_maxima)
 
 
 # a fixed fading vector h whose gains differ by resource
@@ -247,6 +250,88 @@ class TestBatchBlocks:
             assert post.shape == (B, 6, 4)
             for i in range(B):
                 assert post[i].tobytes() == _mpa_posteriors(r[i : i + 1], huawei, ch, cfg)[0].tobytes()
+
+
+def float64_decisions(r, cb, ch, cfg=MpaConfig()):
+    return np.argmax(_mpa_posteriors(r, cb, ch, cfg), axis=2)
+
+
+def rerun_decisions(r, cb, ch, cfg=MpaConfig()):
+    """Float32 decisions with the unsure rows re-run in float64, as simulate_ber
+    does, and the unsure rows."""
+    dec, unsure = _mpa_decisions(r, cb, ch, cfg)
+    assert dec.shape == (len(r), cb.config.J) and np.all(np.diff(unsure) > 0)
+    dec[unsure] = float64_decisions(r[unsure], cb, ch, cfg)
+    return dec, unsure
+
+
+class TestFloat32Decisions:
+    # the Huawei codebook over AWGN and over a fixed fading h, and the random
+    # M=8 irregular graph of block_crossing_cases over its own fading h
+    @pytest.fixture(scope="class")
+    def systems(self):
+        huawei = read_codebook(data_path("huawei_4x6.json")).normalized()
+        irregular, ch, _ = block_crossing_cases()["irregular"]
+        return {"huawei-awgn": (huawei, np.ones(4)), "huawei-fading": (huawei, FADING),
+                "irregular-fading": (irregular, ch.h)}
+
+    @pytest.mark.parametrize("system", ["huawei-awgn", "huawei-fading", "irregular-fading"])
+    @pytest.mark.parametrize("ebn0", [0.0, 4.0, 8.0, 12.0, 20.0])
+    @pytest.mark.parametrize("B", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2000])
+    def test_equal_float64_argmax(self, systems, system, ebn0, B):
+        cb, h = systems[system]
+        rng = np.random.default_rng([B, int(ebn0)])
+        ch = ChannelRealization(h=h, n0=ebn0_to_n0(ebn0, cb.config.M))
+        r = apply_channel(superimpose(cb, rng.integers(0, cb.config.M, (B, cb.config.J))), ch, rng)
+        dec, _ = rerun_decisions(r, cb, ch)
+        assert np.array_equal(dec, float64_decisions(r, cb, ch))
+
+    def test_most_rows_need_no_rerun(self, systems):
+        # about 1.6 % of rows need a re-run at 8 dB; a bound that made every
+        # row unsure would still pass the test above
+        cb, _ = systems["huawei-awgn"]
+        rng = np.random.default_rng(8)
+        ch = ChannelRealization.awgn(4, ebn0_to_n0(8.0, 4))
+        r = apply_channel(superimpose(cb, rng.integers(0, 4, (2000, 6))), ch, rng)
+        assert len(_mpa_decisions(r, cb, ch, MpaConfig())[1]) < 100
+
+    # noise-free points, exact midpoints between two points of the
+    # superimposed constellation (every other one a nearest pair), and one
+    # point scaled by 2^46: at N0_FLOOR its metrics (about 2^132) overflow
+    # float32, while float64 still tells its combinations apart
+    @pytest.mark.parametrize("h", [np.ones(4), FADING], ids=["awgn", "fading"])
+    @pytest.mark.parametrize("n0", [N0_FLOOR, 0.1])
+    def test_tie_heavy_set(self, systems, h, n0):
+        cb, _ = systems["huawei-awgn"]
+        faded = h * superimposed_constellation(cb)
+        rng = np.random.default_rng(3)
+        i, j = rng.integers(0, 4096, (2, 600))
+        d2 = sum(np.abs(faded[i, None, k] - faded[:, k]) ** 2 for k in range(4))
+        d2[np.arange(600), i] = np.inf
+        j[::2] = np.argmin(d2, axis=1)[::2]
+        r = np.concatenate([faded, (faded[i] + faded[j]) / 2, faded[1234][None] * 2.0**46])
+        ch = ChannelRealization(h=h, n0=n0)
+        want = float64_decisions(r, cb, ch)
+        assert np.any(want[-1] != 0)  # so the argmax of NaN totals (0) is wrong there
+        dec, unsure = rerun_decisions(r, cb, ch)
+        assert np.array_equal(dec, want)
+        assert unsure[-1] == len(r) - 1
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1, np.nan)])
+    @pytest.mark.parametrize("detect", [mpa_detect, ml_detect])
+    def test_received_vector_rejected(self, huawei, detect, bad):
+        r = np.array([bad, 1, 1, 1], dtype=complex)
+        with pytest.raises(ScmaError, match="non-finite"):
+            detect(r, huawei, ChannelRealization.awgn(4, 0.1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_posterior_set_rejects_non_finite(self, bad):
+        probs = np.full((2, 4), 0.25)
+        probs[1, 2] = bad
+        with pytest.raises(ConfigError):
+            PosteriorSet(probs=probs)
 
 
 class TestMlDetect:

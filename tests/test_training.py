@@ -9,9 +9,12 @@ from scmalink import (
     TrainConfig,
     build_bit_matrix,
     build_indicator,
+    data_path,
+    default_init,
     gradient_check,
     lr_schedule,
     random_generators,
+    read_codebook,
     sample_snr,
     train,
 )
@@ -166,6 +169,17 @@ class TestConfigValidation:
     def test_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             TrainConfig(**kwargs)
+
+
+def test_default_init_rejects_codebook_on_another_graph():
+    # the generators are fitted on the codebook's supports and train places
+    # them on the config's; with users 0 and 1 swapped they land elsewhere
+    huawei = read_codebook(data_path("huawei_4x6.json"))
+    swapped = build_indicator(huawei.indicator.F[:, [1, 0, 2, 3, 4, 5]])
+    with pytest.raises(ConfigError, match="'F'"):
+        default_init(huawei.config, swapped, small_train_cfg(), huawei)
+    gen, _ = default_init(huawei.config, huawei.indicator, small_train_cfg(), huawei)
+    assert gen.gbar.shape[0] == 6
 
 
 class TestGradientCheck:
