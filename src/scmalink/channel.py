@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, ShapeError
+from .core import ConfigError, ShapeError, alphabet_bits
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,7 @@ def ebn0_to_n0(ebn0_db: float, alphabet_size: int) -> float:
     Eb = 1/log2(M) and N0 = 10^(-ebn0_db/10) / log2(M). Complex noise of
     total variance N0 has variance N0/2 per real dimension.
     """
-    if alphabet_size < 2:
-        raise ConfigError(f"alphabet size must be >= 2, got {alphabet_size}")
-    bits = np.log2(alphabet_size)
-    return float(10.0 ** (-ebn0_db / 10.0) / bits)
+    return float(10.0 ** (-ebn0_db / 10.0) / alphabet_bits(alphabet_size))
 
 
 def sample_noise_split(rng: np.random.Generator, n0: float, shape) -> np.ndarray:

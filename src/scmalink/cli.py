@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import data_path
 from .core import ConfigError, ScmaError
 from .fileio import (
     CodebookFormatError,
@@ -141,6 +140,12 @@ def _cmd_train(args) -> int:
         if not candidate.exists():
             candidate = Path(args.config).parent / init_path
         init_cb = read_codebook(candidate)
+    out = Path(args.out_dir or exp.paths.output_dir)
+    try:  # before the run, so a bad directory costs no training
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        where = "--out-dir" if args.out_dir else f"{args.config}: paths.output_dir"
+        raise ConfigError(f"{where} {out}: cannot create the directory ({exc.strerror})") from exc
     try:
         gen, decoder = default_init(exp.system, exp.indicator, exp.train, init_cb)
     except ConfigError as exc:  # default_init checks only the init codebook
@@ -154,8 +159,6 @@ def _cmd_train(args) -> int:
         f"trained {report.iterations_run} iterations in {report.wall_seconds:.1f} s, "
         f"final loss {report.losses[-1]:.4f}, learned codebook med {med:.4f}"
     )
-    out = Path(exp.paths.output_dir) if not args.out_dir else Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     meta = {"config_hash": exp.config_hash(), "seed": exp.train.seed,
             "init_codebook_hash": None if init_cb is None else codebook_to_dict(init_cb)["config_hash"],
             "iterations": report.iterations_run, "aborted": report.aborted}

@@ -54,8 +54,11 @@ class SearchSpaceError(ScmaError):
     """An exhaustive enumeration would exceed its guard size."""
 
 
-def is_power_of_two(m: int) -> bool:
-    return m >= 1 and (m & (m - 1)) == 0
+def alphabet_bits(alphabet_size: int) -> int:
+    """log2 M, the bits a message carries; ConfigError unless M is a power of two >= 2."""
+    if alphabet_size < 2 or alphabet_size & (alphabet_size - 1):
+        raise ConfigError(f"alphabet size must be a power of two >= 2, got {alphabet_size}")
+    return int(alphabet_size).bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -82,10 +85,7 @@ class SystemConfig:
                 f"nonzero entries per codeword ({self.n_nonzero}) cannot "
                 f"exceed resource count ({self.n_resources})"
             )
-        if self.alphabet_size < 2 or not is_power_of_two(self.alphabet_size):
-            raise ConfigError(
-                f"alphabet size must be a power of two >= 2, got {self.alphabet_size}"
-            )
+        alphabet_bits(self.alphabet_size)
 
     # conventional short names
     @property
@@ -106,7 +106,7 @@ class SystemConfig:
 
     @property
     def bits_per_symbol(self) -> int:
-        return int(round(np.log2(self.alphabet_size)))
+        return alphabet_bits(self.alphabet_size)
 
 
 def build_bit_matrix(alphabet_size: int) -> np.ndarray:
@@ -116,9 +116,7 @@ def build_bit_matrix(alphabet_size: int) -> np.ndarray:
     with -1 for binary 0 and +1 for binary 1. Rows are mutually orthogonal:
     B @ B.T == M * I exactly (integer arithmetic).
     """
-    if not is_power_of_two(alphabet_size) or alphabet_size < 2:
-        raise ConfigError(f"alphabet size must be a power of two >= 2, got {alphabet_size}")
-    n_bits = int(round(np.log2(alphabet_size)))
+    n_bits = alphabet_bits(alphabet_size)
     cols = np.arange(alphabet_size)
     shifts = np.arange(n_bits - 1, -1, -1)  # MSB first
     bits = (cols[None, :] >> shifts[:, None]) & 1
@@ -226,21 +224,25 @@ def superimposed_constellation(codebook: Codebook) -> np.ndarray:
     Row order is lexicographic in the message tuple with user 0 as the most
     significant digit, i.e. row index = sum_j m_j * M^(J-1-j).
     """
-    J, M = codebook.config.J, codebook.config.M
-    size = M**J
+    size = codebook.config.M ** codebook.config.J
     if size > SEARCH_GUARD:
         raise SearchSpaceError(
             f"superimposed constellation has {size} points, guard is {SEARCH_GUARD}; "
             "use a sampled lower-bound search instead"
         )
-    K = codebook.config.K
-    # (J, M, K) codewords as rows, C-ordered, so every sum and the result are
-    # C-ordered too and nearest_points can view them as interleaved floats
-    words = np.ascontiguousarray(codebook.entries.transpose(0, 2, 1))
-    pts = np.zeros((1, K), dtype=complex)
-    for j in range(J):
-        pts = (pts[:, None, :] + words[j][None, :, :]).reshape(-1, K)
-    return pts
+    return codeword_sums(codebook.entries.transpose(0, 2, 1))
+
+
+def codeword_sums(words: np.ndarray) -> np.ndarray:
+    """All M^n sums (M^n, K) of one word from each of n groups (n, M, K),
+    group 0 the most significant digit, added in group order from zero. The
+    words are copied C-ordered, so the sums are C-ordered too and
+    nearest_points can view them as interleaved floats."""
+    words = np.ascontiguousarray(words)
+    sums = np.zeros((1, words.shape[2]), dtype=complex)
+    for w in words:
+        sums = (sums[:, None, :] + w[None, :, :]).reshape(-1, words.shape[2])
+    return sums
 
 
 def ordered_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ truncated checkpoints and bytes after a checkpoint's last array.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import struct
 from dataclasses import asdict, dataclass
@@ -55,12 +56,20 @@ def _content_hash(payload) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _read_json(path):
+def _read_bytes(path) -> bytes:
     p = Path(path)
     if not p.exists():
         raise CodebookFormatError(f"{p}: no such file")
     try:
-        return json.loads(p.read_text(encoding="utf-8"))
+        return p.read_bytes()
+    except OSError as exc:  # a directory, say
+        raise CodebookFormatError(f"{p}: cannot read ({exc.strerror})") from exc
+
+
+def _read_json(path):
+    p = Path(path)
+    try:
+        return json.loads(_read_bytes(p).decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise CodebookFormatError(f"{p}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     except UnicodeDecodeError as exc:
@@ -286,12 +295,13 @@ def _read_exact(fh, n: int, what: str, where: str) -> bytes:
 def load_checkpoint(path):
     """Returns (GeneratorSet, MultiTaskDecoder, IndicatorMatrix, meta).
 
-    A bad magic number, a truncated file, a header that is not JSON or lacks
-    a field, arrays whose shape or values the stored system or layout
-    rejects, and bytes after the last array raise CodebookFormatError.
+    A missing or unreadable file, a bad magic number, a truncated file, a
+    header that is not JSON or lacks a field, arrays whose shape or values
+    the stored system or layout rejects, and bytes after the last array
+    raise CodebookFormatError.
     """
     where = str(Path(path))
-    with open(path, "rb") as fh:
+    with io.BytesIO(_read_bytes(path)) as fh:
         if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
             raise CodebookFormatError(f"{where}: not a checkpoint file (bad magic)")
         (hlen,) = struct.unpack("<I", _read_exact(fh, 4, "header length", where))

@@ -82,8 +82,6 @@ def compute_med(codebook: Codebook) -> MedReport:
     constellations above one million points.
     """
     pts = superimposed_constellation(codebook)
-    if len(pts) < 2:
-        raise ConfigError("need at least two constellation points")
     nearest = nearest_points(pts[:-1], pts, after_self=True)
     d2 = ordered_distances(pts[:-1], pts[nearest])
     i = int(np.argmin(d2))  # first row: the lowest pair among equal minima
@@ -92,13 +90,13 @@ def compute_med(codebook: Codebook) -> MedReport:
     return MedReport(med=best, arg_pair=tuple(map(tuple, digits.tolist())), phi_size=len(pts))
 
 
-def compare_codebooks(named_codebooks) -> list[tuple[str, float]]:
+def compare_codebooks(named_codebooks: dict) -> list[tuple[str, float]]:
     """MED table for codebooks sharing one system configuration.
 
     Each codebook is normalized to unit per-user average energy first so the
     comparison is power-fair. Returns (name, med) rows sorted descending.
     """
-    items = list(named_codebooks.items()) if isinstance(named_codebooks, dict) else list(named_codebooks)
+    items = list(named_codebooks.items())
     if not items:
         return []
     ref = items[0][1].config

@@ -51,6 +51,7 @@ from .core import (
     ConfigError,
     IndicatorMatrix,
     ShapeError,
+    codeword_sums,
     nearest_points,
     superimposed_constellation,
     tuple_digits,
@@ -137,14 +138,10 @@ class _FactorGraph:
         self.slot_users = np.full((K, d), J)  # (K, d) user on each slot
         for k, row in enumerate(ind.F):
             self.slot_users[k, : row.sum()] = np.flatnonzero(row)
-        # (d, M^d) message of each slot in every combination; slot 0 most significant
-        slot_index = tuple_digits(np.arange(M**d), M, d).T
-        # candidate noiseless resource values (K, M^d) from each slot's codewords
+        # (K, M^d) noiseless resource values of every slot combination, slot 0 most significant
         entries = np.concatenate([codebook.entries, np.zeros((1, K, M), dtype=complex)])
-        slot_words = entries[self.slot_users, np.arange(K)[:, None]]
-        self.sums = np.zeros((K, M**d), dtype=complex)
-        for slot in range(d):
-            self.sums = self.sums + slot_words[:, slot, slot_index[slot]]
+        slot_words = entries[self.slot_users, np.arange(K)[:, None]].transpose(1, 2, 0)
+        self.sums = np.ascontiguousarray(codeword_sums(slot_words).T)
         # (J, N) flat resource * d + slot positions of each user, ascending
         # resource; phantom slots sort last and are dropped
         order = np.argsort(self.slot_users.reshape(-1), kind="stable")
@@ -212,10 +209,11 @@ def _mpa_decisions(received: np.ndarray, codebook: Codebook, ch: ChannelRealizat
     float32 underflow, at most 2^-150 per metric, and leaves a float64 margin
     that exp and the division of the posteriors cannot close. On the Huawei
     graph at 10 iterations C = 32,738, so the bound is 3.9e-3 R. G grows
-    geometrically: from about 18 iterations on that graph, every row is
-    re-run. Below R = 2^100 no float32 value the max selects can overflow.
-    A row with a larger, infinite or NaN R gets an infinite bound, and a NaN
-    margin fails the test, so such rows are re-run too.
+    geometrically: on that graph at 8 dB, 1,103 of 2,000 rows are re-run at
+    15 iterations, which is then slower than float64 alone, and every row
+    from 17 iterations on. Below R = 2^100 no float32 value the max selects
+    can overflow. A row with a larger, infinite or NaN R gets an infinite
+    bound, and a NaN margin fails the test, so such rows are re-run too.
     """
     g = graph if graph is not None else _FactorGraph(codebook)
     d, n = g.d, g.edges.shape[1]
@@ -277,11 +275,13 @@ def _block_totals(phi: np.ndarray, g: _FactorGraph, cfg: MpaConfig) -> tuple[np.
     return tot, -low.min(axis=(0, 1))
 
 
-def _received_vector(received, codebook: Codebook) -> np.ndarray:
-    """One received vector as a (1, K) complex batch."""
-    r = np.asarray(received, dtype=complex)
-    if r.shape != (codebook.config.K,):
-        raise ShapeError(f"received vector shape {r.shape}, expected ({codebook.config.K},)")
+def _received_vector(received, codebook: Codebook, ch: ChannelRealization) -> np.ndarray:
+    """One received vector as a (1, K) complex batch, checked with the channel's length."""
+    r, K = np.asarray(received, dtype=complex), codebook.config.K
+    if r.shape != (K,):
+        raise ShapeError(f"received vector shape {r.shape}, expected ({K},)")
+    if ch.h.shape != (K,):
+        raise ShapeError(f"channel has {ch.h.size} coefficients, codebook has {K} resources")
     if not np.all(np.isfinite(r)):
         raise ConfigError(f"received vector has a non-finite entry: {r.tolist()}")
     return r[None, :]
@@ -289,7 +289,7 @@ def _received_vector(received, codebook: Codebook) -> np.ndarray:
 
 def mpa_detect(received, codebook: Codebook, ch: ChannelRealization, cfg: MpaConfig = MpaConfig()) -> PosteriorSet:
     """Per-user posteriors for one received vector; hard decision is argmax."""
-    probs = _mpa_posteriors(_received_vector(received, codebook), codebook, ch, cfg)[0]
+    probs = _mpa_posteriors(_received_vector(received, codebook, ch), codebook, ch, cfg)[0]
     return PosteriorSet(probs=probs)
 
 
@@ -307,7 +307,7 @@ def ml_detect(received, codebook: Codebook, ch: ChannelRealization) -> np.ndarra
     Minimizes ||r - diag(h) sum_j x_{j,m_j}||^2 over all M^J tuples; ties are
     broken toward the lowest tuple index (user 0 most significant).
     """
-    return _ml_decisions(_received_vector(received, codebook), codebook, ch)[0]
+    return _ml_decisions(_received_vector(received, codebook, ch), codebook, ch)[0]
 
 
 def mpa_complexity(cfg: MpaConfig, ind: IndicatorMatrix, alphabet_size: int) -> int:

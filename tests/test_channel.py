@@ -29,6 +29,16 @@ class TestEbn0Conversion:
         with pytest.raises(ConfigError):
             ebn0_to_n0(5.0, 1)
 
+    def test_rejects_alphabet_not_a_power_of_two(self):
+        with pytest.raises(ConfigError, match="power of two >= 2, got 3"):
+            ebn0_to_n0(8.0, 3)
+
+    @pytest.mark.parametrize("m", [2, 4, 8, 16, 64])
+    @pytest.mark.parametrize("ebn0", [-3.0, 0.0, 7.0, 8.0, 12.5])
+    def test_bit_for_bit_with_float_log2_divisor(self, m, ebn0):
+        # reference: the same quotient with a float64 np.log2(M) divisor
+        assert repr(ebn0_to_n0(ebn0, m)) == repr(float(10.0 ** (-ebn0 / 10.0) / np.log2(m)))
+
 
 class TestApplyChannel:
     def test_deterministic_given_seed(self):

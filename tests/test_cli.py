@@ -223,6 +223,25 @@ class TestCliCommands:
         assert run_cli(["train", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
         assert load_checkpoint(tmp_path / "checkpoint.bin")[3]["init_codebook_hash"] is None
 
+    @pytest.mark.parametrize("via", ["--out-dir", "paths.output_dir"])
+    @pytest.mark.parametrize("below", ["", "sub"])  # the file itself, or a directory under it
+    def test_train_out_dir_that_cannot_be_made_fails_before_training(self, tmp_path, capsys,
+                                                                    monkeypatch, via, below):
+        calls = []
+        monkeypatch.setattr(cli, "train", lambda *a, **kw: calls.append((a, kw)))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / below if below else blocker
+        paths = {"init_codebook": HUAWEI} | ({"output_dir": str(out)} if via == "paths.output_dir" else {})
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"system": PAPER_SYSTEM, "train": {"iterations": 300, "batch_size": 8},
+                                   "paths": paths}))
+        flag = ["--out-dir", str(out)] if via == "--out-dir" else []
+        assert run_cli(["train", "--config", str(cfg), *flag]) == 1
+        assert calls == []
+        err = capsys.readouterr().err
+        assert via in err and str(out) in err
+
     def test_ber_neural_needs_model(self):
         assert run_cli(["ber", "--codebook", HUAWEI, "--detector", "neural",
                         "--snr", "8"]) == 1
@@ -338,6 +357,19 @@ class TestMalformedInputs:
         assert run_cli(["med", "--codebook", str(path)]) == 1
         err = capsys.readouterr().err
         assert str(path) in err and "codewords" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["med", "--codebook", "{dir}"],
+        ["compare", "a={dir}"],
+        ["train", "--config", "{dir}"],
+        ["ber", "--codebook", HUAWEI, "--detector", "neural", "--model", "{dir}", "--snr", "8"],
+        ["export", "--checkpoint", "{dir}", "--out", "{dir}.json"],
+    ], ids=lambda argv: argv[0])
+    def test_directory_given_as_input_file_names_it(self, tmp_path, capsys, argv):
+        path = tmp_path / "adir"
+        path.mkdir()
+        assert run_cli([a.replace("{dir}", str(path)) for a in argv]) == 1
+        assert f"{path}: cannot read (Is a directory)" in capsys.readouterr().err
 
     def test_non_utf8_codebook_names_file(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"

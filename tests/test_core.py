@@ -9,6 +9,7 @@ from scmalink import (
     build_bit_matrix,
     build_indicator,
 )
+from scmalink.core import alphabet_bits
 from scmalink.training import _labels_from_bits
 
 
@@ -35,6 +36,11 @@ class TestSystemConfig:
     def test_rejects_bad_configs(self, kwargs):
         with pytest.raises(ConfigError):
             SystemConfig(**kwargs)
+
+    @pytest.mark.parametrize("m, bits", [(2, 1), (4, 2), (8, 3), (16, 4), (64, 6)])
+    def test_bits_per_symbol_is_log2_m(self, m, bits):
+        assert alphabet_bits(m) == bits
+        assert SystemConfig(n_users=1, n_resources=1, n_nonzero=1, alphabet_size=m).bits_per_symbol == bits
 
 
 class TestBitMatrix:

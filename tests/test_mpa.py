@@ -15,6 +15,7 @@ from scmalink import (
     PosteriorSet,
     ScmaError,
     SearchSpaceError,
+    ShapeError,
     SystemConfig,
     apply_channel,
     build_indicator,
@@ -30,8 +31,8 @@ from scmalink import (
 )
 from scmalink import core
 from scmalink.core import SEARCH_BLOCK, nearest_points
-from scmalink.mpa import (BLOCK, N0_FLOOR, _ml_decisions, _mpa_decisions, _mpa_posteriors,
-                          _slot_maxima)
+from scmalink.mpa import (BLOCK, N0_FLOOR, _FactorGraph, _ml_decisions, _mpa_decisions,
+                          _mpa_posteriors, _slot_maxima)
 
 
 # a fixed fading vector h whose gains differ by resource
@@ -239,6 +240,68 @@ class TestSlotMaxima:
             assert got.shape == want.shape and np.array_equal(got, want)
 
 
+def loop_constellation(cb):
+    """Reference: each user's (M, K) codewords added in user order from zero."""
+    K = cb.config.K
+    words = np.ascontiguousarray(cb.entries.transpose(0, 2, 1))
+    pts = np.zeros((1, K), dtype=complex)
+    for j in range(cb.config.J):
+        pts = (pts[:, None, :] + words[j][None, :, :]).reshape(-1, K)
+    return pts
+
+
+def loop_graph_sums(cb, g):
+    """Reference: each slot's codewords, indexed by tuple_digits, added in slot order from zero."""
+    M, K, d = cb.config.M, cb.config.K, g.d
+    slot_index = tuple_digits(np.arange(M**d), M, d).T
+    entries = np.concatenate([cb.entries, np.zeros((1, K, M), dtype=complex)])
+    slot_words = entries[g.slot_users, np.arange(K)[:, None]]
+    sums = np.zeros((K, M**d), dtype=complex)
+    for slot in range(d):
+        sums = sums + slot_words[:, slot, slot_index[slot]]
+    return sums
+
+
+def random_graph(J, K, N, rng):
+    F = np.zeros((K, J), dtype=int)
+    for j in range(J):
+        F[rng.choice(K, N, replace=False), j] = 1
+    return F
+
+
+def codeword_sum_cases():
+    """Huawei, the irregular M=8 graph of block_crossing_cases and random
+    (J, M, K, N) systems; J = 1 and the identity graph give one user or one
+    slot, with M up to 16."""
+    cases = {"huawei": read_codebook(data_path("huawei_4x6.json")),
+             "irregular": block_crossing_cases()["irregular"][0]}
+    for J, M, K, N in [(3, 8, 3, 2), (5, 4, 4, 2), (4, 2, 6, 3), (1, 16, 2, 2), (2, 16, 2, 1)]:
+        rng = np.random.default_rng([J, M, K, N])
+        F = np.eye(K, dtype=int) if (J, N) == (K, 1) else random_graph(J, K, N, rng)
+        cases[f"J{J}-M{M}-K{K}-N{N}"] = random_sparse_codebook(F, M, rng)
+    return cases
+
+
+class TestCodewordSums:
+    CASES = codeword_sum_cases()
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_constellation_equals_loop_bit_for_bit(self, case):
+        cb = self.CASES[case]
+        pts, want = superimposed_constellation(cb), loop_constellation(cb)
+        assert pts.flags.c_contiguous
+        assert pts.dtype == want.dtype and pts.shape == want.shape and pts.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_graph_sums_equal_loop_bit_for_bit(self, case):
+        cb = self.CASES[case]
+        g = _FactorGraph(cb)
+        want = loop_graph_sums(cb, g)
+        assert g.sums.flags.c_contiguous
+        assert g.sums.dtype == want.dtype and g.sums.shape == want.shape
+        assert g.sums.tobytes() == want.tobytes()
+
+
 class TestBatchBlocks:
     @pytest.mark.parametrize("B", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1])
     def test_rows_equal_single_vector_runs(self, huawei, B):
@@ -332,6 +395,16 @@ class TestNonFiniteInputs:
         probs[1, 2] = bad
         with pytest.raises(ConfigError):
             PosteriorSet(probs=probs)
+
+
+class TestChannelLength:
+    # one coefficient per resource: a length-1 h must not broadcast over the four
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("detect", [mpa_detect, ml_detect])
+    def test_channel_of_another_length_rejected(self, huawei, detect, n):
+        ch = ChannelRealization(h=np.ones(n), n0=0.1)
+        with pytest.raises(ShapeError, match=f"channel has {n} coefficients, codebook has 4 resources"):
+            detect(np.ones(4, dtype=complex), huawei, ch)
 
 
 class TestMlDetect:
