@@ -31,8 +31,10 @@ class ChannelRealization:
         h = np.asarray(self.h, dtype=complex)
         if h.ndim != 1:
             raise ShapeError(f"channel coefficients must be a vector, got shape {h.shape}")
-        if not self.n0 > 0:
-            raise ConfigError(f"noise power must be positive, got {self.n0}")
+        if not np.all(np.isfinite(h)):
+            raise ConfigError(f"channel coefficients must be finite, got {h.tolist()}")
+        if not 0 < self.n0 < np.inf:
+            raise ConfigError(f"noise power must be positive and finite, got {self.n0}")
         object.__setattr__(self, "h", h)
 
     @classmethod
@@ -45,9 +47,13 @@ def ebn0_to_n0(ebn0_db: float, alphabet_size: int) -> float:
 
     Each codeword carries log2(M) information bits and unit energy, so
     Eb = 1/log2(M) and N0 = 10^(-ebn0_db/10) / log2(M). Complex noise of
-    total variance N0 has variance N0/2 per real dimension.
+    total variance N0 has variance N0/2 per real dimension. An Eb/N0 whose
+    N0 overflows a float raises ConfigError.
     """
-    return float(10.0 ** (-ebn0_db / 10.0) / alphabet_bits(alphabet_size))
+    try:  # a Python float raises on overflow where a numpy one warns
+        return 10.0 ** (-float(ebn0_db) / 10.0) / alphabet_bits(alphabet_size)
+    except OverflowError:
+        raise ConfigError(f"Eb/N0 {ebn0_db} dB gives an N0 that overflows a float") from None
 
 
 def sample_noise_split(rng: np.random.Generator, n0: float, shape) -> np.ndarray:

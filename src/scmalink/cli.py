@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ConfigError, ScmaError
+from .core import Codebook, ConfigError, DegenerateCodebookError, ScmaError
 from .fileio import (
     CodebookFormatError,
     codebook_to_dict,
@@ -60,10 +60,16 @@ def parse_snr_spec(spec: str) -> list[float]:
     return points
 
 
+def _read_normalized(path) -> Codebook:
+    """The codebook file at unit energy per user; an all-zero user names the file."""
+    try:
+        return read_codebook(path).normalized()
+    except DegenerateCodebookError as exc:
+        raise DegenerateCodebookError(f"{path}: {exc}") from exc
+
+
 def _cmd_med(args) -> int:
-    cb = read_codebook(args.codebook)
-    if not args.raw:
-        cb = cb.normalized()
+    cb = read_codebook(args.codebook) if args.raw else _read_normalized(args.codebook)
     report = compute_med(cb)
     print(f"med {report.med:.6g}")
     print(f"constellation points {report.phi_size}")
@@ -92,7 +98,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_ber(args) -> int:
-    cb = read_codebook(args.codebook).normalized()
+    cb = _read_normalized(args.codebook)
     decoder = None
     if args.detector == "neural":
         if not args.model:
@@ -148,7 +154,7 @@ def _cmd_train(args) -> int:
         raise ConfigError(f"{where} {out}: cannot create the directory ({exc.strerror})") from exc
     try:
         gen, decoder = default_init(exp.system, exp.indicator, exp.train, init_cb)
-    except ConfigError as exc:  # default_init checks only the init codebook
+    except (ConfigError, DegenerateCodebookError) as exc:  # default_init checks only the init codebook
         raise ConfigError(f"{candidate}: {exc}") from exc
     report = train(exp.train, exp.system, exp.indicator, gen, decoder,
                    progress_every=args.progress)

@@ -228,7 +228,8 @@ def superimposed_constellation(codebook: Codebook) -> np.ndarray:
     if size > SEARCH_GUARD:
         raise SearchSpaceError(
             f"superimposed constellation has {size} points, guard is {SEARCH_GUARD}; "
-            "use a sampled lower-bound search instead"
+            "MED and ML detection need at most that many, while Max-Log MPA "
+            "detection and its BER run at any size"
         )
     return codeword_sums(codebook.entries.transpose(0, 2, 1))
 

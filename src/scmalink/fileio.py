@@ -8,8 +8,9 @@ strings, which round-trip bit-exactly through repr/float.
 All three formats carry the same "system" block, read and written by one pair
 of helpers. Every malformed file raises CodebookFormatError naming the file
 and the offending field: missing keys, values of the wrong type (a JSON
-boolean is never a number), non-finite codewords, unknown config keys,
-truncated checkpoints and bytes after a checkpoint's last array.
+boolean or string is never a number, and an integer field takes no
+fraction), non-finite codewords, unknown config keys, truncated checkpoints
+and bytes after a checkpoint's last array.
 """
 
 from __future__ import annotations
@@ -91,13 +92,14 @@ def _check_keys(block, allowed, where: str):
 
 
 def _typed(block, key: str, kind: type, where: str):
-    """block[key] converted to kind; a JSON bool is rejected, not read as 0 or 1."""
+    """block[key] as kind: an int field takes a JSON integer, a float field a
+    JSON integer or float. A bool or a string is neither, and 10.5 is no int."""
     try:
         value = block[key]
-        if isinstance(value, bool):
+        if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
             raise TypeError(f"expected {kind.__name__}, got {value!r}")
         return kind(value)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise CodebookFormatError(f"{where}: bad field {key!r} ({type(exc).__name__}: {exc})") from exc
 
 

@@ -21,8 +21,8 @@ from itertools import chain, count
 import numpy as np
 
 from .channel import ChannelRealization, apply_channel, ebn0_to_n0, split_real
-from .core import (Codebook, ConfigError, build_bit_matrix, nearest_points, ordered_distances,
-                   superimposed_constellation, tuple_digits)
+from .core import (Codebook, ConfigError, DegenerateCodebookError, build_bit_matrix, nearest_points,
+                   ordered_distances, superimposed_constellation, tuple_digits)
 from .encoder import superimpose
 from .mpa import N0_FLOOR, MpaConfig, _FactorGraph, _ml_decisions, _mpa_decisions, _mpa_posteriors
 
@@ -105,7 +105,13 @@ def compare_codebooks(named_codebooks: dict) -> list[tuple[str, float]]:
             raise ConfigError(
                 f"codebook {name!r} has config {cb.config}, expected {ref}: MEDs are not comparable"
             )
-    rows = [(name, compute_med(cb.normalized()).med) for name, cb in items]
+    rows = []
+    for name, cb in items:
+        try:
+            cb = cb.normalized()
+        except DegenerateCodebookError as exc:
+            raise DegenerateCodebookError(f"codebook {name!r}: {exc}") from exc
+        rows.append((name, compute_med(cb).med))
     rows.sort(key=lambda t: t[1], reverse=True)
     return rows
 

@@ -5,7 +5,9 @@ nodes and user nodes of the sparse occupancy graph, with max-sum (Max-Log)
 updates. All K resources are stacked into one array per quantity, each
 padded to the maximum row degree d with a phantom user whose M codewords are
 zero, so regular and irregular graphs share one code path and an iteration
-loops only over the d slots of a resource.
+loops only over the d slots of a resource. Messages are slot-major: slot s
+of every resource is one block, and a user reaches its N messages through
+the (slot, resource) pairs of its edges.
 
 The resource-to-user update views the combination metrics of a resource as a
 cube with one length-M axis per slot. For each slot, the max over the other
@@ -142,10 +144,10 @@ class _FactorGraph:
         entries = np.concatenate([codebook.entries, np.zeros((1, K, M), dtype=complex)])
         slot_words = entries[self.slot_users, np.arange(K)[:, None]].transpose(1, 2, 0)
         self.sums = np.ascontiguousarray(codeword_sums(slot_words).T)
-        # (J, N) flat resource * d + slot positions of each user, ascending
-        # resource; phantom slots sort last and are dropped
+        # (J, N) resource and slot of each user's edges, ascending resource;
+        # phantom slots sort last and are dropped
         order = np.argsort(self.slot_users.reshape(-1), kind="stable")
-        self.edges = order[: J * cfg.N].reshape(J, cfg.N)
+        self.resource, self.slot = np.divmod(order[: J * cfg.N].reshape(J, cfg.N), d)
 
 
 def _channel_metrics(received: np.ndarray, ch: ChannelRealization, g: _FactorGraph):
@@ -213,17 +215,20 @@ def _mpa_decisions(received: np.ndarray, codebook: Codebook, ch: ChannelRealizat
     15 iterations, which is then slower than float64 alone, and every row
     from 17 iterations on. Below R = 2^100 no float32 value the max selects
     can overflow. A row with a larger, infinite or NaN R gets an infinite
-    bound, and a NaN margin fails the test, so such rows are re-run too.
+    bound, and a NaN margin fails the test, so such rows are re-run too. G
+    is summed in float64: a bound that overflows (from 1,023 iterations on
+    the Huawei graph) is infinite or NaN for every row, so the whole batch
+    is re-run.
     """
     g = graph if graph is not None else _FactorGraph(codebook)
-    d, n = g.d, g.edges.shape[1]
-    growth = sum(((d - 1) * (n - 1)) ** i for i in range(cfg.n_iter))
-    e = (n * (d * n + 2 + (d - 1) * (n - 1) * (n + 2)) * growth + n * (n - 1)) * (2.0**-24 + 2.0**-53)
-    slack = 2 * e * (1 + 4 * e + 2.0**-10)
+    d, n = g.d, g.slot.shape[1]
     dec = np.empty((received.shape[0], g.J), dtype=np.int64)
     sure = np.empty(received.shape[0], dtype=bool)
-    # overflow and NaN in the float32 run are expected; the bound catches their rows
+    # overflow and NaN in the bound and the float32 run are expected; the bound catches their rows
     with np.errstate(over="ignore", invalid="ignore"):
+        growth = sum(np.float64((d - 1) * (n - 1)) ** i for i in range(cfg.n_iter))
+        e = (n * (d * n + 2 + (d - 1) * (n - 1) * (n + 2)) * growth + n * (n - 1)) * (2.0**-24 + 2.0**-53)
+        slack = 2 * e * (1 + 4 * e + 2.0**-10)
         for a, phi in _channel_metrics(received, ch, g):
             tot, r_max = _block_totals(phi.astype(np.float32), g, cfg)
             dec[a : a + BLOCK] = np.argmax(tot, axis=2)
@@ -240,21 +245,19 @@ def _block_totals(phi: np.ndarray, g: _FactorGraph, cfg: MpaConfig) -> tuple[np.
 
     The block's vectors run along the last axis of every array, so each
     elementwise step loops innermost over b contiguous values, not over a
-    length-M slot axis.
+    length-M slot axis. Messages are (d, M, K, b): the resource update reads
+    and writes slot s's (M, K, b) block whole, and the user update gathers
+    and scatters each edge's (M, b) messages at (g.slot, :, g.resource).
     """
     M, K, d, b = g.M, g.K, g.d, phi.shape[-1]
     cube_shape = (M,) * d + (K, b)
     total = np.empty(cube_shape, phi.dtype)
-    # user-to-resource (v) and resource-to-user messages per (resource, slot),
-    # uniform start; v4 and r4 are (K, d, M, b) views
-    v, r_msg = np.zeros((2, K * d, M, b), phi.dtype)
-    low = np.zeros((K * d, M, b), phi.dtype)  # every message is <= 0
-    v4, r4 = v.reshape(K, d, M, b), r_msg.reshape(K, d, M, b)
-    # per slot s: its (M, K, b) messages, and the same broadcast along slot
-    # axis s of the cube
-    v_slot = [v4[:, s].swapaxes(0, 1) for s in range(d)]
-    r_slot = [r4[:, s].swapaxes(0, 1) for s in range(d)]
-    v_axis = [v_slot[s].reshape((1,) * s + (M,) + (1,) * (d - 1 - s) + (K, b)) for s in range(d)]
+    # user-to-resource (v) and resource-to-user messages, slot-major
+    # (d, M, K, b) with a uniform start: slot s's messages are one block v[s]
+    v, r_msg = np.zeros((2, d, M, K, b), phi.dtype)
+    low = np.zeros((d, M, K, b), phi.dtype)  # every message is <= 0
+    # v[s] broadcast along slot axis s of the cube
+    v_axis = [v[s].reshape((1,) * s + (M,) + (1,) * (d - 1 - s) + (K, b)) for s in range(d)]
 
     for _ in range(cfg.n_iter):
         # resource-to-user: combine channel metric with every slot's message,
@@ -263,16 +266,16 @@ def _block_totals(phi: np.ndarray, g: _FactorGraph, cfg: MpaConfig) -> tuple[np.
         for s in range(1, d):
             total += v_axis[s]
         for s, peak in enumerate(_slot_maxima(total, d)):
-            np.subtract(peak, v_slot[s], out=r_slot[s])
+            np.subtract(peak, v[s], out=r_msg[s])
         np.minimum(low, r_msg, out=low)
         # user-to-resource: sum of the other resources' messages, normalized
-        incoming = r_msg[g.edges]  # (J, N, M, b)
+        incoming = r_msg[g.slot, :, g.resource]  # (J, N, M, b)
         msg = incoming.sum(axis=1, keepdims=True) - incoming
         msg -= _fold_max(msg, 2)[:, :, None]
-        v[g.edges] = msg
+        v[g.slot, :, g.resource] = msg
 
-    tot = np.ascontiguousarray(r_msg[g.edges].sum(axis=1).transpose(2, 0, 1))
-    return tot, -low.min(axis=(0, 1))
+    tot = np.ascontiguousarray(r_msg[g.slot, :, g.resource].sum(axis=1).transpose(2, 0, 1))
+    return tot, -low.min(axis=(0, 1, 2))
 
 
 def _received_vector(received, codebook: Codebook, ch: ChannelRealization) -> np.ndarray:

@@ -59,9 +59,15 @@ class TrainReport:
     decoder: MultiTaskDecoder
     codebook: Codebook
     wall_seconds: float
-    iterations_run: int
-    aborted: bool = False
     abort_reason: str = ""
+
+    @property
+    def iterations_run(self) -> int:
+        return len(self.losses)
+
+    @property
+    def aborted(self) -> bool:
+        return bool(self.abort_reason)
 
 
 def lr_schedule(cfg: TrainConfig, t: int) -> float:
@@ -181,15 +187,11 @@ def train(cfg: TrainConfig, sys_cfg: SystemConfig, ind: IndicatorMatrix,
     params = [gbar] + decoder.parameters()
     adam = AdamState.for_parameters(params)
 
-    losses = np.empty(cfg.n_iterations)
-    lrs = np.empty(cfg.n_iterations)
+    losses, lrs = [], []
     last_good = [p.copy() for p in params]
-    aborted = False
     reason = ""
-    it_run = 0
 
-    for i in range(cfg.n_iterations):
-        t = i + 1  # Algorithm counts iterations from 1
+    for t in range(1, cfg.n_iterations + 1):  # Algorithm counts iterations from 1
         lr = lr_schedule(cfg, t)
         snr_db = sample_snr(cfg, rng)
         n0 = ebn0_to_n0(snr_db, sys_cfg.M)
@@ -199,7 +201,6 @@ def train(cfg: TrainConfig, sys_cfg: SystemConfig, ind: IndicatorMatrix,
 
         loss, grad_g = _loss_and_gradients(gbar, decoder, bits, labels, noise, slots, sys_cfg.K)
         if not np.isfinite(loss):
-            aborted = True
             reason = f"non-finite loss at iteration {t}"
             for p, good in zip(params, last_good):
                 p[...] = good
@@ -208,22 +209,19 @@ def train(cfg: TrainConfig, sys_cfg: SystemConfig, ind: IndicatorMatrix,
             good[...] = p
         adam_step(params, [grad_g] + decoder.gradients(), adam, lr)
 
-        losses[i] = loss
-        lrs[i] = lr
-        it_run = t
+        losses.append(loss)
+        lrs.append(lr)
         if progress_every and t % progress_every == 0:
             print(f"iteration {t}/{cfg.n_iterations}  loss {loss:.4f}  lr {lr:.2e}  snr {snr_db:.1f} dB")
 
     gen = GeneratorSet(gbar=gbar, config=sys_cfg)
     return TrainReport(
-        losses=losses[:it_run].copy(),
-        learning_rates=lrs[:it_run].copy(),
+        losses=np.array(losses, dtype=float),
+        learning_rates=np.array(lrs, dtype=float),
         generators=gen,
         decoder=decoder,
         codebook=learned_codebook(gen, ind),
         wall_seconds=time.perf_counter() - t0,
-        iterations_run=it_run,
-        aborted=aborted,
         abort_reason=reason,
     )
 

@@ -33,6 +33,11 @@ class TestEbn0Conversion:
         with pytest.raises(ConfigError, match="power of two >= 2, got 3"):
             ebn0_to_n0(8.0, 3)
 
+    @pytest.mark.parametrize("ebn0", [-4000.0, np.float64(-4000.0)], ids=["float", "float64"])
+    def test_overflowing_n0_names_the_ebn0(self, ebn0):
+        with pytest.raises(ConfigError, match="Eb/N0 -4000.0 dB"):
+            ebn0_to_n0(ebn0, 4)
+
     @pytest.mark.parametrize("m", [2, 4, 8, 16, 64])
     @pytest.mark.parametrize("ebn0", [-3.0, 0.0, 7.0, 8.0, 12.5])
     def test_bit_for_bit_with_float_log2_divisor(self, m, ebn0):
@@ -76,6 +81,16 @@ class TestApplyChannel:
     def test_rejects_nonpositive_noise(self):
         with pytest.raises(ConfigError):
             ChannelRealization.awgn(2, 0.0)
+
+    @pytest.mark.parametrize("n0", [np.inf, np.nan])
+    def test_rejects_non_finite_noise(self, n0):
+        with pytest.raises(ConfigError, match="positive and finite"):
+            ChannelRealization.awgn(2, n0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1, -np.inf)])
+    def test_rejects_non_finite_coefficient(self, bad):
+        with pytest.raises(ConfigError, match="coefficients must be finite"):
+            ChannelRealization(h=np.array([bad, 1, 1, 1]), n0=0.1)
 
 
 def test_split_real_layout():

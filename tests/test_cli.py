@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +118,14 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert "--out" in err and str(out.parent) in err
         assert not out.parent.exists()
+
+    def test_ber_mpa_past_the_bound_overflow(self, tmp_path, capsys, monkeypatch):
+        # 1,100 iterations overflow the float32 pass's bound; one 16-vector chunk
+        monkeypatch.setattr(cli, "simulate_ber", partial(cli.simulate_ber, batch_size=16))
+        out = tmp_path / "ber.csv"
+        assert run_cli(["ber", "--codebook", HUAWEI, "--snr", "8", "--mpa-iterations", "1100",
+                        "--max-bits", "1", "--out", str(out)]) == 0
+        assert out.read_text().split("\n")[1].startswith("8.0,192,")
 
     def test_ber_out_dir_default_file_name(self, tmp_path, capsys):
         out_dir = tmp_path / "new" / "dir"
@@ -261,7 +270,10 @@ class TestMalformedInputs:
          ("train", "beta", True),
          # the right type, but values TrainConfig rejects
          ("train", "beta", 1.5), ("train", "alpha0", float("inf")),
-         ("train", "ebn0_min_db", float("nan")), ("train", "decay_step", 0)],
+         ("train", "ebn0_min_db", float("nan")), ("train", "decay_step", 0),
+         # an int field takes no fraction, and no field takes a string
+         ("train", "iterations", 10.5), ("train", "seed", 7.9), ("system", "users", 6.7),
+         ("train", "batch_size", "1000"), ("train", "alpha0", "1e-3")],
     )
     def test_bad_config_value_names_file_and_field(self, tmp_path, capsys, block, key, value):
         cfg = {"system": dict(PAPER_SYSTEM),
@@ -335,11 +347,15 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert str(path) in err and "'F'" in err
 
-    # values that parse but that SystemConfig or build_indicator reject
+    # values that parse but that SystemConfig or build_indicator reject, and
+    # an int field given a fraction or a string
     @pytest.mark.parametrize("edit, field", [
         (lambda doc: doc["system"].update(alphabet=3), "'alphabet'"),
         (lambda doc: doc["F"][0].__setitem__(0, 2), "'F'"),
-    ], ids=["alphabet-3", "F-entry-2"])
+        (lambda doc: doc["system"].update(alphabet=4.9), "'alphabet'"),
+        (lambda doc: doc["system"].update(alphabet=4.0), "'alphabet'"),
+        (lambda doc: doc["system"].update(alphabet="4"), "'alphabet'"),
+    ], ids=["alphabet-3", "F-entry-2", "alphabet-4.9", "alphabet-4.0", "alphabet-str"])
     def test_invalid_system_value_names_file_and_field(self, tmp_path, capsys, edit, field):
         doc = json.loads(Path(HUAWEI).read_text())
         edit(doc)
@@ -348,6 +364,41 @@ class TestMalformedInputs:
         assert run_cli(["med", "--codebook", str(path)]) == 1
         err = capsys.readouterr().err
         assert str(path) in err and field in err
+
+    @staticmethod
+    def _dead_user_codebook(tmp_path):
+        """The Huawei codebook with user 2's codewords all zero."""
+        doc = json.loads(Path(HUAWEI).read_text())
+        doc["codewords"][2] = [[["0.0", "0.0"]] * 4] * 4
+        path = tmp_path / "dead.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("command", ["med", "ber", "compare", "train"])
+    def test_all_zero_user_names_codebook_and_user(self, tmp_path, capsys, command):
+        path = self._dead_user_codebook(tmp_path)
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"system": PAPER_SYSTEM, "train": {"iterations": 1, "batch_size": 4},
+                                   "paths": {"init_codebook": str(path), "output_dir": str(tmp_path)}}))
+        argv, named = {"med": (["med", "--codebook", str(path)], str(path)),
+                       "ber": (["ber", "--codebook", str(path), "--snr", "8"], str(path)),
+                       "compare": (["compare", f"Z={path}", f"huawei={HUAWEI}"], "'Z'"),
+                       "train": (["train", "--config", str(cfg)], str(path))}[command]
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert named in err and "users [2] have all-zero codebooks" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dead.json", "exp.json"]
+
+    def test_all_zero_user_raw_med_is_zero(self, tmp_path, capsys):
+        path = self._dead_user_codebook(tmp_path)
+        assert run_cli(["med", "--codebook", str(path), "--raw"]) == 0
+        assert capsys.readouterr().out.startswith("med 0\n")
+
+    def test_snr_whose_n0_overflows_is_validation_error(self, tmp_path, capsys):
+        out = tmp_path / "ber.csv"
+        assert run_cli(["ber", "--codebook", HUAWEI, "--snr", "-4000", "--out", str(out)]) == 1
+        assert "Eb/N0 -4000.0 dB" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_codewords_not_a_list_names_file_and_field(self, tmp_path, capsys):
         doc = json.loads(Path(HUAWEI).read_text())

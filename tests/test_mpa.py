@@ -302,6 +302,22 @@ class TestCodewordSums:
         assert g.sums.tobytes() == want.tobytes()
 
 
+class TestEdgeIndex:
+    # each user's (resource, slot) pairs: the slot holds that user, and the
+    # resources are its support in ascending order
+    CASES = codeword_sum_cases()
+
+    @pytest.mark.parametrize("case", ["huawei", "irregular", "J5-M4-K4-N2"])
+    def test_slots_hold_their_user_on_the_support(self, case):
+        cb = self.CASES[case]
+        g = _FactorGraph(cb)
+        J, N = cb.config.J, cb.config.N
+        assert g.resource.shape == g.slot.shape == (J, N)
+        users = np.repeat(np.arange(J)[:, None], N, axis=1)
+        assert np.array_equal(g.slot_users[g.resource, g.slot], users)
+        assert np.array_equal(g.resource, cb.indicator.supports)
+
+
 class TestBatchBlocks:
     @pytest.mark.parametrize("B", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1])
     def test_rows_equal_single_vector_runs(self, huawei, B):
@@ -357,6 +373,18 @@ class TestFloat32Decisions:
         ch = ChannelRealization.awgn(4, ebn0_to_n0(8.0, 4))
         r = apply_channel(superimpose(cb, rng.integers(0, 4, (2000, 6))), ch, rng)
         assert len(_mpa_decisions(r, cb, ch, MpaConfig())[1]) < 100
+
+    def test_overflowing_bound_reruns_every_row(self, systems):
+        # from 1,023 iterations the bound's growth term overflows on the
+        # Huawei graph; it once raised OverflowError summed as Python ints
+        cb, _ = systems["huawei-awgn"]
+        cfg = MpaConfig(n_iter=1100)
+        rng = np.random.default_rng(1100)
+        ch = ChannelRealization.awgn(4, ebn0_to_n0(8.0, 4))
+        r = apply_channel(superimpose(cb, rng.integers(0, 4, (16, 6))), ch, rng)
+        dec, unsure = rerun_decisions(r, cb, ch, cfg)
+        assert np.array_equal(unsure, np.arange(16))
+        assert np.array_equal(dec, float64_decisions(r, cb, ch, cfg))
 
     # noise-free points, exact midpoints between two points of the
     # superimposed constellation (every other one a nearest pair), and one
