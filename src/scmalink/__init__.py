@@ -18,7 +18,6 @@ from .core import (
     ShapeError,
     SystemConfig,
     build_bit_matrix,
-    build_indicator,
     superimposed_constellation,
     tuple_digits,
 )

@@ -60,6 +60,25 @@ def parse_snr_spec(spec: str) -> list[float]:
     return points
 
 
+def _check_out_file(path, flag: str) -> None:
+    """Reject an output file before any work: a directory, or one in a missing directory."""
+    p = Path(path)
+    if p.is_dir():
+        raise ConfigError(f"{flag} {p}: is a directory")
+    if not p.parent.is_dir():
+        raise ConfigError(f"{flag} {p}: directory {p.parent} does not exist")
+
+
+def _make_out_dir(path, where: str) -> Path:
+    """Create an output directory before any work; a failure names where the path came from."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{where} {out}: cannot create the directory ({exc.strerror})") from exc
+    return out
+
+
 def _read_normalized(path) -> Codebook:
     """The codebook file at unit energy per user; an all-zero user names the file."""
     try:
@@ -69,6 +88,8 @@ def _read_normalized(path) -> Codebook:
 
 
 def _cmd_med(args) -> int:
+    if args.csv:
+        _check_out_file(args.csv, "--csv")
     cb = read_codebook(args.codebook) if args.raw else _read_normalized(args.codebook)
     report = compute_med(cb)
     print(f"med {report.med:.6g}")
@@ -80,6 +101,8 @@ def _cmd_med(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    if args.csv:
+        _check_out_file(args.csv, "--csv")
     named = {}
     for item in args.codebooks:
         name, _, path = item.partition("=")
@@ -104,12 +127,9 @@ def _cmd_ber(args) -> int:
         if not args.model:
             raise CodebookFormatError("--model checkpoint is required for the neural detector")
         _, decoder, _, _ = load_checkpoint(args.model)
-    out = args.out
-    if not out:
-        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
-        out = Path(args.out_dir) / f"ber_{Path(args.codebook).stem}_{args.detector}.csv"
-    elif not Path(out).parent.is_dir():  # checked before the simulation, not after it
-        raise ConfigError(f"--out {out}: directory {Path(out).parent} does not exist")
+    name = f"ber_{Path(args.codebook).stem}_{args.detector}.csv"
+    out = args.out or _make_out_dir(args.out_dir, "--out-dir") / name
+    _check_out_file(out, "--out" if args.out else "--out-dir")
     curve = simulate_ber(
         cb,
         detector=args.detector,
@@ -138,7 +158,10 @@ def _cmd_train(args) -> int:
         raise ConfigError(f"--progress must be >= 0, got {args.progress}")
     exp = read_experiment_config(args.config)
     if args.seed is not None:  # the stored config hash is that of the run
-        exp = replace(exp, train=replace(exp.train, seed=args.seed))
+        try:
+            exp = replace(exp, train=replace(exp.train, seed=args.seed))
+        except ConfigError as exc:
+            raise ConfigError(f"--seed: {exc}") from exc
     init_path = exp.paths.init_codebook
     init_cb = None
     if init_path:
@@ -146,12 +169,8 @@ def _cmd_train(args) -> int:
         if not candidate.exists():
             candidate = Path(args.config).parent / init_path
         init_cb = read_codebook(candidate)
-    out = Path(args.out_dir or exp.paths.output_dir)
-    try:  # before the run, so a bad directory costs no training
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        where = "--out-dir" if args.out_dir else f"{args.config}: paths.output_dir"
-        raise ConfigError(f"{where} {out}: cannot create the directory ({exc.strerror})") from exc
+    out = _make_out_dir(args.out_dir or exp.paths.output_dir,
+                        "--out-dir" if args.out_dir else f"{args.config}: paths.output_dir")
     try:
         gen, decoder = default_init(exp.system, exp.indicator, exp.train, init_cb)
     except (ConfigError, DegenerateCodebookError) as exc:  # default_init checks only the init codebook
@@ -182,6 +201,8 @@ def _cmd_train(args) -> int:
 def _cmd_gradcheck(args) -> int:
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     if not 0 < args.tolerance < np.inf:
         raise ConfigError(f"--tolerance must be finite and > 0, got {args.tolerance}")
     rng = np.random.default_rng(args.seed)
@@ -198,6 +219,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    _check_out_file(args.out, "--out")
     gen, _, ind, meta = load_checkpoint(args.checkpoint)
     write_codebook(args.out, learned_codebook(gen, ind), name=args.name, seed=meta.get("seed"))
     print(f"wrote {args.out}")

@@ -18,7 +18,7 @@ results are those of a plain per-pair loop that keeps the first minimum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -128,13 +128,29 @@ class IndicatorMatrix:
     """Sparse resource-occupancy structure of the J user codebooks.
 
     F is the K x J binary matrix whose column j marks the resources occupied
-    by user j; row j of the (J, N) supports array lists those resources in
-    ascending order, which is where user j's N-dimensional symbols are placed.
+    by user j. Construction checks that F is 2-d, 0/1 and that every column
+    has the same non-zero weight N, stores it as int64, and derives the
+    (J, N) supports array: row j lists user j's resources in ascending order,
+    which is where user j's N-dimensional symbols are placed.
     """
 
     F: np.ndarray
-    supports: np.ndarray  # (J, N) int, per-user ascending resource indices
-    row_degrees: np.ndarray
+    supports: np.ndarray = field(init=False)  # (J, N) int, per-user ascending resource indices
+
+    def __post_init__(self):
+        F = np.asarray(self.F)
+        if F.ndim != 2 or F.size == 0:
+            raise ShapeError(f"indicator matrix must be 2-d and non-empty, got shape {F.shape}")
+        if not np.all((F == 0) | (F == 1)):
+            raise ConfigError("indicator matrix entries must be 0/1")
+        F = F.astype(np.int64)
+        col_weights = F.sum(axis=0)
+        if not np.all(col_weights == col_weights[0]):
+            raise ConfigError(f"ragged column weights {col_weights.tolist()}: every user must occupy the same number of resources")
+        if col_weights[0] == 0:
+            raise ConfigError("indicator matrix has empty columns")
+        object.__setattr__(self, "F", F)
+        object.__setattr__(self, "supports", np.nonzero(F.T)[1].reshape(F.shape[1], -1))  # j, then k ascending
 
     @property
     def n_resources(self) -> int:
@@ -150,30 +166,13 @@ class IndicatorMatrix:
 
     @property
     def max_row_degree(self) -> int:
-        return int(self.row_degrees.max())
+        return int(self.F.sum(axis=1).max())
 
     def check_fits(self, cfg: SystemConfig) -> None:
         """Raise ShapeError unless this graph has the J, K and N of cfg."""
         dims, want = (self.n_users, self.n_resources, self.n_nonzero), (cfg.J, cfg.K, cfg.N)
         if dims != want:
             raise ShapeError(f"indicator matrix (J, K, N) = {dims} does not match the system's {want}")
-
-
-def build_indicator(F) -> IndicatorMatrix:
-    """Validate an occupancy matrix and derive the per-user supports."""
-    F = np.asarray(F)
-    if F.ndim != 2:
-        raise ShapeError(f"indicator matrix must be 2-d, got shape {F.shape}")
-    if not np.all((F == 0) | (F == 1)):
-        raise ConfigError("indicator matrix entries must be 0/1")
-    F = F.astype(np.int64)
-    col_weights = F.sum(axis=0)
-    if not np.all(col_weights == col_weights[0]):
-        raise ConfigError(f"ragged column weights {col_weights.tolist()}: every user must occupy the same number of resources")
-    if col_weights[0] == 0:
-        raise ConfigError("indicator matrix has empty columns")
-    supports = np.nonzero(F.T)[1].reshape(F.shape[1], -1)  # row-major: j, then k ascending
-    return IndicatorMatrix(F=F, supports=supports, row_degrees=F.sum(axis=1))
 
 
 @dataclass(frozen=True)
@@ -193,11 +192,8 @@ class Codebook:
             raise ConfigError("codebook entries must be finite")
         self.indicator.check_fits(self.config)
         object.__setattr__(self, "entries", e)
-        self.validate_support()
-
-    def validate_support(self):
-        """Reject energy off the supports, naming the first (user, resource)."""
-        bad = (self.indicator.F.T == 0) & np.any(self.entries != 0, axis=2)  # (J, K)
+        # reject energy off the supports, naming the first (user, resource)
+        bad = (self.indicator.F.T == 0) & np.any(e != 0, axis=2)  # (J, K)
         if bad.any():
             j, k = np.argwhere(bad)[0].tolist()  # row-major: lowest j, then lowest k
             raise ConfigError(

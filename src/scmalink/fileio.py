@@ -32,7 +32,6 @@ from .core import (
     ScmaError,
     ShapeError,
     SystemConfig,
-    build_indicator,
 )
 from .encoder import GeneratorSet
 from .nn import DenseLayer, MultiTaskDecoder
@@ -121,7 +120,7 @@ def _system_from_dict(block, F, where: str) -> tuple[SystemConfig, IndicatorMatr
         fields = ", ".join(map(repr, _SYSTEM_KEYS))
         raise CodebookFormatError(f"{where}: fields {fields} are not a valid system ({exc})") from exc
     try:
-        ind = build_indicator(np.array(F))
+        ind = IndicatorMatrix(np.array(F))
         ind.check_fits(cfg)
     except (ValueError, ConfigError, ShapeError) as exc:  # ValueError: a ragged list of rows
         raise CodebookFormatError(f"{where}: bad field 'F' ({exc})") from exc

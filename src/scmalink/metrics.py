@@ -141,8 +141,9 @@ def simulate_ber(codebook: Codebook, detector: str, ebn0_db_list, *,
     run one by one on the calling thread.
 
     The MPA detector decides a chunk by a float32 run (mpa._mpa_decisions)
-    and re-runs the rows it cannot vouch for, those with a top-two margin
-    within its rounding bound, through the float64 _mpa_posteriors. Rows
+    on the factor graph built once per call, and re-runs the rows it cannot
+    vouch for, those with a top-two margin within its rounding bound,
+    through the float64 _mpa_posteriors on the same graph. Rows
     are independent, so every decision and every count is that of the
     float64 detector. A point keeps each user's bit errors beside their
     total, and the stopping rule reads the total.
@@ -157,6 +158,8 @@ def simulate_ber(codebook: Codebook, detector: str, ebn0_db_list, *,
                         ("max_bits", max_bits), ("workers", workers)):
         if value < 1:
             raise ConfigError(f"{name} must be >= 1, got {value}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     cfg = codebook.config
     graph = _FactorGraph(codebook) if detector == "mpa" else None
     points = superimposed_constellation(codebook) if detector == "ml" else None
@@ -169,7 +172,7 @@ def simulate_ber(codebook: Codebook, detector: str, ebn0_db_list, *,
         ch = ChannelRealization.awgn(cfg.K, max(n0, N0_FLOOR))
         r = apply_channel(tx, ch, rng)
         if detector == "mpa":
-            dec, unsure = _mpa_decisions(r, codebook, ch, mpa_cfg, graph)
+            dec, unsure = _mpa_decisions(r, graph, ch, mpa_cfg)
             dec[unsure] = np.argmax(_mpa_posteriors(r[unsure], codebook, ch, mpa_cfg, graph), axis=2)
         elif detector == "ml":
             dec = _ml_decisions(r, codebook, ch, points=points)

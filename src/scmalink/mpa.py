@@ -21,13 +21,14 @@ iteration's temporaries stay inside the L2 cache. Every step is row-wise, so
 blocking changes no bit of the output.
 
 _block_totals iterates in the dtype of the channel metric it is given.
-_mpa_posteriors, and so mpa_detect, runs it in float64. _mpa_decisions,
-which simulate_ber calls, rounds the float64 metric to float32 and decides by
-the argmax of the float32 totals. Max-Log only adds, subtracts and takes
-maxima, so the float32 error has a bound in the run's largest message,
-derived in its docstring. A row where some user's top-two margin is not above that bound is
-returned as unsure. The caller re-runs those rows in float64 and takes the
-argmax of their posteriors, so every decision is the float64 one.
+_mpa_posteriors, and so mpa_detect, runs it in float64. _mpa_decisions, which
+simulate_ber calls with the factor graph it builds once, rounds the float64
+metric to float32 and decides by the argmax of the float32 totals. Max-Log
+only adds, subtracts and takes maxima, so the float32 error has a bound in
+the run's largest message, derived in its docstring. A row where some user's
+top-two margin is not above that bound is returned as unsure. The caller
+re-runs those rows in float64 and takes the argmax of their posteriors, so
+every decision is the float64 one.
 
 The ML oracle enumerates the entire superimposed constellation and is
 intended for small instances and cross-checks. It runs core.nearest_points,
@@ -58,6 +59,7 @@ from .core import (
     superimposed_constellation,
     tuple_digits,
 )
+from .nn import softmax
 
 # keeps log-likelihoods finite when noise-free inputs are decoded
 N0_FLOOR = 1e-12
@@ -166,16 +168,13 @@ def _mpa_posteriors(received: np.ndarray, codebook: Codebook, ch: ChannelRealiza
     g = graph if graph is not None else _FactorGraph(codebook)
     post = np.empty((received.shape[0], g.J, g.M))
     for a, phi in _channel_metrics(received, ch, g):
-        tot = _block_totals(phi, g, cfg)[0]
-        tot -= tot.max(axis=2, keepdims=True)
-        p = np.exp(tot)
-        post[a : a + BLOCK] = p / p.sum(axis=2, keepdims=True)
+        post[a : a + BLOCK] = softmax(_block_totals(phi, g, cfg)[0])
     return post
 
 
-def _mpa_decisions(received: np.ndarray, codebook: Codebook, ch: ChannelRealization,
-                   cfg: MpaConfig, graph: _FactorGraph | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Max-Log decisions (B, J) from a float32 run, and the rows it cannot vouch for.
+def _mpa_decisions(received: np.ndarray, g: _FactorGraph, ch: ChannelRealization,
+                   cfg: MpaConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Max-Log decisions (B, J) from a float32 run on graph g, and the rows it cannot vouch for.
 
     Each block's float64 channel metric is rounded once to float32 and
     iterated by _block_totals. Every decision is the argmax of a float32
@@ -220,7 +219,6 @@ def _mpa_decisions(received: np.ndarray, codebook: Codebook, ch: ChannelRealizat
     the Huawei graph) is infinite or NaN for every row, so the whole batch
     is re-run.
     """
-    g = graph if graph is not None else _FactorGraph(codebook)
     d, n = g.d, g.slot.shape[1]
     dec = np.empty((received.shape[0], g.J), dtype=np.int64)
     sure = np.empty(received.shape[0], dtype=bool)

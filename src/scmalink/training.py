@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ebn0_to_n0, sample_noise_split
-from .core import Codebook, ConfigError, IndicatorMatrix, ShapeError, SystemConfig, build_indicator
+from .core import Codebook, ConfigError, IndicatorMatrix, ShapeError, SystemConfig
 from .encoder import GeneratorSet, codeword_table, init_generators, normalize
 from .nn import AdamState, MultiTaskDecoder, adam_step, cross_entropy
 
@@ -49,6 +49,8 @@ class TrainConfig:
             raise ConfigError("batch size and iteration count must be >= 1")
         if self.ebn0_min_db > self.ebn0_max_db:
             raise ConfigError("ebn0_min_db must not exceed ebn0_max_db")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -247,7 +249,7 @@ def gradient_check(rng: np.random.Generator, step: float = 1e-5) -> float:
         F = np.zeros((K, J), dtype=int)
         for j in range(J):
             F[rng.permutation(K)[:N], j] = 1
-        ind = build_indicator(F)
+        ind = IndicatorMatrix(F)
         gbar = rng.normal(0, 0.7, size=(J, 2 * N, sys_cfg.bits_per_symbol))
         decoder = MultiTaskDecoder.build(
             rng, 2 * K, J, M,

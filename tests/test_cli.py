@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from scmalink.fileio import CodebookFormatError
 
 
 HUAWEI = str(data_path("huawei_4x6.json"))
+CHECKPOINT_V1 = str(Path(__file__).resolve().parent / "checkpoint_v1.bin")
 
 
 class TestSnrSpec:
@@ -135,6 +137,45 @@ class TestCliCommands:
         assert out.read_text().startswith("ebn0_db,bits,")
         assert f"wrote {out}" in capsys.readouterr().out
 
+    # {file} is a regular file and {dir} a directory; every output is checked
+    # before the command reads or computes anything
+    @pytest.mark.parametrize("argv, flag, target", [
+        (["ber", "--codebook", HUAWEI, "--snr", "8", "--out-dir", "{file}"], "--out-dir", "{file}"),
+        (["ber", "--codebook", HUAWEI, "--snr", "8", "--out-dir", "{file}/sub"], "--out-dir", "{file}/sub"),
+        (["ber", "--codebook", HUAWEI, "--snr", "8", "--out", "{dir}"], "--out", "{dir}"),
+        (["med", "--codebook", HUAWEI, "--csv", "{dir}"], "--csv", "{dir}"),
+        (["med", "--codebook", HUAWEI, "--csv", "{dir}/missing/x.csv"], "--csv", "{dir}/missing"),
+        (["compare", HUAWEI, "--csv", "{dir}"], "--csv", "{dir}"),
+        (["compare", HUAWEI, "--csv", "{dir}/missing/x.csv"], "--csv", "{dir}/missing"),
+        (["export", "--checkpoint", CHECKPOINT_V1, "--out", "{dir}"], "--out", "{dir}"),
+        (["export", "--checkpoint", CHECKPOINT_V1, "--out", "{dir}/missing/x.json"], "--out", "{dir}/missing"),
+    ], ids=["ber-out-dir-file", "ber-out-dir-under-file", "ber-out-dir", "med-csv-dir",
+            "med-csv-missing-dir", "compare-csv-dir", "compare-csv-missing-dir", "export-out-dir",
+            "export-out-missing-dir"])
+    def test_unusable_output_fails_before_any_work(self, tmp_path, capsys, monkeypatch, argv, flag,
+                                                   target):
+        calls = []
+        for name in ("simulate_ber", "compute_med", "compare_codebooks", "load_checkpoint"):
+            monkeypatch.setattr(cli, name, lambda *a, **kw: calls.append((a, kw)))
+        (tmp_path / "file").write_text("")
+        (tmp_path / "dir").mkdir()
+
+        def place(text):
+            return text.replace("{file}", str(tmp_path / "file")).replace("{dir}", str(tmp_path / "dir"))
+
+        assert run_cli([place(a) for a in argv]) == 1
+        assert calls == []
+        err = capsys.readouterr().err
+        assert f"{flag} " in err and place(target) in err
+
+    def test_runtime_failure_exits_2(self, capsys, monkeypatch):
+        def fail(codebook):
+            raise MemoryError("no room for the constellation")
+
+        monkeypatch.setattr(cli, "compute_med", fail)
+        assert run_cli(["med", "--codebook", HUAWEI]) == 2
+        assert "runtime error: no room for the constellation" in capsys.readouterr().err
+
     def test_gradcheck(self, capsys):
         assert run_cli(["gradcheck", "--trials", "3", "--seed", "1"]) == 0
         assert "worst relative error" in capsys.readouterr().out
@@ -226,6 +267,30 @@ class TestCliCommands:
         assert HUAWEI in err and "'F'" in err
         assert list(tmp_path.iterdir()) == [cfg]
 
+    def test_relative_init_codebook_resolves_against_the_config_directory(self, tmp_path, capsys,
+                                                                          monkeypatch):
+        conf = tmp_path / "conf"
+        conf.mkdir()
+        (conf / "init.json").write_text(Path(HUAWEI).read_text())
+        cfg = conf / "exp.json"
+        cfg.write_text(json.dumps({"system": PAPER_SYSTEM, "train": {"iterations": 1, "batch_size": 8},
+                                   "paths": {"init_codebook": "init.json"}}))
+        monkeypatch.chdir(tmp_path)  # init.json is not in the working directory
+        assert run_cli(["train", "--config", str(cfg), "--out-dir", "out"]) == 0
+        meta = load_checkpoint(tmp_path / "out" / "checkpoint.bin")[3]
+        assert meta["init_codebook_hash"] == json.loads(Path(HUAWEI).read_text())["config_hash"]
+
+    def test_aborted_training_keeps_its_record_and_exits_2(self, tmp_path, capsys, monkeypatch):
+        real_train = cli.train
+        monkeypatch.setattr(cli, "train", lambda *a, **kw: replace(
+            real_train(*a, **kw), abort_reason="non-finite loss at iteration 2"))
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"system": PAPER_SYSTEM, "train": {"iterations": 1, "batch_size": 8}}))
+        assert run_cli(["train", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        assert "training aborted: non-finite loss at iteration 2" in capsys.readouterr().err
+        meta = load_checkpoint(tmp_path / "checkpoint.bin")[3]
+        assert meta["aborted"] is True and meta["iterations"] == 1
+
     def test_random_init_stores_no_codebook_hash(self, tmp_path, capsys):
         cfg = tmp_path / "exp.json"
         cfg.write_text(json.dumps({"system": PAPER_SYSTEM, "train": {"iterations": 1, "batch_size": 8}}))
@@ -273,7 +338,9 @@ class TestMalformedInputs:
          ("train", "ebn0_min_db", float("nan")), ("train", "decay_step", 0),
          # an int field takes no fraction, and no field takes a string
          ("train", "iterations", 10.5), ("train", "seed", 7.9), ("system", "users", 6.7),
-         ("train", "batch_size", "1000"), ("train", "alpha0", "1e-3")],
+         ("train", "batch_size", "1000"), ("train", "alpha0", "1e-3"),
+         # numpy seeds no generator from a negative integer
+         ("train", "seed", -1)],
     )
     def test_bad_config_value_names_file_and_field(self, tmp_path, capsys, block, key, value):
         cfg = {"system": dict(PAPER_SYSTEM),
@@ -333,6 +400,20 @@ class TestMalformedInputs:
         assert "workers" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["ber", "train"])
+    def test_negative_seed_flag_is_validation_error(self, tmp_path, capsys, command):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"system": PAPER_SYSTEM, "train": {"iterations": 1, "batch_size": 8}}))
+        out = tmp_path / "out"
+        argv, named = {
+            "ber": (["ber", "--codebook", HUAWEI, "--snr", "8", "--seed", "-1", "--out", str(out)],
+                    "seed must be >= 0"),
+            "train": (["train", "--config", str(cfg), "--seed", "-2", "--out-dir", str(out)], "--seed"),
+        }[command]
+        assert run_cli(argv) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_snr_list_is_validation_error(self, tmp_path):
         out = tmp_path / "ber.csv"
         assert run_cli(["ber", "--codebook", HUAWEI, "--snr", ",", "--out", str(out)]) == 1
@@ -347,7 +428,7 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert str(path) in err and "'F'" in err
 
-    # values that parse but that SystemConfig or build_indicator reject, and
+    # values that parse but that SystemConfig or IndicatorMatrix reject, and
     # an int field given a fraction or a string
     @pytest.mark.parametrize("edit, field", [
         (lambda doc: doc["system"].update(alphabet=3), "'alphabet'"),
@@ -355,7 +436,8 @@ class TestMalformedInputs:
         (lambda doc: doc["system"].update(alphabet=4.9), "'alphabet'"),
         (lambda doc: doc["system"].update(alphabet=4.0), "'alphabet'"),
         (lambda doc: doc["system"].update(alphabet="4"), "'alphabet'"),
-    ], ids=["alphabet-3", "F-entry-2", "alphabet-4.9", "alphabet-4.0", "alphabet-str"])
+        (lambda doc: doc.update(F=[[]] * 4), "'F'"),
+    ], ids=["alphabet-3", "F-entry-2", "alphabet-4.9", "alphabet-4.0", "alphabet-str", "F-no-columns"])
     def test_invalid_system_value_names_file_and_field(self, tmp_path, capsys, edit, field):
         doc = json.loads(Path(HUAWEI).read_text())
         edit(doc)
@@ -444,7 +526,7 @@ class TestMalformedInputs:
 
     @pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--step", "0"), ("--step", "inf"),
                                              ("--tolerance", "nan"), ("--tolerance", "inf"),
-                                             ("--tolerance", "0")])
+                                             ("--tolerance", "0"), ("--seed", "-1")])
     def test_invalid_gradcheck_flag_is_validation_error(self, capsys, flag, value):
         assert run_cli(["gradcheck", flag, value]) == 1
         assert flag.lstrip("-") in capsys.readouterr().err

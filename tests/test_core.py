@@ -4,10 +4,10 @@ import pytest
 from scmalink import (
     Codebook,
     ConfigError,
+    IndicatorMatrix,
     ShapeError,
     SystemConfig,
     build_bit_matrix,
-    build_indicator,
 )
 from scmalink.core import alphabet_bits
 from scmalink.training import _labels_from_bits
@@ -97,18 +97,27 @@ class TestOneHot:
 class TestIndicator:
     def test_paper_4x6(self, huawei_codebook):
         ind = huawei_codebook.indicator
-        assert np.all(ind.row_degrees == 3)
+        assert np.all(ind.F.sum(axis=1) == 3)
         assert ind.n_nonzero == 2
         # column 1 (user index 0) occupies rows 2 and 4 in 1-based terms
         assert ind.supports[0].tolist() == [1, 3]
 
     def test_identity_indicator(self):
-        ind = build_indicator(np.eye(3, dtype=int))
+        ind = IndicatorMatrix(np.eye(3, dtype=int))
         assert ind.supports.tolist() == [[0], [1], [2]]
 
     def test_ragged_columns_rejected(self):
         with pytest.raises(ConfigError):
-            build_indicator([[1, 1], [1, 0]])
+            IndicatorMatrix([[1, 1], [1, 0]])
+
+    @pytest.mark.parametrize("F, error, message", [
+        ([1, 0, 1], ShapeError, "2-d"),
+        (np.zeros((4, 0), dtype=int), ShapeError, "non-empty"),  # no users
+        ([[0, 0], [0, 0]], ConfigError, "empty columns"),
+    ], ids=["1-d", "no-columns", "zero-columns"])
+    def test_malformed_f_rejected(self, F, error, message):
+        with pytest.raises(error, match=message):
+            IndicatorMatrix(F)
 
 
 class TestCodebook:
@@ -128,7 +137,7 @@ class TestCodebook:
         # codeword's energy off its support, so only the dimensions catch them
         with pytest.raises(ShapeError, match="does not match"):
             Codebook(entries=huawei_codebook.entries, config=huawei_codebook.config,
-                     indicator=build_indicator(F))
+                     indicator=IndicatorMatrix(F))
 
     @pytest.mark.parametrize("value", [np.inf, np.nan, complex(0.0, -np.inf)])
     def test_non_finite_entry_rejected(self, value):
@@ -136,11 +145,11 @@ class TestCodebook:
         entries = np.zeros((2, 2, 2), dtype=complex)
         entries[0, 0, 1] = value
         with pytest.raises(ConfigError, match="finite"):
-            Codebook(entries=entries, config=cfg, indicator=build_indicator(np.eye(2, dtype=int)))
+            Codebook(entries=entries, config=cfg, indicator=IndicatorMatrix(np.eye(2, dtype=int)))
 
     def test_normalized_unit_energy(self):
         cfg = SystemConfig(n_users=2, n_resources=2, n_nonzero=1, alphabet_size=2)
-        ind = build_indicator(np.eye(2, dtype=int))
+        ind = IndicatorMatrix(np.eye(2, dtype=int))
         entries = np.zeros((2, 2, 2), dtype=complex)
         entries[0, 0] = [3.0, -3.0]
         entries[1, 1] = [1j, -1j]

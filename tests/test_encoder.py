@@ -7,10 +7,10 @@ from scmalink import (
     Codebook,
     DegenerateCodebookError,
     GeneratorSet,
+    IndicatorMatrix,
     ShapeError,
     SystemConfig,
     build_bit_matrix,
-    build_indicator,
     codeword_table,
     init_generators,
     normalize,
@@ -47,25 +47,25 @@ class TestEncodeUser:
     def test_identity_column(self):
         cfg = SystemConfig(n_users=1, n_resources=2, n_nonzero=1, alphabet_size=2)
         gen = GeneratorSet(gbar=np.array([[[1.0], [0.0]]]), config=cfg)
-        out = encode(gen, build_indicator(self.IND), [[1]])  # bits [+1]
+        out = encode(gen, IndicatorMatrix(self.IND), [[1]])  # bits [+1]
         assert out[0] == pytest.approx([1 + 0j, 0])
 
     def test_complex_generator(self, tiny_cfg):
         gen = gen_from_complex([np.array([[1.0, 1j]])], tiny_cfg)
-        out = encode(gen, build_indicator(self.IND), [[1]])  # bits [-1, +1]
+        out = encode(gen, IndicatorMatrix(self.IND), [[1]])  # bits [-1, +1]
         assert out[0, 0] == pytest.approx(-1 + 1j)
 
     def test_antipodal_bits_negate(self, tiny_cfg):
         rng = np.random.default_rng(3)
         gen = GeneratorSet(gbar=rng.normal(size=(1, 2, 2)), config=tiny_cfg)
-        minus, plus = encode(gen, build_indicator(self.IND), [[0], [3]])
+        minus, plus = encode(gen, IndicatorMatrix(self.IND), [[0], [3]])
         assert minus == pytest.approx(-plus)
 
     def test_real_split_layout(self, tiny_cfg):
         # first N rows are the real parts, last N the imaginary parts
         gen = gen_from_complex([np.array([[2.0 - 0.5j, 0.25 + 1j]])], tiny_cfg)
         split = gen.gbar[0] @ np.array([1.0, -1.0])
-        c = encode(gen, build_indicator(self.IND), [[2]])[0, 0]  # bits [+1, -1]
+        c = encode(gen, IndicatorMatrix(self.IND), [[2]])[0, 0]  # bits [+1, -1]
         assert split[0] == pytest.approx(c.real)
         assert split[1] == pytest.approx(c.imag)
 
@@ -81,7 +81,7 @@ class TestSuperimpose:
         # two users on one shared resource with opposite bits cancel exactly
         cfg = SystemConfig(n_users=2, n_resources=1, n_nonzero=1, alphabet_size=2)
         gen = GeneratorSet(gbar=np.array([[[1.0], [0.0]], [[1.0], [0.0]]]), config=cfg)
-        out = encode(gen, build_indicator([[1, 1]]), [[1, 0]])
+        out = encode(gen, IndicatorMatrix([[1, 1]]), [[1, 0]])
         assert out[0] == pytest.approx([0.0])
 
     def test_matches_codeword_table_lookup(self):
@@ -162,13 +162,13 @@ class TestNormalize:
 class TestInitGenerators:
     def test_pseudo_inverse_roundtrip(self, tiny_cfg):
         gen = gen_from_complex([np.array([[1.0, 1j]])], tiny_cfg)
-        ind = build_indicator([[1], [0]])
+        ind = IndicatorMatrix([[1], [0]])
         cb = codeword_table(gen, ind)
         recovered = init_generators(cb)
         assert recovered.gbar == pytest.approx(gen.gbar, abs=1e-12)
 
     def test_zero_codebook_gives_zero(self, tiny_cfg):
-        ind = build_indicator([[1], [0]])
+        ind = IndicatorMatrix([[1], [0]])
         cb = codeword_table(GeneratorSet(gbar=np.zeros((1, 2, 2)), config=tiny_cfg), ind)
         out = init_generators(cb)
         assert np.all(out.gbar == 0)
@@ -184,7 +184,7 @@ class TestInitGenerators:
 class TestCodewordTable:
     def test_direct_multiplication_example(self, tiny_cfg):
         gen = gen_from_complex([np.array([[1.0, 1j]])], tiny_cfg)
-        ind = build_indicator([[0], [1]])
+        ind = IndicatorMatrix([[0], [1]])
         cb = codeword_table(gen, ind)
         # bits (-1,-1),(-1,+1),(+1,-1),(+1,+1) -> -1-i, -1+i, 1-i, 1+i
         assert cb.entries[0][1] == pytest.approx([-1 - 1j, -1 + 1j, 1 - 1j, 1 + 1j])
@@ -207,7 +207,7 @@ def random_placement(seed, K, J, N, M):
     for j in range(J):
         F[rng.permutation(K)[:N], j] = 1
     cfg = SystemConfig(n_users=J, n_resources=K, n_nonzero=N, alphabet_size=M)
-    return rng, cfg, F, build_indicator(F)
+    return rng, cfg, F, IndicatorMatrix(F)
 
 
 class TestPlacementOracle:

@@ -9,9 +9,9 @@ import pytest
 from scmalink import (
     Codebook,
     ConfigError,
+    IndicatorMatrix,
     MultiTaskDecoder,
     SystemConfig,
-    build_indicator,
     data_path,
     load_checkpoint,
     read_codebook,
@@ -32,7 +32,7 @@ from scmalink.training import random_generators
 
 def random_codebook(rng):
     cfg = SystemConfig(n_users=3, n_resources=3, n_nonzero=2, alphabet_size=4)
-    ind = build_indicator([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
+    ind = IndicatorMatrix([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
     entries = np.zeros((3, 3, 4), dtype=complex)
     for j in range(3):
         rows = list(ind.supports[j])
@@ -44,7 +44,7 @@ class TestCodebookFiles:
     def test_shipped_huawei_loads(self):
         cb = read_codebook(data_path("huawei_4x6.json"))
         assert cb.config == SystemConfig(6, 4, 2, 4)
-        assert cb.indicator.row_degrees.tolist() == [3, 3, 3, 3]
+        assert cb.indicator.F.sum(axis=1).tolist() == [3, 3, 3, 3]
 
     def test_roundtrip_bit_exact(self, tmp_path):
         cb = random_codebook(np.random.default_rng(0))
@@ -125,6 +125,18 @@ class TestCodebookFiles:
         with pytest.raises(CodebookFormatError, match="format"):
             read_codebook(path)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.pop("codewords"), "missing field 'codewords'"),
+        (lambda doc: doc.update(version=2), "unsupported version 2"),
+    ], ids=["missing-codewords", "version-2"])
+    def test_missing_field_or_unknown_version_names_file(self, tmp_path, edit, message):
+        doc = codebook_to_dict(random_codebook(np.random.default_rng(3)))
+        edit(doc)
+        path = tmp_path / "cb.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CodebookFormatError, match=re.escape(f"{path}: {message}")):
+            read_codebook(path)
+
     def test_missing_file(self):
         with pytest.raises(CodebookFormatError, match="no such file"):
             read_codebook("/nonexistent/cb.json")
@@ -139,7 +151,7 @@ class TestCodebookFiles:
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         sys_cfg = SystemConfig(3, 3, 2, 4)
-        ind = build_indicator([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
+        ind = IndicatorMatrix([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
         rng = np.random.default_rng(4)
         gen = random_generators(sys_cfg, rng)
         dec = MultiTaskDecoder.build(rng, 2 * sys_cfg.K, sys_cfg.J, sys_cfg.M,
@@ -173,7 +185,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("input_width, n_users, n_messages", [(8, 3, 4), (6, 2, 4), (6, 3, 8)])
     def test_decoder_must_match_stored_system(self, tmp_path, input_width, n_users, n_messages):
         sys_cfg = SystemConfig(3, 3, 2, 4)
-        ind = build_indicator([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
+        ind = IndicatorMatrix([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
         rng = np.random.default_rng(4)
         dec = MultiTaskDecoder.build(rng, input_width, n_users, n_messages,
                                      shared_widths=(8,), subnet_widths=(5,))
@@ -192,7 +204,7 @@ class TestCheckpoint:
     def small_checkpoint(path):
         """A valid checkpoint file; returns (header dict, array bytes)."""
         sys_cfg = SystemConfig(3, 3, 2, 4)
-        ind = build_indicator([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
+        ind = IndicatorMatrix([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
         rng = np.random.default_rng(4)
         dec = MultiTaskDecoder.build(rng, 2 * sys_cfg.K, sys_cfg.J, sys_cfg.M,
                                      shared_widths=(8, 6), subnet_widths=(5,))
@@ -213,6 +225,14 @@ class TestCheckpoint:
         del header[key]
         self.rewrite(path, header, arrays)
         with pytest.raises(CodebookFormatError, match=f"{re.escape(str(path))}.*'{key}'"):
+            load_checkpoint(path)
+
+    def test_unknown_version_names_file(self, tmp_path):
+        path = tmp_path / "model.bin"
+        header, arrays = self.small_checkpoint(path)
+        header["version"] = 2
+        self.rewrite(path, header, arrays)
+        with pytest.raises(CodebookFormatError, match=re.escape(f"{path}: unsupported checkpoint version 2")):
             load_checkpoint(path)
 
     def test_user_layouts_must_agree(self, tmp_path):

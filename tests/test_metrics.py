@@ -5,13 +5,13 @@ from scmalink import (
     ChannelRealization,
     Codebook,
     ConfigError,
+    IndicatorMatrix,
     MpaConfig,
     MultiTaskDecoder,
     SearchSpaceError,
     SystemConfig,
     apply_channel,
     build_bit_matrix,
-    build_indicator,
     compare_codebooks,
     compute_med,
     data_path,
@@ -69,7 +69,7 @@ def random_codebook(rng, n_users, n_resources, n_nonzero, alphabet):
     F = np.zeros((n_resources, n_users), dtype=int)
     for j in range(n_users):
         F[rng.permutation(n_resources)[:n_nonzero], j] = 1
-    ind = build_indicator(F)
+    ind = IndicatorMatrix(F)
     entries = np.zeros((n_users, n_resources, alphabet), dtype=complex)
     for j in range(n_users):
         rows = list(ind.supports[j])
@@ -89,7 +89,7 @@ class TestComputeMed:
     def test_degenerate_bpsk_superposition(self):
         # two BPSK users on one resource: points {-2, 0, 0, +2}, med 0
         cfg = SystemConfig(n_users=2, n_resources=1, n_nonzero=1, alphabet_size=2)
-        ind = build_indicator([[1, 1]])
+        ind = IndicatorMatrix([[1, 1]])
         entries = np.array([[[1, -1]], [[1, -1]]], dtype=complex)
         cb = Codebook(entries=entries, config=cfg, indicator=ind)
         rep = compute_med(cb)

@@ -11,6 +11,7 @@ from scmalink import (
     ChannelRealization,
     Codebook,
     ConfigError,
+    IndicatorMatrix,
     MpaConfig,
     PosteriorSet,
     ScmaError,
@@ -18,7 +19,6 @@ from scmalink import (
     ShapeError,
     SystemConfig,
     apply_channel,
-    build_indicator,
     data_path,
     ebn0_to_n0,
     ml_detect,
@@ -46,7 +46,7 @@ def huawei():
 
 def single_user_codebook():
     cfg = SystemConfig(n_users=1, n_resources=1, n_nonzero=1, alphabet_size=4)
-    ind = build_indicator([[1]])
+    ind = IndicatorMatrix([[1]])
     entries = np.array([[[1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]]], dtype=complex)
     return Codebook(entries=entries, config=cfg, indicator=ind)
 
@@ -118,7 +118,7 @@ def random_sparse_codebook(F, alphabet_size, rng):
     cfg = SystemConfig(n_users=J, n_resources=K, n_nonzero=int(F[:, 0].sum()), alphabet_size=alphabet_size)
     shape = (J, K, alphabet_size)
     entries = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * F.T[:, :, None]
-    return Codebook(entries=entries, config=cfg, indicator=build_indicator(F))
+    return Codebook(entries=entries, config=cfg, indicator=IndicatorMatrix(F))
 
 
 class TestCycleFreeOracles:
@@ -338,7 +338,7 @@ def float64_decisions(r, cb, ch, cfg=MpaConfig()):
 def rerun_decisions(r, cb, ch, cfg=MpaConfig()):
     """Float32 decisions with the unsure rows re-run in float64, as simulate_ber
     does, and the unsure rows."""
-    dec, unsure = _mpa_decisions(r, cb, ch, cfg)
+    dec, unsure = _mpa_decisions(r, _FactorGraph(cb), ch, cfg)
     assert dec.shape == (len(r), cb.config.J) and np.all(np.diff(unsure) > 0)
     dec[unsure] = float64_decisions(r[unsure], cb, ch, cfg)
     return dec, unsure
@@ -372,7 +372,7 @@ class TestFloat32Decisions:
         rng = np.random.default_rng(8)
         ch = ChannelRealization.awgn(4, ebn0_to_n0(8.0, 4))
         r = apply_channel(superimpose(cb, rng.integers(0, 4, (2000, 6))), ch, rng)
-        assert len(_mpa_decisions(r, cb, ch, MpaConfig())[1]) < 100
+        assert len(_mpa_decisions(r, _FactorGraph(cb), ch, MpaConfig())[1]) < 100
 
     def test_overflowing_bound_reruns_every_row(self, systems):
         # from 1,023 iterations the bound's growth term overflows on the
@@ -446,7 +446,7 @@ class TestMlDetect:
     def test_tie_break_lowest_tuple_index(self):
         # two BPSK users on one resource: r = 0 ties between (0,1) and (1,0)
         cfg = SystemConfig(n_users=2, n_resources=1, n_nonzero=1, alphabet_size=2)
-        ind = build_indicator([[1, 1]])
+        ind = IndicatorMatrix([[1, 1]])
         entries = np.array([[[1, -1]], [[1, -1]]], dtype=complex)
         cb = Codebook(entries=entries, config=cfg, indicator=ind)
         ch = ChannelRealization.awgn(1, 0.1)
@@ -523,7 +523,7 @@ class TestMlDetect:
         permuted = Codebook(
             entries=huawei.entries[perm],
             config=huawei.config,
-            indicator=build_indicator(huawei.indicator.F[:, perm]),
+            indicator=IndicatorMatrix(huawei.indicator.F[:, perm]),
         )
         ch = ChannelRealization.awgn(4, 0.05)
         r = apply_channel(np.zeros(4, dtype=complex), ch, np.random.default_rng(9))
@@ -538,7 +538,7 @@ class TestMlDetect:
         for j, pair in enumerate(itertools.combinations(range(5), 2)):
             F[list(pair), j] = 1
         cfg = SystemConfig(n_users=10, n_resources=5, n_nonzero=2, alphabet_size=4)
-        cb = Codebook(entries=np.zeros((10, 5, 4), dtype=complex), config=cfg, indicator=build_indicator(F))
+        cb = Codebook(entries=np.zeros((10, 5, 4), dtype=complex), config=cfg, indicator=IndicatorMatrix(F))
         with pytest.raises(SearchSpaceError, match="1048576 points"):
             ml_detect(np.zeros(5, dtype=complex), cb, ChannelRealization.awgn(5, 0.1))
 
@@ -581,7 +581,7 @@ class TestComplexity:
         assert mpa_complexity(MpaConfig(n_iter=10), huawei.indicator, 4) == 23040
 
     def test_minimal(self):
-        ind = build_indicator([[1]])
+        ind = IndicatorMatrix([[1]])
         assert mpa_complexity(MpaConfig(n_iter=1), ind, 2) == 2
 
     def test_six_iterations(self, huawei):
@@ -589,5 +589,5 @@ class TestComplexity:
 
     def test_irregular_counts_the_padded_max_degree(self):
         # row degrees 3, 1, 1, 1: every resource is padded to 3 slots
-        ind = build_indicator([[1, 1, 1], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        ind = IndicatorMatrix([[1, 1, 1], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
         assert mpa_complexity(MpaConfig(n_iter=2), ind, 2) == 2 * 4 * 9 * 8

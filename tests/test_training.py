@@ -3,12 +3,12 @@ import pytest
 
 from scmalink import (
     ConfigError,
+    IndicatorMatrix,
     MultiTaskDecoder,
     ShapeError,
     SystemConfig,
     TrainConfig,
     build_bit_matrix,
-    build_indicator,
     data_path,
     default_init,
     gradient_check,
@@ -25,7 +25,7 @@ from scmalink.training import _loss_and_gradients, _slot_indices
 @pytest.fixture
 def small_setup():
     sys_cfg = SystemConfig(n_users=3, n_resources=3, n_nonzero=2, alphabet_size=4)
-    ind = build_indicator([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
+    ind = IndicatorMatrix([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
     return sys_cfg, ind
 
 
@@ -109,7 +109,14 @@ class TestTrainLoop:
         assert np.all(np.isfinite(report.losses))
         # exported codebook is normalized and respects the support
         assert report.codebook.user_energies() == pytest.approx(np.ones(3), abs=1e-9)
-        report.codebook.validate_support()
+
+    def test_progress_prints_every_nth_iteration(self, small_setup, capsys):
+        sys_cfg, ind = small_setup
+        gen = random_generators(sys_cfg, np.random.default_rng(4))
+        report = train(small_train_cfg(), sys_cfg, ind, gen, small_decoder(sys_cfg), progress_every=2)
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[1] for line in lines] == ["2/5", "4/5"]
+        assert f"loss {report.losses[1]:.4f}" in lines[0] and f"loss {report.losses[3]:.4f}" in lines[1]
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
     def test_abort_on_nonfinite_loss(self, small_setup):
@@ -146,7 +153,7 @@ class TestTrainLoop:
     def test_indicator_of_another_system_rejected(self, small_setup):
         sys_cfg, _ = small_setup
         gen = random_generators(sys_cfg, np.random.default_rng(6))
-        one_resource_each = build_indicator(np.eye(3, dtype=int))  # N = 1, the system's N = 2
+        one_resource_each = IndicatorMatrix(np.eye(3, dtype=int))  # N = 1, the system's N = 2
         with pytest.raises(ShapeError, match="does not match"):
             train(small_train_cfg(), sys_cfg, one_resource_each, gen, small_decoder(sys_cfg))
 
@@ -164,6 +171,7 @@ class TestConfigValidation:
             dict(ebn0_min_db=np.nan),
             dict(ebn0_max_db=np.inf),
             dict(ebn0_min_db=-np.inf),
+            dict(seed=-1),
         ],
     )
     def test_rejected(self, kwargs):
@@ -175,7 +183,7 @@ def test_default_init_rejects_codebook_on_another_graph():
     # the generators are fitted on the codebook's supports and train places
     # them on the config's; with users 0 and 1 swapped they land elsewhere
     huawei = read_codebook(data_path("huawei_4x6.json"))
-    swapped = build_indicator(huawei.indicator.F[:, [1, 0, 2, 3, 4, 5]])
+    swapped = IndicatorMatrix(huawei.indicator.F[:, [1, 0, 2, 3, 4, 5]])
     with pytest.raises(ConfigError, match="'F'"):
         default_init(huawei.config, swapped, small_train_cfg(), huawei)
     gen, _ = default_init(huawei.config, huawei.indicator, small_train_cfg(), huawei)
@@ -230,7 +238,7 @@ def test_stacked_generator_gradient_matches_per_user_loop(seed):
     F = np.zeros((K, J), dtype=int)
     for j in range(J):
         F[rng.permutation(K)[:N], j] = 1
-    slots = _slot_indices(build_indicator(F))
+    slots = _slot_indices(IndicatorMatrix(F))
     batch = int(rng.integers(1, 1500))
     gbar = rng.normal(0.0, 0.7, size=(J, 2 * N, M.bit_length() - 1))
     bits = rng.integers(0, 2, size=(batch, J, gbar.shape[2])) * 2.0 - 1.0
