@@ -7,6 +7,7 @@ files, inconsistent inputs), 2 on runtime failures.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -60,17 +61,34 @@ def parse_snr_spec(spec: str) -> list[float]:
     return points
 
 
-def _check_out_file(path, flag: str) -> None:
-    """Reject an output file before any work: a directory, or one in a missing directory."""
+def _check_out_file(path, flag: str, make_dir: bool = False) -> None:
+    """Reject an output file before any work: a directory, or one in a missing
+    directory; with make_dir, in a directory that _check_out_dir rejects."""
     p = Path(path)
     if p.is_dir():
         raise ConfigError(f"{flag} {p}: is a directory")
-    if not p.parent.is_dir():
+    if make_dir:
+        _check_out_dir(p.parent, flag)
+    elif not p.parent.is_dir():
         raise ConfigError(f"{flag} {p}: directory {p.parent} does not exist")
 
 
+def _check_out_dir(path, flag: str) -> None:
+    """Reject an output directory that cannot be made, without making it: the
+    path or its nearest existing ancestor must be a directory, and one the
+    process may write to if the path is missing."""
+    out = Path(path)
+    base = out
+    while not base.exists() and base != base.parent:
+        base = base.parent
+    if not base.is_dir():
+        raise ConfigError(f"{flag} {out}: cannot create the directory ({base} is not a directory)")
+    if base != out and not os.access(base, os.W_OK | os.X_OK):
+        raise ConfigError(f"{flag} {out}: cannot create the directory ({base} is not writable)")
+
+
 def _make_out_dir(path, where: str) -> Path:
-    """Create an output directory before any work; a failure names where the path came from."""
+    """Create an output directory; a failure names where the path came from."""
     out = Path(path)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -127,9 +145,9 @@ def _cmd_ber(args) -> int:
         if not args.model:
             raise CodebookFormatError("--model checkpoint is required for the neural detector")
         _, decoder, _, _ = load_checkpoint(args.model)
-    name = f"ber_{Path(args.codebook).stem}_{args.detector}.csv"
-    out = args.out or _make_out_dir(args.out_dir, "--out-dir") / name
-    _check_out_file(out, "--out" if args.out else "--out-dir")
+    # --out-dir is made only once there is a curve to write, so a rejected run leaves none
+    out = args.out or Path(args.out_dir) / f"ber_{Path(args.codebook).stem}_{args.detector}.csv"
+    _check_out_file(out, "--out" if args.out else "--out-dir", make_dir=not args.out)
     curve = simulate_ber(
         cb,
         detector=args.detector,
@@ -148,6 +166,8 @@ def _cmd_ber(args) -> int:
             f"[{pt.ci_low:.3e}, {pt.ci_high:.3e}]  ({pt.bit_errors}/{pt.bits} bits)"
         )
     columns = [f.name for f in fields(BerPoint) if f.name != "user_errors"]
+    if not args.out:
+        _make_out_dir(args.out_dir, "--out-dir")
     write_csv(out, columns, ([getattr(pt, c) for c in columns] for pt in curve.points))
     print(f"wrote {out}")
     return 0
@@ -169,12 +189,12 @@ def _cmd_train(args) -> int:
         if not candidate.exists():
             candidate = Path(args.config).parent / init_path
         init_cb = read_codebook(candidate)
-    out = _make_out_dir(args.out_dir or exp.paths.output_dir,
-                        "--out-dir" if args.out_dir else f"{args.config}: paths.output_dir")
     try:
         gen, decoder = default_init(exp.system, exp.indicator, exp.train, init_cb)
     except (ConfigError, DegenerateCodebookError) as exc:  # default_init checks only the init codebook
         raise ConfigError(f"{candidate}: {exc}") from exc
+    out = _make_out_dir(args.out_dir or exp.paths.output_dir,
+                        "--out-dir" if args.out_dir else f"{args.config}: paths.output_dir")
     report = train(exp.train, exp.system, exp.indicator, gen, decoder,
                    progress_every=args.progress)
     if report.aborted:

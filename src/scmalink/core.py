@@ -264,7 +264,12 @@ def nearest_points(queries: np.ndarray, points: np.ndarray, h: np.ndarray | None
     rounding bound `slack` of its minimum is a near tie: its points within
     that bound are recomputed exactly by ordered_distances, in ascending
     index order, and the first minimum wins. Every other row keeps the
-    screen's argmin, which the bound proves to be the exact winner.
+    screen's argmin, which the bound proves to be the exact winner. Near
+    rows' candidates are read by a flat, row-major index scan of their
+    screen values, so columns ascend within each row. The threshold
+    minimum + slack is rounded to the screen dtype, so that the scan
+    compares in it: rounding down skips no screen value, and a value that
+    rounding up admits lies beyond the bound and so cannot win.
 
     The screen runs in float32 when the call has at least SEARCH_BLOCK
     queries, every S = ||q||^2 + max_n |h p_n|^2 is at least 2^-40, and the
@@ -319,12 +324,12 @@ def nearest_points(queries: np.ndarray, points: np.ndarray, h: np.ndarray | None
         rows = np.arange(b)
         idx = np.argmin(s, axis=1)
         low = s[rows, idx]
-        thr = low + slack[a : a + b]
+        thr = (low + slack[a : a + b]).astype(dt, copy=False)
         s[rows, idx] = np.inf
         near = np.flatnonzero(s.min(axis=1) <= thr)
         if near.size:
             s[near, idx[near]] = low[near]
-            i, j = np.nonzero(s[near] <= thr[near, None])  # row-major: columns ascend
+            i, j = np.divmod(np.flatnonzero(s[near] <= thr[near, None]), s.shape[1])  # columns ascend
             e = ordered_distances(queries[a + near[i]], h * points[c0 + j])
             order = np.lexsort((e, i))  # stable: the lowest column leads its ties
             idx[near] = j[order[np.r_[True, i[order][1:] != i[order][:-1]]]]

@@ -137,6 +137,71 @@ class TestCliCommands:
         assert out.read_text().startswith("ebn0_db,bits,")
         assert f"wrote {out}" in capsys.readouterr().out
 
+    # the flags parse, but the SNR list, MpaConfig or simulate_ber rejects them
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--min-errors", "0", "min_errors must be >= 1, got 0"),
+        ("--max-bits", "0", "max_bits must be >= 1, got 0"),
+        ("--workers", "0", "workers must be >= 1, got 0"),
+        ("--seed", "-1", "seed must be >= 0, got -1"),
+        ("--mpa-iterations", "0", "n_iter must be >= 1, got 0"),
+        ("--snr", "abc", "bad SNR value 'abc' in 'abc'"),
+    ], ids=["min-errors", "max-bits", "workers", "seed", "mpa-iterations", "snr"])
+    def test_rejected_ber_run_makes_no_out_dir(self, tmp_path, capsys, flag, value, message):
+        out_dir = tmp_path / "new"
+        assert run_cli(["ber", "--codebook", HUAWEI, "--snr", "8", "--out-dir", str(out_dir),
+                        flag, value]) == 1
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_ber_out_dir_in_unwritable_directory_fails_before_simulating(self, tmp_path, capsys,
+                                                                          monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "simulate_ber", lambda *a, **kw: calls.append((a, kw)))
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: Path(path) != tmp_path)
+        out_dir = tmp_path / "new" / "dir"
+        assert run_cli(["ber", "--codebook", HUAWEI, "--snr", "8", "--out-dir", str(out_dir)]) == 1
+        assert calls == []
+        assert f"--out-dir {out_dir}: cannot create the directory ({tmp_path} is not writable)" in \
+            capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    # default_init rejects the init codebook: one on another graph, one with an all-zero user
+    @pytest.mark.parametrize("init, message", [("other-graph", "'F'"),
+                                               ("all-zero-user", "users [2] have all-zero codebooks")],
+                             ids=["other-graph", "all-zero-user"])
+    @pytest.mark.parametrize("via", ["--out-dir", "paths.output_dir"])
+    def test_rejected_train_run_makes_no_out_dir(self, tmp_path, capsys, init, message, via):
+        system = PAPER_SYSTEM
+        init_path = HUAWEI
+        if init == "other-graph":  # the paper graph with users 0 and 1 swapped
+            system = dict(PAPER_SYSTEM, F=[[row[1], row[0], *row[2:]] for row in PAPER_SYSTEM["F"]])
+        else:
+            init_path = str(TestMalformedInputs._dead_user_codebook(tmp_path))
+        out = tmp_path / "new" / "out"
+        paths = {"init_codebook": init_path} | ({"output_dir": str(out)} if via == "paths.output_dir" else {})
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"system": system, "train": {"iterations": 1, "batch_size": 8},
+                                   "paths": paths}))
+        flag = ["--out-dir", str(out)] if via == "--out-dir" else []
+        assert run_cli(["train", "--config", str(cfg), *flag]) == 1
+        err = capsys.readouterr().err
+        assert init_path in err and message in err
+        assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("command", ["ber", "train"])
+    def test_accepted_run_makes_its_out_dir(self, tmp_path, capsys, command):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"system": PAPER_SYSTEM, "train": {"iterations": 1, "batch_size": 8},
+                                   "paths": {"init_codebook": HUAWEI}}))
+        out = tmp_path / "new" / "out"
+        argv, written = {
+            "ber": (["ber", "--codebook", HUAWEI, "--snr", "8", "--max-bits", "1"],
+                    "ber_huawei_4x6_mpa.csv"),
+            "train": (["train", "--config", str(cfg)], "checkpoint.bin"),
+        }[command]
+        assert run_cli([*argv, "--out-dir", str(out)]) == 0
+        assert (out / written).is_file()
+
     # {file} is a regular file and {dir} a directory; every output is checked
     # before the command reads or computes anything
     @pytest.mark.parametrize("argv, flag, target", [

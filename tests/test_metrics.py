@@ -19,17 +19,18 @@ from scmalink import (
     read_codebook,
     simulate_ber,
     superimpose,
+    superimposed_constellation,
     tuple_digits,
     wilson_interval,
 )
+from scmalink import core
+from scmalink.core import SEARCH_BLOCK, nearest_points
 from scmalink.metrics import _bit_error_table
 from scmalink.mpa import _ml_decisions, _mpa_posteriors
 
 
 def naive_med_oracle(codebook):
     """Independent oracle: explicit pair loop, per-dimension accumulation."""
-    from scmalink import superimposed_constellation
-
     pts = superimposed_constellation(codebook)
     r = np.concatenate([pts.real, pts.imag], axis=1)
     n, dims = r.shape
@@ -44,23 +45,34 @@ def naive_med_oracle(codebook):
     return best
 
 
-def per_row_med_oracle(codebook):
-    """Independent oracle without a GEMM: for each row i, the distances to the
-    rows j > i summed one real-split dimension at a time; the first strictly
-    smaller row minimum wins. Returns the MED and its (i, j) pair."""
-    from scmalink import superimposed_constellation
-
-    pts = superimposed_constellation(codebook)
-    r = np.concatenate([pts.real, pts.imag], axis=1)
-    best, pair = np.inf, None
-    for i in range(len(r) - 1):
-        d = np.zeros(len(r) - 1 - i)
+def first_nearest_oracle(queries, points, after_self=False):
+    """Independent oracle without a GEMM: the squared distance of each query
+    to each point (with after_self, of query i to the points j > i only),
+    summed one real-split dimension at a time in index order; the first
+    minimum wins. Returns the nearest index and its distance per query."""
+    q = np.concatenate([queries.real, queries.imag], axis=1)
+    r = np.concatenate([points.real, points.imag], axis=1)
+    nearest, dist = np.empty(len(q), dtype=np.int64), np.empty(len(q))
+    for a in range(0, len(q), 64):
+        rows = np.arange(a, min(a + 64, len(q)))
+        d = np.zeros((len(rows), len(r)))
         for dim in range(r.shape[1]):
-            d += (r[i, dim] - r[i + 1 :, dim]) ** 2
-        j = int(np.argmin(d))
-        if d[j] < best:
-            best, pair = d[j], (i, i + 1 + j)
-    return best, pair
+            d += (q[rows, dim, None] - r[:, dim]) ** 2
+        if after_self:
+            d[np.arange(len(r)) <= rows[:, None]] = np.inf
+        nearest[rows] = np.argmin(d, axis=1)
+        dist[rows] = d[rows - a, nearest[rows]]
+    return nearest, dist
+
+
+def per_row_med_oracle(codebook):
+    """first_nearest_oracle of every point i against the points j > i; the
+    first strictly smaller row minimum wins. Returns the MED and its (i, j)
+    pair."""
+    pts = superimposed_constellation(codebook)
+    nearest, dist = first_nearest_oracle(pts[:-1], pts, after_self=True)
+    i = int(np.argmin(dist))
+    return dist[i], (i, int(nearest[i]))
 
 
 def random_codebook(rng, n_users, n_resources, n_nonzero, alphabet):
@@ -124,6 +136,31 @@ class TestComputeMed:
         assert rep.phi_size == 1024
         assert rep.med == med
         assert rep.arg_pair == tuple(map(tuple, tuple_digits(np.array(pair), 4, 5).tolist()))
+
+    def test_tie_pass_matches_first_minimum_oracle_on_every_row(self, monkeypatch):
+        # 1,614 of the normalized Huawei constellation's 4,095 rows are near
+        # ties in the float32 screen; midpoints of nearest pairs under fading
+        # give a query several candidates at nearly equal distances
+        rechecked = []
+        exact = core.ordered_distances
+        monkeypatch.setattr(core, "ordered_distances",
+                            lambda a, b: rechecked.append(len(a)) or exact(a, b))
+        cb = read_codebook(data_path("huawei_4x6.json")).normalized()
+        rep = compute_med(cb)
+        assert 0 < sum(rechecked) < rep.phi_size
+        pts = superimposed_constellation(cb)
+        want, dist = first_nearest_oracle(pts[:-1], pts, after_self=True)
+        assert np.array_equal(nearest_points(pts[:-1], pts, after_self=True), want)
+        assert rep.med == dist.min()
+
+        # each query halfway between a point and its nearest later point, both faded
+        h = np.array([1.3 + 0.4j, 0.2 - 0.9j, 0.7 + 0.1j, -0.5 + 1.6j])
+        faded = h * pts
+        a = np.random.default_rng(5).choice(len(pts) - 1, 2 * SEARCH_BLOCK + 7, replace=False)
+        queries = (faded[a] + faded[want[a]]) / 2
+        rechecked.clear()
+        assert np.array_equal(nearest_points(queries, pts, h), first_nearest_oracle(queries, faded)[0])
+        assert sum(rechecked) > len(queries)
 
     @pytest.mark.parametrize("k", [-70, -20, 20, 70])
     def test_power_of_two_scaling_is_exact(self, k):
