@@ -11,9 +11,9 @@ shared by ML detection and the MED. A real GEMM screens every point, in
 float32 for a batch of at least SEARCH_BLOCK queries whose magnitudes lie in
 a range that keeps float32 clear of overflow and underflow, else in float64;
 only rows whose runner-up lies within a rounding bound derived for that
-dtype are re-checked with ordered_distances, which sums the real-split
-squared differences in float64 one dimension at a time in index order. Its
-results are those of a plain per-pair loop that keeps the first minimum.
+dtype are re-checked, together, with ordered_distances, which sums the
+real-split squared differences in float64 one dimension at a time in index
+order. Its results are those of a plain per-pair loop that keeps the first minimum.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ SEARCH_GUARD = 1_000_000
 # the 4096-point Huawei constellation, one core's L2 cache. On a 2-core Xeon,
 # 9 alternating 12 s benchmark pairs read evaluate.ml at 1.53M bits/s with
 # either 128 or 64 rows and evaluate.med at 226M pairs/s with 128 against
-# 218M with 64. The screen buffer is allocated once per search, as fresh
+# 218M with 64. The screen buffer and mask are made once per search, as fresh
 # arrays per step can be handed back to the OS and faulted in again
 SEARCH_BLOCK = 128
 
@@ -55,9 +55,11 @@ class SearchSpaceError(ScmaError):
 
 
 def alphabet_bits(alphabet_size: int) -> int:
-    """log2 M, the bits a message carries; ConfigError unless M is a power of two >= 2."""
+    """log2 M, the bits a message carries; ConfigError unless M is a power of two in [2, 2^16]."""
     if alphabet_size < 2 or alphabet_size & (alphabet_size - 1):
         raise ConfigError(f"alphabet size must be a power of two >= 2, got {alphabet_size}")
+    if alphabet_size > 2**16:
+        raise ConfigError(f"alphabet size must be at most 2^16, got {alphabet_size}")
     return int(alphabet_size).bit_length() - 1
 
 
@@ -259,14 +261,15 @@ def nearest_points(queries: np.ndarray, points: np.ndarray, h: np.ndarray | None
     pair search.
 
     Each block of SEARCH_BLOCK queries is screened with one real GEMM over
-    interleaved float views: ||q - h p||^2 - ||q||^2 = |h p|^2 + x . p with
+    interleaved floats: ||q - h p||^2 - ||q||^2 = |h p|^2 + x . p with
     x = -2 conj(h) q. A row whose runner-up screen value lies within the
     rounding bound `slack` of its minimum is a near tie: its points within
     that bound are recomputed exactly by ordered_distances, in ascending
     index order, and the first minimum wins. Every other row keeps the
     screen's argmin, which the bound proves to be the exact winner. Near
     rows' candidates are read by a flat, row-major index scan of their
-    screen values, so columns ascend within each row. The threshold
+    screen values, so columns ascend within each row, and re-checked at the
+    end, or earlier if they would pass SEARCH_BLOCK * n. The threshold
     minimum + slack is rounded to the screen dtype, so that the scan
     compares in it: rounding down skips no screen value, and a value that
     rounding up admits lies beyond the bound and so cannot win.
@@ -274,8 +277,9 @@ def nearest_points(queries: np.ndarray, points: np.ndarray, h: np.ndarray | None
     The screen runs in float32 when the call has at least SEARCH_BLOCK
     queries, every S = ||q||^2 + max_n |h p_n|^2 is at least 2^-40, and the
     largest of S, x_i^2 and p_i^2 is at most 2^100; otherwise, and so for
-    every single-vector call, it runs in float64. x, p and w = |h p|^2 are
-    built in float64 and rounded once to the screen dtype.
+    every single-vector call, it runs in float64 on views of the queries and
+    points and adds w = |h p|^2 after the GEMM. In float32, x, p and w are
+    rounded once into the operands (x, 1) and (p, w), and the GEMM adds w.
 
     Rounding bound. Let D = 2K, u = eps / 2 of the screen dtype and
     u64 = 2^-53. A point's ordered distance (its h p rounded as complex
@@ -285,21 +289,21 @@ def nearest_points(queries: np.ndarray, points: np.ndarray, h: np.ndarray | None
     2 (E_s + E_o) above the screen's minimum, and a runner-up beyond that
     proves the argmin. In float64, E_s = (2D + 9) u64 S: conj(h) q,
     |h|^2 |p|^2 and a dot product of D terms in any order. In float32,
-    sum_i |x_i p_i| <= 2 sum_k |q_k| |h_k p_k| <= S and w <= S, so rounding
-    x and p costs 2u S, the dot product of D terms in any order
-    gamma_D S <= 1.01 D u S (Higham, Accuracy and Stability of Numerical
-    Algorithms, 3.1; K < 2^16), rounding w u S and adding it to the dot
-    product 2u S: (1.01 D + 5) u S, plus (D + 10) u64 S of float64 error in
-    x and w and second-order terms. Each underflowing rounding, flushed or
-    gradual, errs by at most tiny32 = 2^-126, so underflow adds at most
-    2D tiny32 (max|x| + max|p| + 2) < D 2^-73, below D 2^-9 u S once
-    S >= 2^-40 and max|x|, max|p| <= 2^50; with no lower limit on S, that
-    term would make every point a near tie. Every product and partial sum
-    of the screen is at most about S, every screen value about 2S, so below
-    2^102, and every operand 2^50, far below float32's overflow at 2^128.
-    So E_s <= (2D + 16) u S in either dtype, E_o <= (2D + 16) u64 S, and
-    slack = 2 (2D + 16) (u + u64) S = (4K + 16) (eps + eps64) S, which in
-    float64 is (8K + 32) eps64 S; tiny(dt) covers float64 underflow.
+    sum_i |x_i p_i| <= 2 sum_k |q_k| |h_k p_k| <= S and w <= S, so the
+    D + 1 terms of the augmented dot product sum to at most 2S in magnitude.
+    Rounding x and p costs 2u S, rounding w u S, and the dot product in any
+    order gamma_{D+1} 2S <= 2.02 (D + 1) u S (Higham, Accuracy and Stability
+    of Numerical Algorithms, 3.1; K < 2^16): (2.02 D + 5.02) u S, plus
+    (D + 10) u64 S of float64 error in x and w and second-order terms. Each
+    underflowing rounding, flushed or gradual, errs by at most
+    tiny32 = 2^-126, so underflow adds at most 2D tiny32 (max|x| + max|p| + 2)
+    < D 2^-73, below D 2^-9 u S once S >= 2^-40 and max|x|, max|p| <= 2^50;
+    with no lower limit on S, that term would make every point a near tie.
+    Every product of the screen is at most about S and every partial sum about
+    2S, so below 2^102, and every operand 2^50, far below float32's overflow
+    at 2^128. So E_s <= (3D + 16) u S in either dtype, E_o <= (3D + 16) u64 S,
+    and slack = 2 (3D + 16) (u + u64) S = (6K + 16) (eps + eps64) S, which in
+    float64 is (12K + 32) eps64 S; tiny(dt) covers float64 underflow.
     """
     n, K = points.shape
     h = np.ones(K) if h is None else h
@@ -310,31 +314,49 @@ def nearest_points(queries: np.ndarray, points: np.ndarray, h: np.ndarray | None
     dt = (np.float32 if len(queries) >= SEARCH_BLOCK and scale.min() >= 2.0**-40
           and max(scale.max(), np.abs(qf).max() ** 2, np.abs(pf).max() ** 2) <= 2.0**100
           else np.float64)
-    qf, pf, w = qf.astype(dt, copy=False), pf.astype(dt, copy=False), w.astype(dt, copy=False)
-    slack = (4 * K + 16) * (np.finfo(dt).eps + np.finfo(float).eps) * scale + np.finfo(dt).tiny
+    if dt is np.float32:
+        qf = np.concatenate([qf, np.ones((len(qf), 1))], axis=1, dtype=dt)
+        pf = np.concatenate([pf, w[:, None]], axis=1, dtype=dt)
+    slack = (6 * K + 16) * (np.finfo(dt).eps + np.finfo(float).eps) * scale + np.finfo(dt).tiny
     best = np.empty(len(queries), dtype=np.int64)
     buf = np.empty(min(SEARCH_BLOCK, len(queries)) * n, dtype=dt)
+    tri = np.tri(SEARCH_BLOCK, dtype=bool) if after_self else None  # masks j <= i on the diagonal
+    ties = []  # near-tie (queries, points) index arrays, not yet re-checked
     for a in range(0, len(queries), SEARCH_BLOCK):
         b = min(SEARCH_BLOCK, len(queries) - a)
         c0 = a if after_self else 0  # first screened point
         s = np.matmul(qf[a : a + b], pf[c0:].T, out=buf[: b * (n - c0)].reshape(b, n - c0))
-        s += w[c0:]
-        if after_self:  # mask the points j <= i of the diagonal block
-            np.copyto(s[:, :b], np.inf, where=np.tri(b, dtype=bool))
+        if dt is np.float64:
+            s += w[c0:]
+        if after_self:
+            np.copyto(s[:, :b], np.inf, where=tri[:b, :b])
         rows = np.arange(b)
         idx = np.argmin(s, axis=1)
         low = s[rows, idx]
         thr = (low + slack[a : a + b]).astype(dt, copy=False)
         s[rows, idx] = np.inf
         near = np.flatnonzero(s.min(axis=1) <= thr)
+        best[a : a + b] = c0 + idx
         if near.size:
             s[near, idx[near]] = low[near]
             i, j = np.divmod(np.flatnonzero(s[near] <= thr[near, None]), s.shape[1])  # columns ascend
-            e = ordered_distances(queries[a + near[i]], h * points[c0 + j])
-            order = np.lexsort((e, i))  # stable: the lowest column leads its ties
-            idx[near] = j[order[np.r_[True, i[order][1:] != i[order][:-1]]]]
-        best[a : a + b] = c0 + idx
+            if sum(len(t) for t, _ in ties) + len(i) > SEARCH_BLOCK * n:  # caps the re-check's rows
+                _recheck(ties, queries, points, h, best)
+            ties.append((a + near[i], c0 + j))
+    _recheck(ties, queries, points, h, best)
     return best
+
+
+def _recheck(ties: list, queries, points, h, best: np.ndarray) -> None:
+    """Empty ties, setting best[i] to the first j of least ordered distance
+    among its candidates (i, j), whose j ascend within each i."""
+    if ties:
+        i, j = (np.concatenate(c) for c in zip(*ties))
+        e = ordered_distances(queries[i], h * points[j])
+        order = np.lexsort((e, i))  # stable: the lowest point leads its ties
+        first = order[np.r_[True, i[order][1:] != i[order][:-1]]]
+        best[i[first]] = j[first]
+        ties.clear()
 
 
 def tuple_digits(index, alphabet_size: int, n_users: int) -> np.ndarray:

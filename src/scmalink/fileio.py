@@ -164,6 +164,8 @@ def _check_list(value, length: int, field: str, items: str, where: str) -> None:
 
 
 def codebook_from_dict(doc: dict, where: str = "codebook") -> Codebook:
+    if not isinstance(doc, dict):
+        raise CodebookFormatError(f"{where}: expected an object, got {doc!r}")
     if _require(doc, "format", where) != CODEBOOK_FORMAT:
         raise CodebookFormatError(f"{where}: format {doc.get('format')!r} is not {CODEBOOK_FORMAT!r}")
     if _require(doc, "version", where) != CODEBOOK_VERSION:
@@ -172,9 +174,10 @@ def codebook_from_dict(doc: dict, where: str = "codebook") -> Codebook:
                                  f"{where}.system")
     raw = _require(doc, "codewords", where)
     _check_list(raw, cfg.J, "codewords", "users", where)
+    for j, user in enumerate(raw):  # before an array sized by M is allocated
+        _check_list(user, cfg.M, f"user {j}", "codewords", where)
     entries = np.zeros((cfg.J, cfg.K, cfg.M), dtype=complex)
     for j, user in enumerate(raw):
-        _check_list(user, cfg.M, f"user {j}", "codewords", where)
         for m, cw in enumerate(user):
             _check_list(cw, cfg.K, f"user {j} codeword {m}", "entries", where)
             for k, pair in enumerate(cw):

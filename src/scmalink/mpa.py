@@ -28,18 +28,19 @@ only adds, subtracts and takes maxima, so the float32 error has a bound in
 the run's largest message, derived in its docstring. A row where some user's
 top-two margin is not above that bound is returned as unsure. The caller
 re-runs those rows in float64 and takes the argmax of their posteriors, so
-every decision is the float64 one.
+every decision is the float64 one; past FLOAT32_MAX_E, every row is.
 
 The ML oracle enumerates the entire superimposed constellation and is
 intended for small instances and cross-checks. It runs core.nearest_points,
 the exact search compute_med uses too, with the channel folded into the
 screen: one GEMM of conj(h) r against the unfaded points, plus |h p|^2, in
 float32 for a batch of at least core.SEARCH_BLOCK vectors of moderate
-magnitude and in float64 otherwise, a single vector included. Rows whose
-runner-up lies within the screen's rounding bound of the best are
-re-checked exactly in float64 on h p of their candidates only, each squared
-distance summed over the 2K real dimensions one at a time in index order,
-and the first minimum (lowest tuple index) wins.
+magnitude, whose GEMM adds it through an extra column, and in float64
+otherwise, a single vector included. Rows whose runner-up lies within the
+screen's rounding bound of the best are re-checked exactly in float64 on
+h p of their candidates only, each squared distance summed over the 2K real
+dimensions one at a time in index order, and the first minimum (lowest tuple
+index) wins.
 """
 
 from __future__ import annotations
@@ -67,6 +68,10 @@ N0_FLOOR = 1e-12
 # M=4) a block's (M^d, K, BLOCK) metric and combination arrays take 512 kB
 # each, so an iteration's working set fits a 2 MB L2 cache
 BLOCK = 256
+# largest bound constant E (_mpa_decisions) with a float32 pass. Huawei, 8 dB,
+# 2,000 vectors, 2-core Xeon: 14 iterations (E = 0.031) re-run 331 rows in 57
+# ms against 62 ms for float64 alone, 15 (E = 0.062) 1,103 in 80 against 60 ms
+FLOAT32_MAX_E = 2.0**-5
 
 
 @dataclass(frozen=True)
@@ -210,14 +215,12 @@ def _mpa_decisions(received: np.ndarray, g: _FactorGraph, ch: ChannelRealization
     float32 underflow, at most 2^-150 per metric, and leaves a float64 margin
     that exp and the division of the posteriors cannot close. On the Huawei
     graph at 10 iterations C = 32,738, so the bound is 3.9e-3 R. G grows
-    geometrically: on that graph at 8 dB, 1,103 of 2,000 rows are re-run at
-    15 iterations, which is then slower than float64 alone, and every row
-    from 17 iterations on. Below R = 2^100 no float32 value the max selects
-    can overflow. A row with a larger, infinite or NaN R gets an infinite
-    bound, and a NaN margin fails the test, so such rows are re-run too. G
-    is summed in float64: a bound that overflows (from 1,023 iterations on
-    the Huawei graph) is infinite or NaN for every row, so the whole batch
-    is re-run.
+    geometrically, and with it the share of rows re-run, so when E exceeds
+    FLOAT32_MAX_E (from 15 iterations on the Huawei graph, or when G, summed
+    in float64, overflows) no float32 run is made and every row is returned.
+    Below R = 2^100 no float32 value the max selects can overflow. A row
+    with a larger, infinite or NaN R gets an infinite bound, and a NaN
+    margin fails the test, so such rows are re-run too.
     """
     d, n = g.d, g.slot.shape[1]
     dec = np.empty((received.shape[0], g.J), dtype=np.int64)
@@ -226,6 +229,8 @@ def _mpa_decisions(received: np.ndarray, g: _FactorGraph, ch: ChannelRealization
     with np.errstate(over="ignore", invalid="ignore"):
         growth = sum(np.float64((d - 1) * (n - 1)) ** i for i in range(cfg.n_iter))
         e = (n * (d * n + 2 + (d - 1) * (n - 1) * (n + 2)) * growth + n * (n - 1)) * (2.0**-24 + 2.0**-53)
+        if e > FLOAT32_MAX_E:
+            return dec, np.arange(received.shape[0])
         slack = 2 * e * (1 + 4 * e + 2.0**-10)
         for a, phi in _channel_metrics(received, ch, g):
             tot, r_max = _block_totals(phi.astype(np.float32), g, cfg)

@@ -547,6 +547,34 @@ class TestMalformedInputs:
         assert "Eb/N0 -4000.0 dB" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("doc", [None, 2, "x", []], ids=["null", "number", "string", "list"])
+    def test_codebook_not_an_object_names_file(self, tmp_path, capsys, doc):
+        path = tmp_path / "scalar.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(["med", "--codebook", str(path)]) == 1
+        assert f"{path}: expected an object, got {doc!r}" in capsys.readouterr().err
+
+    # an alphabet of 2^70 once reached np.zeros((J, K, M)) and exited 2
+    @pytest.mark.parametrize("command", ["med", "ber", "compare", "train"])
+    def test_huge_alphabet_names_file_and_field(self, tmp_path, capsys, command):
+        doc = json.loads(Path(HUAWEI).read_text())
+        doc["system"]["alphabet"] = 2**70
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"system": dict(PAPER_SYSTEM, alphabet=2**70),
+                                   "train": {"iterations": 1, "batch_size": 4},
+                                   "paths": {"output_dir": str(tmp_path / "out")}}))
+        argv, named = {"med": (["med", "--codebook", str(path)], path),
+                       "ber": (["ber", "--codebook", str(path), "--snr", "8",
+                                "--out-dir", str(tmp_path / "out")], path),
+                       "compare": (["compare", f"H={HUAWEI}", f"X={path}"], path),
+                       "train": (["train", "--config", str(cfg)], cfg)}[command]
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{named}.system" in err and "'alphabet'" in err and f"got {2**70}" in err
+        assert not (tmp_path / "out").exists()
+
     def test_codewords_not_a_list_names_file_and_field(self, tmp_path, capsys):
         doc = json.loads(Path(HUAWEI).read_text())
         doc["codewords"] = 5

@@ -31,6 +31,8 @@ class TestSystemConfig:
             dict(n_users=6, n_resources=4, n_nonzero=5, alphabet_size=4),
             dict(n_users=6, n_resources=4, n_nonzero=2, alphabet_size=3),
             dict(n_users=6, n_resources=4, n_nonzero=2, alphabet_size=1),
+            # no (J, K, M) codebook array of an M above 2^16 is allocated
+            dict(n_users=6, n_resources=4, n_nonzero=2, alphabet_size=2**17),
         ],
     )
     def test_rejects_bad_configs(self, kwargs):

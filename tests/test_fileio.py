@@ -1,6 +1,7 @@
 import json
 import re
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -136,6 +137,29 @@ class TestCodebookFiles:
         path.write_text(json.dumps(doc))
         with pytest.raises(CodebookFormatError, match=re.escape(f"{path}: {message}")):
             read_codebook(path)
+
+    # 2^20 is above the largest alphabet; 2^16 is allowed, but its users list
+    # 4 codewords. A (6, 4, M) complex array takes 100 MB and 25 MB
+    @pytest.mark.parametrize("alphabet, message", [
+        (2**20, "alphabet size must be at most 2^16"),
+        (2**16, "user 0 lists 4 codewords, expected 65536"),
+    ], ids=["2^20", "2^16"])
+    def test_huge_alphabet_rejected_before_allocating(self, tmp_path, alphabet, message):
+        doc = json.loads(Path(data_path("huawei_4x6.json")).read_text())
+        doc["system"]["alphabet"] = alphabet
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            with pytest.raises(CodebookFormatError, match=re.escape(message)):
+                read_codebook(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak < 2**20
 
     def test_missing_file(self):
         with pytest.raises(CodebookFormatError, match="no such file"):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,61 @@ class TestComputeMed:
         cb = random_codebook(np.random.default_rng(3), 10, 5, 2, 4)
         with pytest.raises(SearchSpaceError, match="1048576 points"):
             compute_med(cb)
+
+
+def count_rechecks(monkeypatch):
+    """The row count of every core.ordered_distances call nearest_points makes."""
+    rows, exact = [], core.ordered_distances
+    monkeypatch.setattr(core, "ordered_distances", lambda a, b: rows.append(len(a)) or exact(a, b))
+    return rows
+
+
+class TestNearestPoints:
+    def test_huawei_med_rechecks_its_near_ties_in_one_call(self, monkeypatch):
+        rows = count_rechecks(monkeypatch)
+        rep = compute_med(read_codebook(data_path("huawei_4x6.json")).normalized())
+        assert rows == [3564]
+        assert rep.med == 0.5534440688493857
+        assert rep.arg_pair == ((0, 0, 0, 0, 0, 0), (3, 3, 2, 1, 2, 2))
+
+    # each of m distinct points appears 96 / m times, so every query's
+    # nearest distance is shared exactly by several points. Queries are
+    # points or midpoints of two: a midpoint's two ends differ only by
+    # rounding, which the float32 screen (over 3 blocks) cannot tell apart.
+    # With m = 2 a block brings up to SEARCH_BLOCK * n candidates, so pending
+    # candidates are re-checked before the next block's
+    @pytest.mark.parametrize("m", [2, 16])
+    def test_exact_ties_over_blocks_match_first_minimum_oracle(self, monkeypatch, m):
+        rng = np.random.default_rng(m)
+        base = (rng.standard_normal((m, 4)) + 1j * rng.standard_normal((m, 4))) * (0.3 + 0.7j)
+        points = base[rng.permutation(np.arange(96) % m)]
+        a, b = rng.integers(0, m, (2, 3 * SEARCH_BLOCK + 5))
+        queries = (base[a] + base[b]) / 2
+        rows = count_rechecks(monkeypatch)
+        got = nearest_points(queries, points)
+        assert np.array_equal(got, first_nearest_oracle(queries, points)[0])
+        assert max(rows) <= SEARCH_BLOCK * len(points)
+        assert sum(rows) >= 2 * len(queries)  # every row is a near tie
+        if m == 2:
+            assert len(rows) > 1
+
+    def test_single_vector_search_copies_no_constellation(self):
+        # the float64 screen reads views of the points; an augmented float64
+        # copy would take n (2K + 1) 8 bytes beside |h p|^2 (n 8 bytes),
+        # whose own float64 squares take n 2K 8 bytes
+        pts = superimposed_constellation(read_codebook(data_path("huawei_4x6.json")).normalized())
+        h = np.array([1.3 + 0.4j, 0.2 - 0.9j, 0.7 + 0.1j, -0.5 + 1.6j])
+        query = h * pts[[77]] + 0.01
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            nearest_points(query, pts, h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak < len(pts) * (2 * 4 + 2) * 8
 
 
 class TestCompareCodebooks:

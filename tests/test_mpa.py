@@ -29,7 +29,7 @@ from scmalink import (
     superimposed_constellation,
     tuple_digits,
 )
-from scmalink import core
+from scmalink import core, mpa
 from scmalink.core import SEARCH_BLOCK, nearest_points
 from scmalink.mpa import (BLOCK, N0_FLOOR, _FactorGraph, _ml_decisions, _mpa_decisions,
                           _mpa_posteriors, _slot_maxima)
@@ -373,6 +373,25 @@ class TestFloat32Decisions:
         ch = ChannelRealization.awgn(4, ebn0_to_n0(8.0, 4))
         r = apply_channel(superimpose(cb, rng.integers(0, 4, (2000, 6))), ch, rng)
         assert len(_mpa_decisions(r, _FactorGraph(cb), ch, MpaConfig())[1]) < 100
+
+    # on the Huawei graph the bound constant E is 0.031 at 14 iterations, just
+    # under FLOAT32_MAX_E, and 0.062 at 15, where the float32 run is skipped
+    @pytest.mark.parametrize("n_iter", [14, 15])
+    def test_equal_float64_argmax_on_each_side_of_the_float32_limit(self, systems, monkeypatch, n_iter):
+        cb, _ = systems["huawei-awgn"]
+        cfg = MpaConfig(n_iter=n_iter)
+        rng = np.random.default_rng(n_iter)
+        ch = ChannelRealization.awgn(4, ebn0_to_n0(8.0, 4))
+        r = apply_channel(superimpose(cb, rng.integers(0, 4, (2 * BLOCK, 6))), ch, rng)
+        runs, block_totals = [], mpa._block_totals
+        monkeypatch.setattr(mpa, "_block_totals", lambda phi, *a: runs.append(phi.dtype) or block_totals(phi, *a))
+        dec, unsure = rerun_decisions(r, cb, ch, cfg)
+        assert np.array_equal(dec, float64_decisions(r, cb, ch, cfg))
+        float32_runs = runs.count(np.float32)
+        if n_iter == 14:
+            assert float32_runs == 2 and len(unsure) < len(r)
+        else:
+            assert float32_runs == 0 and np.array_equal(unsure, np.arange(len(r)))
 
     def test_overflowing_bound_reruns_every_row(self, systems):
         # from 1,023 iterations the bound's growth term overflows on the
