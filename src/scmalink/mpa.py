@@ -15,17 +15,19 @@ slot axes is folded off one axis at a time with elementwise np.maximum over
 halves of that axis, and the max over the later slots is shared between
 slots. Each message is that max minus the slot's own incoming message, which
 rounds exactly as the max of the differences would. The batch runs in
-blocks of BLOCK vectors, with the vectors on the last axis of every array:
-inner loops run over vectors rather than over length-M slot axes, and an
-iteration's temporaries stay inside the L2 cache. Every step is row-wise, so
-blocking changes no bit of the output.
+blocks of BLOCK_BYTES / itemsize vectors, 256 in float64 and 512 in float32,
+with the vectors on the last axis of every array: inner loops run over
+vectors rather than over length-M slot axes, and a block's arrays take the
+same bytes in either dtype. Every step is row-wise, so blocking changes no
+bit of the output.
 
-_block_totals iterates in the dtype of the channel metric it is given.
-_mpa_posteriors, and so mpa_detect, runs it in float64. _mpa_decisions, which
-simulate_ber calls with the factor graph it builds once, rounds the float64
-metric to float32 and decides by the argmax of the float32 totals. Max-Log
-only adds, subtracts and takes maxima, so the float32 error has a bound in
-the run's largest message, derived in its docstring. A row where some user's
+_channel_metrics and _block_totals work in the dtype they are given.
+_mpa_posteriors, and so mpa_detect, runs them in float64. _mpa_decisions,
+which simulate_ber calls with the factor graph it builds once, runs them in
+float32, the metric in complex64 arithmetic, and decides by the argmax of
+the float32 totals. Max-Log only adds, subtracts and takes maxima, so the
+float32 error has a bound in the run's largest message and the row's
+largest |r| + |h s|, derived in its docstring. A row where some user's
 top-two margin is not above that bound is returned as unsure. The caller
 re-runs those rows in float64 and takes the argmax of their posteriors, so
 every decision is the float64 one; past FLOAT32_MAX_E, every row is.
@@ -64,10 +66,13 @@ from .nn import softmax
 
 # keeps log-likelihoods finite when noise-free inputs are decoded
 N0_FLOOR = 1e-12
-# received vectors per message-passing block: on the Huawei graph (K=4, d=3,
-# M=4) a block's (M^d, K, BLOCK) metric and combination arrays take 512 kB
-# each, so an iteration's working set fits a 2 MB L2 cache
-BLOCK = 256
+# bytes of one (combination, resource) row of a message-passing block. Every
+# array of _block_totals holds the block's vectors on its last axis, so a block
+# has BLOCK_BYTES / itemsize of them: 256 in float64, 512 in float32. On the
+# Huawei graph (K=4, d=3, M=4) a block's (M^d, K, b) metric then takes 512 kB
+# in either dtype, and the other arrays of an iteration peak at 1.6 MB, about
+# a 2 MB L2 cache
+BLOCK_BYTES = 2048
 # largest bound constant E (_mpa_decisions) with a float32 pass. Huawei, 8 dB,
 # 2,000 vectors, 2-core Xeon: 14 iterations (E = 0.031) re-run 331 rows in 57
 # ms against 62 ms for float64 alone, 15 (E = 0.062) 1,103 in 80 against 60 ms
@@ -157,14 +162,23 @@ class _FactorGraph:
         self.resource, self.slot = np.divmod(order[: J * cfg.N].reshape(J, cfg.N), d)
 
 
-def _channel_metrics(received: np.ndarray, ch: ChannelRealization, g: _FactorGraph):
-    """(a, phi) per BLOCK of received (B, K) from row a on: the block's float64
-    channel metric phi (M^d, K, b), -|r - h s|^2 / N0 for every combination s
-    on every resource."""
-    faded = (ch.h[:, None] * g.sums).T[:, :, None]
-    n0 = max(ch.n0, N0_FLOOR)
-    for a in range(0, received.shape[0], BLOCK):
-        yield a, -np.abs(received[a : a + BLOCK].T[None] - faded) ** 2 / n0
+def block_rows(dtype) -> int:
+    """Received vectors per message-passing block of a channel metric in dtype."""
+    return BLOCK_BYTES // np.dtype(dtype).itemsize
+
+
+def _channel_metrics(received: np.ndarray, ch: ChannelRealization, g: _FactorGraph, dtype=np.float64):
+    """(a, phi) per block of received (B, K) from row a on: the block's channel
+    metric phi (M^d, K, b) in dtype, -|r - h s|^2 / N0 for every combination s
+    on every resource, evaluated on r and h s cast once to the complex dtype
+    of that precision."""
+    cdtype = np.result_type(dtype, np.complex64)
+    faded = (ch.h[:, None] * g.sums).T[:, :, None].astype(cdtype, copy=False)
+    r = received.astype(cdtype, copy=False)
+    n0 = np.dtype(dtype).type(max(ch.n0, N0_FLOOR))
+    rows = block_rows(dtype)
+    for a in range(0, len(r), rows):
+        yield a, -np.abs(r[a : a + rows].T[None] - faded) ** 2 / n0
 
 
 def _mpa_posteriors(received: np.ndarray, codebook: Codebook, ch: ChannelRealization,
@@ -173,20 +187,45 @@ def _mpa_posteriors(received: np.ndarray, codebook: Codebook, ch: ChannelRealiza
     g = graph if graph is not None else _FactorGraph(codebook)
     post = np.empty((received.shape[0], g.J, g.M))
     for a, phi in _channel_metrics(received, ch, g):
-        post[a : a + BLOCK] = softmax(_block_totals(phi, g, cfg)[0])
+        tot = _block_totals(phi, g, cfg)[0]
+        post[a : a + tot.shape[-1]] = softmax(np.ascontiguousarray(tot.transpose(2, 0, 1)))
     return post
+
+
+def _top_two(tot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Totals (J, M, b) -> decisions (b, J), each user's first argmax over its
+    M totals, and each row's least margin (b,) between a user's largest total
+    and its runner-up.
+
+    One running max and second max pass over the M rows. Maxima round
+    exactly, so each margin is that of np.sort's top two: equal maxima give
+    0, and a NaN total, or a user whose top two are infinite of one sign,
+    gives NaN, which the row's least margin keeps. Where no total is NaN, the
+    decisions are np.argmax's.
+    """
+    t0, t1 = tot[:, 0], tot[:, 1]
+    arg = (t1 > t0).astype(np.int64)
+    top, second = np.maximum(t0, t1), np.minimum(t0, t1)
+    for m in range(2, tot.shape[1]):
+        x = tot[:, m]
+        np.maximum(second, np.minimum(x, top), out=second)
+        np.copyto(arg, m, where=x > top)
+        np.maximum(top, x, out=top)
+    return arg.T, (top - second).min(axis=0)
 
 
 def _mpa_decisions(received: np.ndarray, g: _FactorGraph, ch: ChannelRealization,
                    cfg: MpaConfig) -> tuple[np.ndarray, np.ndarray]:
     """Max-Log decisions (B, J) from a float32 run on graph g, and the rows it cannot vouch for.
 
-    Each block's float64 channel metric is rounded once to float32 and
-    iterated by _block_totals. Every decision is the argmax of a float32
-    total. A row is sure when each user's margin between its top two totals
-    exceeds bound = 2 E (1 + 4 E + 2^-10) R + 2^-40; then each decision is
-    the argmax of the row's float64 posteriors. The other rows' indices are
-    returned: the caller re-runs them through _mpa_posteriors.
+    Each block's channel metric is evaluated in complex64 arithmetic and
+    iterated in float32 by _block_totals. Every decision is the argmax of a
+    float32 total. A row is sure when each user's margin between its top two
+    totals exceeds
+        bound = 2 E (1 + 4 E + 2^-10) R + 2 N G (1 + 2^-10) A + 2^-40;
+    then each decision is the argmax of the row's float64 posteriors. The
+    other rows' indices are returned: the caller re-runs them through
+    _mpa_posteriors.
 
     Rounding bound. Let u = 2^-24, u64 = 2^-53, d the padded row degree, N
     the resources per user and R the largest |r| of the row's
@@ -197,53 +236,83 @@ def _mpa_decisions(received: np.ndarray, g: _FactorGraph, ch: ChannelRealization
     totals are all <= 0, so a sum of them has relative rounding error at most
     gamma_k = k u / (1 - k u), and a max keeps relative errors. The
     normalised user-to-resource messages v obey |v| <= (N - 1) R.
-    - Resource update: the d - 1 other slots' message errors add. The
-      metric's rounding costs u R, the d additions of a combination
-      gamma_d N R and the subtraction of the slot's own message u R, so
-      e_r <= (d - 1) e_v + (d N + 2) u R.
+    - Resource update: the d - 1 other slots' message errors add. A rounding
+      of the metric would cost u R (the metric's true cost, A more, follows
+      below), the d additions of a combination gamma_d N R and the
+      subtraction of the slot's own message u R, so
+      e_r <= (d - 1) e_v + (d N + 2) u R + A.
     - User update: the N - 1 other resources' errors add. The sum over N,
       the subtraction and the normalisation cost gamma_{N-1} N R +
       2 (N - 1) u R, so e_v <= (N - 1) e_r + (N - 1)(N + 2) u R.
     - Totals: e_tot <= N e_r + N (N - 1) u R.
-    With e_v = 0 at the start, n_iter iterations give e_tot <= C u R, where
-    C = N c G + N (N - 1), c = d N + 2 + (d - 1)(N - 1)(N + 2), and
+    With e_v = 0 at the start, n_iter iterations give e_tot <= C u R + N G A,
+    where C = N c G + N (N - 1), c = d N + 2 + (d - 1)(N - 1)(N + 2), and
     G = sum_{i < n_iter} ((d - 1)(N - 1))^i. The float64 run obeys the same
-    bound with u64, so with E = C (u + u64) a margin of either run lies
-    within 2 E R of the exact one. The factor 1 + 4 E covers the excess of
-    the exact magnitudes and of the float64 R over R, 1 + 2^-10 the
-    second-order terms and the float32 rounding of the margin. 2^-40 covers
-    float32 underflow, at most 2^-150 per metric, and leaves a float64 margin
-    that exp and the division of the posteriors cannot close. On the Huawei
-    graph at 10 iterations C = 32,738, so the bound is 3.9e-3 R. G grows
-    geometrically, and with it the share of rows re-run, so when E exceeds
-    FLOAT32_MAX_E (from 15 iterations on the Huawei graph, or when G, summed
-    in float64, overflows) no float32 run is made and every row is returned.
-    Below R = 2^100 no float32 value the max selects can overflow. A row
-    with a larger, infinite or NaN R gets an infinite bound, and a NaN
+    bound with u64 and A = 0, so with E = C (u + u64) a margin of either run
+    lies within 2 E R + 2 N G A of the exact one. The factor 1 + 4 E covers
+    the excess of the exact magnitudes and of the float64 R over R, 1 + 2^-10
+    the second-order terms and the float32 rounding of the margin. 2^-40
+    leaves a float64 margin that exp and the division of the posteriors
+    cannot close. On the Huawei graph at 10 iterations C = 32,738 and
+    2 N G = 4,092, so the bound is 3.9e-3 R + 4,096 A.
+
+    Metric. The float32 metric is not the float64 one rounded: r and h s are
+    rounded to complex64 before r - h s cancels. Let x = r - h s, t =
+    |x|^2 / N0 the magnitude of the float64 metric, and S the row's largest
+    |r_k| + |h_k s| over resources k and combinations s. The two roundings
+    and the subtraction err by u S + u |x|, and np.abs by 4 u |x| (complex64
+    np.abs is not correctly rounded; 2.5 u is the largest error measured
+    over 7e7 values), so |x| is off by u S + 5 u |x|. Squaring doubles the
+    relative part, and the square and the division each round once. The
+    float64 metric errs by 12 u64 t the same way, so the float32 metric lies
+    within g(t) = 2 u S sqrt(t / N0) + 12 (u + u64) t + 128 u^2 S^2 / N0 of
+    the float64 one; the last term bounds the second-order terms, and the
+    float32 underflow, at most 2^-146 (S + 1) / N0 + 2^-150, with 2^-40. N0
+    rounded to float32 scales every metric alike, and Max-Log commutes with a
+    positive scale, so that rounding moves no decision. In a max over
+    combinations the metric errors count at the maximum. A combination value
+    y has |phi| <= |y|, and one that lies D below the maximum has an error at
+    most D + u^2 S^2 / N0 above g(T), T the maximum's magnitude, because g
+    grows as sqrt(t). So the max errs by at most g(T) + u^2 S^2 / N0, with T
+    = |r| <= R, and the resource update by at most A = 2 u S sqrt(R / N0) +
+    (11 u + 12 u64) R + 128 u^2 S^2 / N0 more than a rounded metric would. A
+    is kept out of E, so E, and with it the FLOAT32_MAX_E test, depends on
+    the graph and n_iter alone.
+
+    G grows geometrically, and with it the share of rows re-run, so when E
+    exceeds FLOAT32_MAX_E (from 15 iterations on the Huawei graph, or when
+    G, summed in float64, overflows) no float32 run is made and every row is
+    returned. Below R = 2^100 no float32 value the max selects can overflow.
+    A row with a larger, infinite or NaN R gets an infinite bound, and a NaN
     margin fails the test, so such rows are re-run too.
     """
     d, n = g.d, g.slot.shape[1]
+    u, u64 = 2.0**-24, 2.0**-53
     dec = np.empty((received.shape[0], g.J), dtype=np.int64)
-    sure = np.empty(received.shape[0], dtype=bool)
+    r_max = np.empty(received.shape[0], dtype=np.float32)
+    least = np.empty(received.shape[0], dtype=np.float32)  # each row's smallest top-two margin
     # overflow and NaN in the bound and the float32 run are expected; the bound catches their rows
     with np.errstate(over="ignore", invalid="ignore"):
         growth = sum(np.float64((d - 1) * (n - 1)) ** i for i in range(cfg.n_iter))
-        e = (n * (d * n + 2 + (d - 1) * (n - 1) * (n + 2)) * growth + n * (n - 1)) * (2.0**-24 + 2.0**-53)
+        e = (n * (d * n + 2 + (d - 1) * (n - 1) * (n + 2)) * growth + n * (n - 1)) * (u + u64)
         if e > FLOAT32_MAX_E:
             return dec, np.arange(received.shape[0])
-        slack = 2 * e * (1 + 4 * e + 2.0**-10)
-        for a, phi in _channel_metrics(received, ch, g):
-            tot, r_max = _block_totals(phi.astype(np.float32), g, cfg)
-            dec[a : a + BLOCK] = np.argmax(tot, axis=2)
-            top2 = np.sort(tot, axis=2)[:, :, -2:]  # NaN sorts last
-            bound = np.where(r_max < 2.0**100, slack * r_max + 2.0**-40, np.inf)
-            sure[a : a + BLOCK] = np.all(top2[:, :, 1] - top2[:, :, 0] > bound[:, None], axis=1)
+        for a, phi in _channel_metrics(received, ch, g, np.float32):
+            rows = slice(a, a + phi.shape[-1])
+            tot, r_max[rows] = _block_totals(phi, g, cfg)
+            dec[rows], least[rows] = _top_two(tot)
+        # S / sqrt(N0) per row, S the largest |r_k| + |h_k s| over resources k and combinations s
+        s = (np.abs(received) + np.abs(ch.h[:, None] * g.sums).max(axis=1)).max(axis=1)
+        s /= np.sqrt(max(ch.n0, N0_FLOOR))
+        excess = 2 * u * s * np.sqrt(r_max) + (11 * u + 12 * u64) * r_max + 128 * u * u * s * s  # A
+        bound = 2 * e * (1 + 4 * e + 2.0**-10) * r_max + 2 * n * growth * (1 + 2.0**-10) * excess + 2.0**-40
+        sure = least > np.where(r_max < 2.0**100, bound, np.inf)
     return dec, np.flatnonzero(~sure)
 
 
 def _block_totals(phi: np.ndarray, g: _FactorGraph, cfg: MpaConfig) -> tuple[np.ndarray, np.ndarray]:
     """All iterations on one block, in phi's dtype: channel metric phi
-    (M^d, K, b) -> each user's final log-domain totals (b, J, M), and the
+    (M^d, K, b) -> each user's final log-domain totals (J, M, b), and the
     largest |r| (b,) of any resource-to-user message over the iterations.
 
     The block's vectors run along the last axis of every array, so each
@@ -277,8 +346,7 @@ def _block_totals(phi: np.ndarray, g: _FactorGraph, cfg: MpaConfig) -> tuple[np.
         msg -= _fold_max(msg, 2)[:, :, None]
         v[g.slot, :, g.resource] = msg
 
-    tot = np.ascontiguousarray(r_msg[g.slot, :, g.resource].sum(axis=1).transpose(2, 0, 1))
-    return tot, -low.min(axis=(0, 1, 2))
+    return r_msg[g.slot, :, g.resource].sum(axis=1), -low.min(axis=(0, 1, 2))
 
 
 def _received_vector(received, codebook: Codebook, ch: ChannelRealization) -> np.ndarray:
