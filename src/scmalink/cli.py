@@ -145,6 +145,10 @@ def _cmd_ber(args) -> int:
         if not args.model:
             raise CodebookFormatError("--model checkpoint is required for the neural detector")
         _, decoder, _, _ = load_checkpoint(args.model)
+        try:
+            decoder.check_fits(cb.config)
+        except ConfigError as exc:
+            raise ConfigError(f"--model {args.model}: {exc}") from exc
     # --out-dir is made only once there is a curve to write, so a rejected run leaves none
     out = args.out or Path(args.out_dir) / f"ber_{Path(args.codebook).stem}_{args.detector}.csv"
     _check_out_file(out, "--out" if args.out else "--out-dir", make_dir=not args.out)
@@ -241,7 +245,11 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_export(args) -> int:
     _check_out_file(args.out, "--out")
     gen, _, ind, meta = load_checkpoint(args.checkpoint)
-    write_codebook(args.out, learned_codebook(gen, ind), name=args.name, seed=meta.get("seed"))
+    try:
+        codebook = learned_codebook(gen, ind)
+    except DegenerateCodebookError as exc:
+        raise DegenerateCodebookError(f"{args.checkpoint}: {exc}") from exc
+    write_codebook(args.out, codebook, name=args.name, seed=meta.get("seed"))
     print(f"wrote {args.out}")
     return 0
 

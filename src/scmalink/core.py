@@ -114,15 +114,15 @@ class SystemConfig:
 def build_bit_matrix(alphabet_size: int) -> np.ndarray:
     """All +/-1 bit patterns of log2(M) bits as columns, ascending by value.
 
-    Column m holds the bits of integer m, most significant bit in row 0,
-    with -1 for binary 0 and +1 for binary 1. Rows are mutually orthogonal:
-    B @ B.T == M * I exactly (integer arithmetic).
+    Column m holds the bits of integer m, most significant bit in row 0, as
+    float64 -1 for binary 0 and +1 for binary 1. Rows are mutually orthogonal:
+    B @ B.T == M * I exactly, as every sum is an integer no larger than 2^16.
     """
     n_bits = alphabet_bits(alphabet_size)
     cols = np.arange(alphabet_size)
     shifts = np.arange(n_bits - 1, -1, -1)  # MSB first
     bits = (cols[None, :] >> shifts[:, None]) & 1
-    return (2 * bits - 1).astype(np.int64)
+    return 2.0 * bits - 1.0
 
 
 @dataclass(frozen=True)

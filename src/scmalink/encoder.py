@@ -58,7 +58,7 @@ class GeneratorSet:
 
     def user_energies(self) -> np.ndarray:
         """Per-user average codeword energy (1/M) sum_m ||gbar_j b_m||^2."""
-        splits = np.einsum("jab,bm->jam", self.gbar, build_bit_matrix(self.config.M).astype(float))
+        splits = np.einsum("jab,bm->jam", self.gbar, build_bit_matrix(self.config.M))
         return (splits**2).sum(axis=(1, 2)) / self.config.M
 
 
@@ -91,14 +91,14 @@ def normalize(gen: GeneratorSet) -> GeneratorSet:
 def init_generators(codebook: Codebook) -> GeneratorSet:
     """Least-squares generator fit to an existing codebook.
 
-    Uses G_j = C_j B^T (B B^T)^{-1} where C_j is user j's codebook with the
-    zero resources removed. Exact (zero residual) whenever the source
-    codebook is linear in the bit vector, which holds iff complementary
-    messages carry negated codewords.
+    Uses G_j = C_j B^T / M, where C_j is user j's codebook with the zero
+    resources removed: since B B^T = M I, this is C_j B^T (B B^T)^{-1}.
+    Exact (zero residual) whenever the source codebook is linear in the bit
+    vector, which holds iff complementary messages carry negated codewords.
     """
-    B = build_bit_matrix(codebook.config.M).astype(float)
+    M = codebook.config.M
     c = np.take_along_axis(codebook.entries, codebook.indicator.supports[:, :, None], axis=1)  # (J, N, M)
-    g = c @ B.T @ np.linalg.inv(B @ B.T)  # inverse = I/M since rows are orthogonal
+    g = c @ build_bit_matrix(M).T / M
     return GeneratorSet(gbar=np.concatenate([g.real, g.imag], axis=1), config=codebook.config)
 
 
@@ -108,6 +108,6 @@ def codeword_table(gen: GeneratorSet, ind: IndicatorMatrix) -> Codebook:
     ind.check_fits(cfg)
     entries = np.zeros((cfg.J, cfg.K, cfg.M), dtype=complex)
     g = gen.gbar[:, : cfg.N] + 1j * gen.gbar[:, cfg.N :]  # G_j: real rows + i * imaginary rows
-    words = g @ build_bit_matrix(cfg.M).astype(float)  # (J, N, M)
+    words = g @ build_bit_matrix(cfg.M)  # (J, N, M)
     np.put_along_axis(entries, ind.supports[:, :, None], words, axis=1)
     return Codebook(entries=entries, config=cfg, indicator=ind)

@@ -194,7 +194,13 @@ def codebook_from_dict(doc: dict, where: str = "codebook") -> Codebook:
                         f"{where}: user {j} codeword {m} resource {k}: bad [re, im] pair {pair!r}"
                     ) from exc
     # support violations surface as ConfigError naming (user, resource)
-    return Codebook(entries=entries, config=cfg, indicator=ind)
+    codebook = Codebook(entries=entries, config=cfg, indicator=ind)
+    if "config_hash" in doc:  # a file without one still loads
+        want = codebook_to_dict(codebook)["config_hash"]
+        if doc["config_hash"] != want:
+            raise CodebookFormatError(f"{where}: field 'config_hash' is {doc['config_hash']!r}, "
+                                      f"but the content hashes to {want!r}")
+    return codebook
 
 
 def read_codebook(path) -> Codebook:

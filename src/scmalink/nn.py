@@ -211,18 +211,19 @@ class MultiTaskDecoder:
         probs = np.swapaxes(x, 0, 1)
         return probs[0] if single else probs
 
-    def backward_cross_entropy(self, probs, labels):
-        """Gradients of the batch-mean total cross-entropy; returns dL/d(input).
+    def backward_cross_entropy(self, probs, messages):
+        """Gradients of the batch-mean total cross-entropy against the
+        (batch, J) message indices; returns dL/d(input).
 
         Uses the fused softmax identity: the gradient at each head's
-        pre-activation is (p - q) / batch. The trunk output feeds every user,
-        so its gradient is the sum over users. The returned gradient is a
-        fresh array; the layers' own buffers stay inside the decoder.
+        pre-activation is p / batch, less 1 / batch at the message. The trunk
+        output feeds every user, so its gradient is the sum over users. The
+        returned gradient is a fresh array; the layers' own buffers stay
+        inside the decoder.
         """
-        if probs.shape != labels.shape:
-            raise ShapeError(f"probs {probs.shape} and labels {labels.shape} differ")
-        batch = probs.shape[0]
-        g = self.user_layers[-1].backward_preact(np.swapaxes(probs - labels, 0, 1) / batch)
+        grad = probs.copy()  # probs stays the caller's
+        grad[_targets(probs, messages)] -= 1.0
+        g = self.user_layers[-1].backward_preact(np.swapaxes(grad, 0, 1) / len(grad))
         for layer in reversed(self.user_layers[:-1]):
             g = layer.backward(g)
         g = g.sum(axis=0)
@@ -247,13 +248,19 @@ class MultiTaskDecoder:
         return chain, sub
 
 
-def cross_entropy(probs, labels) -> float:
-    """Total cross-entropy summed over users, averaged over the batch."""
+def _targets(probs, messages):
+    """Index of the (batch, J) target probabilities p[b, j, messages[b, j]]."""
+    messages = np.asarray(messages)
+    if messages.ndim != 2 or messages.shape != probs.shape[:-1]:
+        raise ShapeError(f"messages {messages.shape} are not the (batch, J) of probs {probs.shape}")
+    return np.arange(len(messages))[:, None], np.arange(messages.shape[1]), messages
+
+
+def cross_entropy(probs, messages) -> float:
+    """Total cross-entropy against the (batch, J) transmitted message indices:
+    -log p[message], summed over users and averaged over the batch."""
     p = np.asarray(probs, dtype=float)
-    q = np.asarray(labels, dtype=float)
-    if p.shape != q.shape:
-        raise ShapeError(f"probs {p.shape} and labels {q.shape} differ")
-    ce = -(q * np.log(np.maximum(p, LOG_CLAMP))).sum(axis=-1)
+    ce = -np.log(np.maximum(p[_targets(p, messages)], LOG_CLAMP))
     return float(ce.sum(axis=-1).mean())
 
 

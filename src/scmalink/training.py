@@ -45,10 +45,17 @@ class TrainConfig:
             raise ConfigError("decay factor beta must be in (0, 1]")
         if self.decay_step < 1:
             raise ConfigError("decay_step must be >= 1")
-        if self.batch_size < 1 or self.n_iterations < 1:
-            raise ConfigError("batch size and iteration count must be >= 1")
+        if self.n_iterations < 1:
+            raise ConfigError(f"n_iterations must be >= 1, got {self.n_iterations}")
+        if not 1 <= self.batch_size <= 2**20:  # the paper's batch is 1,000
+            raise ConfigError(f"batch_size must be in [1, 2^20], got {self.batch_size}")
         if self.ebn0_min_db > self.ebn0_max_db:
             raise ConfigError("ebn0_min_db must not exceed ebn0_max_db")
+        # the lowest Eb/N0 gives the largest N0; its power of ten overflows or not before M enters
+        try:
+            ebn0_to_n0(self.ebn0_min_db, 2)
+        except ConfigError as exc:
+            raise ConfigError(f"ebn0_min_db: {exc}") from None
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -123,14 +130,12 @@ def _slot_indices(ind: IndicatorMatrix) -> np.ndarray:
     return np.concatenate([ind.supports, ind.n_resources + ind.supports], axis=1)
 
 
-def _labels_from_bits(bits: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]:
-    """(batch, J, log2 M) +/-1 bits -> message indices and one-hot labels."""
+def _labels_from_bits(bits: np.ndarray) -> np.ndarray:
+    """(batch, J, log2 M) +/-1 bits -> (batch, J) message indices, the most
+    significant bit first as in build_bit_matrix."""
     n_bits = bits.shape[-1]
     weights = 1 << np.arange(n_bits - 1, -1, -1)
-    idx = (bits > 0) @ weights
-    labels = np.zeros(idx.shape + (M,))
-    np.put_along_axis(labels, idx[..., None], 1.0, axis=-1)
-    return idx, labels
+    return (bits > 0) @ weights
 
 
 def _encoder_forward(gbar, bits, slots, K):
@@ -151,15 +156,15 @@ def _encoder_forward(gbar, bits, slots, K):
     return s, norms
 
 
-def _loss_and_gradients(gbar, decoder, bits, labels, noise, slots, K, h_split=None):
+def _loss_and_gradients(gbar, decoder, bits, messages, noise, slots, K, h_split=None):
     """Batch loss plus the analytic gradient of the (J, 2N, log2 M) generator
     stack; decoder layers accumulate their own gradients as a side effect."""
     s, norms = _encoder_forward(gbar, bits, slots, K)
     h = np.ones(2 * K) if h_split is None else h_split
     r = s * h + noise
     probs = decoder.forward(r, remember=True)
-    loss = cross_entropy(probs, labels)
-    grad_r = decoder.backward_cross_entropy(probs, labels)
+    loss = cross_entropy(probs, messages)
+    grad_r = decoder.backward_cross_entropy(probs, messages)
     grad_s = grad_r * h
     # d loss / d (g / ||g||), then through the normalization, every user at once
     raw = np.matmul(grad_s[:, slots].transpose(1, 2, 0), bits.transpose(1, 0, 2))
@@ -198,10 +203,10 @@ def train(cfg: TrainConfig, sys_cfg: SystemConfig, ind: IndicatorMatrix,
         snr_db = sample_snr(cfg, rng)
         n0 = ebn0_to_n0(snr_db, sys_cfg.M)
         bits = rng.integers(0, 2, size=(cfg.batch_size, sys_cfg.J, sys_cfg.bits_per_symbol)) * 2.0 - 1.0
-        _, labels = _labels_from_bits(bits, sys_cfg.M)
+        messages = _labels_from_bits(bits)
         noise = sample_noise_split(rng, n0, (cfg.batch_size, 2 * sys_cfg.K))
 
-        loss, grad_g = _loss_and_gradients(gbar, decoder, bits, labels, noise, slots, sys_cfg.K)
+        loss, grad_g = _loss_and_gradients(gbar, decoder, bits, messages, noise, slots, sys_cfg.K)
         if not np.isfinite(loss):
             reason = f"non-finite loss at iteration {t}"
             for p, good in zip(params, last_good):
@@ -264,11 +269,11 @@ def gradient_check(rng: np.random.Generator, step: float = 1e-5) -> float:
                 layer.bias[j] = rng.normal(0.0, 0.3, size=layer.n_out)
         batch = 3
         bits = rng.integers(0, 2, size=(batch, J, sys_cfg.bits_per_symbol)) * 2.0 - 1.0
-        _, labels = _labels_from_bits(bits, M)
+        messages = _labels_from_bits(bits)
         noise = rng.normal(0, 0.3, size=(batch, 2 * K))
         h_split = np.concatenate([rng.uniform(0.5, 1.5, K)] * 2)
         slots = _slot_indices(ind)
-        _, grad_g = _loss_and_gradients(gbar, decoder, bits, labels, noise, slots, K, h_split)
+        _, grad_g = _loss_and_gradients(gbar, decoder, bits, messages, noise, slots, K, h_split)
         kink = min(np.abs(layer._preact).min() for layer in decoder.layers()
                    if layer.activation == "relu")
         if kink > 100 * step:
@@ -280,7 +285,7 @@ def gradient_check(rng: np.random.Generator, step: float = 1e-5) -> float:
 
     def loss_fn():
         s, _ = _encoder_forward(gbar, bits, slots, K)
-        return cross_entropy(decoder.forward(s * h_split + noise), labels)
+        return cross_entropy(decoder.forward(s * h_split + noise), messages)
 
     numeric = []
     for arr in arrays:

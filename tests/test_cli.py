@@ -11,15 +11,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scmalink import (MultiTaskDecoder, SystemConfig, compute_med, data_path, load_checkpoint,
-                      random_generators, read_codebook, read_experiment_config, save_checkpoint)
+from scmalink import (IndicatorMatrix, MultiTaskDecoder, SystemConfig, compute_med, data_path,
+                      load_checkpoint, random_generators, read_codebook, read_experiment_config,
+                      save_checkpoint)
 from scmalink import cli
 from scmalink.cli import parse_snr_spec, run_cli
-from scmalink.fileio import CodebookFormatError
+from scmalink.fileio import CodebookFormatError, codebook_from_dict, codebook_to_dict
 
 
 HUAWEI = str(data_path("huawei_4x6.json"))
 CHECKPOINT_V1 = str(Path(__file__).resolve().parent / "checkpoint_v1.bin")
+
+
+def _rehashed(doc):
+    """A copy of an edited codebook document whose config_hash is that of its
+    content, so that the reader's deeper checks stay reachable."""
+    body = {key: value for key, value in doc.items() if key != "config_hash"}
+    return dict(doc, config_hash=codebook_to_dict(codebook_from_dict(body))["config_hash"])
 
 
 class TestSnrSpec:
@@ -514,12 +522,67 @@ class TestMalformedInputs:
 
     @staticmethod
     def _dead_user_codebook(tmp_path):
-        """The Huawei codebook with user 2's codewords all zero."""
+        """The Huawei codebook with user 2's codewords all zero, re-hashed."""
         doc = json.loads(Path(HUAWEI).read_text())
         doc["codewords"][2] = [[["0.0", "0.0"]] * 4] * 4
         path = tmp_path / "dead.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(_rehashed(doc)))
         return path
+
+    def test_stale_content_hash_names_file_and_field(self, tmp_path, capsys):
+        doc = json.loads(Path(HUAWEI).read_text())
+        doc["codewords"][0][1][1] = ["0.5", "0.25"]  # user 0, message 1, resource 1
+        path = tmp_path / "stale.json"
+        path.write_text(json.dumps(doc))
+        want = _rehashed(doc)["config_hash"]
+        assert want != doc["config_hash"]
+        assert run_cli(["med", "--codebook", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "'config_hash'" in err and repr(want) in err
+        path.write_text(json.dumps(_rehashed(doc)))
+        assert run_cli(["med", "--codebook", str(path)]) == 0
+
+    # a batch numpy cannot allocate once exited 2, and an N0 that overflows
+    # exited 1 only after training had started, without naming the file
+    @pytest.mark.parametrize("train, field", [
+        ({"batch_size": 2**70}, "batch_size"),
+        ({"batch_size": 8, "ebn0_min_db": -5000, "ebn0_max_db": -4000}, "ebn0_min_db"),
+    ], ids=["batch-2^70", "n0-overflow"])
+    def test_train_config_that_fails_mid_run_is_rejected_first(self, tmp_path, capsys, train, field):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"system": PAPER_SYSTEM, "train": {"iterations": 1, **train},
+                                   "paths": {"output_dir": str(tmp_path / "out")}}))
+        assert run_cli(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}.train" in err and field in err
+        assert not (tmp_path / "out").exists()
+
+    def test_neural_model_of_another_system_names_flag_and_file(self, tmp_path, capsys):
+        # a valid checkpoint of the 3x3 identity graph at M = 4, run on the 4x6 codebook
+        sys_cfg = SystemConfig(n_users=3, n_resources=3, n_nonzero=1, alphabet_size=4)
+        rng = np.random.default_rng(1)
+        dec = MultiTaskDecoder.build(rng, 6, 3, 4, shared_widths=(8,), subnet_widths=(4,))
+        model = tmp_path / "other.bin"
+        save_checkpoint(model, random_generators(sys_cfg, rng), dec, IndicatorMatrix(np.eye(3, dtype=int)))
+        out = tmp_path / "ber.csv"
+        assert run_cli(["ber", "--codebook", HUAWEI, "--detector", "neural", "--model", str(model),
+                        "--snr", "8", "--max-bits", "1000", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"--model {model}: decoder input width 6" in err
+        assert not out.exists()
+
+    def test_export_of_an_all_zero_generator_names_the_checkpoint(self, tmp_path, capsys):
+        sys_cfg = read_codebook(HUAWEI).config
+        rng = np.random.default_rng(2)
+        gen = random_generators(sys_cfg, rng)
+        gen.gbar[1] = 0.0
+        model = tmp_path / "zero.bin"
+        save_checkpoint(model, gen, MultiTaskDecoder.build(rng, 8, 6, 4, shared_widths=(8,), subnet_widths=(4,)),
+                        read_codebook(HUAWEI).indicator)
+        out = tmp_path / "zero.json"
+        assert run_cli(["export", "--checkpoint", str(model), "--out", str(out)]) == 1
+        assert f"{model}: users [1] have all-zero generators" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["med", "ber", "compare", "train"])
     def test_all_zero_user_names_codebook_and_user(self, tmp_path, capsys, command):

@@ -13,10 +13,9 @@ from scmalink.core import alphabet_bits
 from scmalink.training import _labels_from_bits
 
 
-def labels(bit_vectors, m):
-    """Message indices and one-hot rows of a list of +/-1 bit vectors."""
-    idx, one_hot = _labels_from_bits(np.array(bit_vectors)[None], m)
-    return idx[0], one_hot[0]
+def labels(bit_vectors):
+    """Message indices of a list of +/-1 bit vectors."""
+    return _labels_from_bits(np.array(bit_vectors)[None])[0]
 
 
 class TestSystemConfig:
@@ -77,23 +76,16 @@ class TestBitMatrix:
     @pytest.mark.parametrize("m", [2, 4, 8, 16])
     def test_bit_index_roundtrip(self, m):
         # column m of the bit matrix carries message m
-        idx, _ = labels(build_bit_matrix(m).T, m)
-        assert idx.tolist() == list(range(m))
+        assert labels(build_bit_matrix(m).T).tolist() == list(range(m))
 
 
-class TestOneHot:
+class TestMessageIndices:
     def test_m4_mapping(self):
-        _, one_hot = labels([[-1, -1], [-1, 1], [1, -1], [1, 1]], 4)
-        assert one_hot.tolist() == np.eye(4).tolist()
+        idx = labels([[-1, -1], [-1, 1], [1, -1], [1, 1]])
+        assert idx.dtype.kind == "i" and idx.tolist() == [0, 1, 2, 3]
 
     def test_m2(self):
-        _, one_hot = labels([[1]], 2)
-        assert one_hot.tolist() == [[0, 1]]
-
-    def test_roundtrip_all_messages(self):
-        for m_size in (2, 4, 8):
-            idx, one_hot = labels(build_bit_matrix(m_size).T, m_size)
-            assert np.argmax(one_hot, axis=1).tolist() == idx.tolist() == list(range(m_size))
+        assert labels([[-1], [1]]).tolist() == [0, 1]
 
 
 class TestIndicator:

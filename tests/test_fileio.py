@@ -171,6 +171,20 @@ class TestCodebookFiles:
         assert doc["seed"] == 42
         assert len(doc["config_hash"]) == 16
 
+    def test_content_hash_is_checked_when_present(self, tmp_path):
+        shipped = data_path("huawei_4x6.json")
+        stored = json.loads(shipped.read_text())["config_hash"]
+        assert codebook_to_dict(read_codebook(shipped))["config_hash"] == stored
+        doc = codebook_to_dict(random_codebook(np.random.default_rng(5)))
+        doc["codewords"][1][3][0] = ["0.5", "-0.25"]  # user 1 occupies resource 0
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CodebookFormatError, match="'config_hash'"):
+            read_codebook(path)
+        del doc["config_hash"]
+        path.write_text(json.dumps(doc))
+        assert read_codebook(path).entries[1, 0, 3] == 0.5 - 0.25j
+
 
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):

@@ -1,9 +1,10 @@
-"""Every name a package module imports at module level is used in it, and
-every module-level private helper is read somewhere in the package.
+"""Every name a package module imports at module level is used in it, every
+module-level private helper is read somewhere in the package, and every
+parameter of every function is read in that function's body.
 
-The project has no linter, so this stands in for unused-import and
-dead-code checks on src/scmalink. The package's __init__.py re-exports names
-and is skipped by the import check.
+The project has no linter, so this stands in for unused-import,
+unused-argument and dead-code checks on src/scmalink. The package's
+__init__.py re-exports names and is skipped by the import check.
 """
 
 import ast
@@ -71,3 +72,33 @@ def test_checker_finds_a_dead_private_name():
 
 def test_no_dead_private_name():
     assert dead_private_names({p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}) == []
+
+
+def unused_parameters(source: str) -> list[str]:
+    """'function:parameter' for each parameter of a function or lambda in
+    source that its body never reads. A nested function's reads count for
+    the functions around it; defaults and decorators are not the body."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg) if p]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [f"{getattr(node, 'name', '<lambda>')}:{p}" for p in params if p not in read]
+    return sorted(found)
+
+
+def test_checker_finds_an_unused_parameter():
+    source = ("def f(a, b, *args, c=1, **kw):\n    return a + args[0] + kw['x']\n"
+              "class C:\n    def m(self, x=b):\n        return 1\n"
+              "def outer(y):\n    def inner(z):\n        return y\n    return inner\n"
+              "g = lambda u, v: u\n")
+    assert unused_parameters(source) == ["<lambda>:v", "f:b", "f:c", "inner:z", "m:self", "m:x"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_unused_parameter(module):
+    assert unused_parameters((SRC / module).read_text(encoding="utf-8")) == []

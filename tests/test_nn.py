@@ -89,36 +89,50 @@ class TestForward:
 
 class TestLoss:
     def test_exact_prediction_zero_loss(self):
-        labels = np.zeros((3, 2, 4))
-        labels[:, :, 1] = 1
-        assert cross_entropy(labels, labels) == pytest.approx(0.0)
+        probs = np.zeros((3, 2, 4))
+        probs[:, :, 1] = 1
+        assert cross_entropy(probs, np.ones((3, 2), dtype=int)) == 0.0
 
     def test_uniform_j6_m4(self):
         p = np.full((5, 6, 4), 0.25)
-        q = np.zeros((5, 6, 4))
-        q[:, :, 0] = 1
-        assert cross_entropy(p, q) == pytest.approx(6 * np.log(4), abs=1e-12)
+        assert cross_entropy(p, np.zeros((5, 6), dtype=int)) == pytest.approx(6 * np.log(4), abs=1e-12)
 
     def test_uniform_j1_m4(self):
         p = np.full((1, 1, 4), 0.25)
-        q = np.zeros((1, 1, 4))
-        q[0, 0, 2] = 1
-        assert cross_entropy(p, q) == pytest.approx(1.3863, abs=1e-4)
+        assert cross_entropy(p, [[2]]) == pytest.approx(1.3863, abs=1e-4)
 
     def test_clamped_at_zero_probability(self):
         p = np.zeros((1, 1, 2))
         p[0, 0, 1] = 1.0
-        q = np.zeros((1, 1, 2))
-        q[0, 0, 0] = 1
-        out = cross_entropy(p, q)
+        out = cross_entropy(p, [[0]])
         assert np.isfinite(out) and out > 60  # -log(1e-30)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(5)
         p = rng.dirichlet(np.ones(4), size=(10, 3))
+        assert cross_entropy(p, rng.integers(0, 4, size=(10, 3))) >= 0
+
+    def test_equals_the_one_hot_product_bit_for_bit(self):
+        # -sum_m q_m log p_m with one-hot q adds exact zeros to -log p[message]
+        rng = np.random.default_rng(13)
+        p = rng.dirichlet(np.full(4, 0.3), size=(200, 6))
+        p[0, 0] = [0.0, 1.0, 0.0, 0.0]  # a clamped target
+        msgs = rng.integers(0, 4, size=(200, 6))
         q = np.zeros_like(p)
-        q[..., 0] = 1
-        assert cross_entropy(p, q) >= 0
+        np.put_along_axis(q, msgs[..., None], 1.0, axis=-1)
+        one_hot = float((-(q * np.log(np.maximum(p, 1e-30))).sum(axis=-1)).sum(axis=-1).mean())
+        assert cross_entropy(p, msgs) == one_hot
+
+    def test_one_hot_target_rejected(self):
+        rng = np.random.default_rng(14)
+        dec = small_decoder(rng)
+        probs = dec.forward(rng.normal(size=(3, 4)), remember=True)
+        one_hot = np.zeros_like(probs)
+        one_hot[..., 0] = 1.0
+        with pytest.raises(ShapeError, match="messages"):
+            cross_entropy(probs, one_hot)
+        with pytest.raises(ShapeError, match="messages"):
+            dec.backward_cross_entropy(probs, one_hot)
 
 
 class TestBackward:
@@ -127,12 +141,12 @@ class TestBackward:
         dec = small_decoder(rng)
         x = rng.normal(size=(8, 4))
         probs = dec.forward(x, remember=True)
-        labels = np.zeros_like(probs)
-        labels[:, :, 0] = 1
-        dec.backward_cross_entropy(probs, labels)
+        dec.backward_cross_entropy(probs, np.zeros((8, 2), dtype=int))
         # re-run forward keeping the head input, check d loss / d z = (p-q)/B
         head = dec.user_layers[-1]
-        expected = (probs - labels) / 8
+        expected = probs.copy()
+        expected[:, :, 0] -= 1
+        expected /= 8
         assert head.grad_bias == pytest.approx(expected.sum(axis=0), abs=1e-12)
 
     def test_backward_without_remembered_forward_raises(self):
@@ -142,11 +156,16 @@ class TestBackward:
                 backward(np.ones((1, 3)))
 
     def test_zero_upstream_gives_zero_gradients(self):
+        # a head certain of the right message: exp(-800) underflows to 0, so
+        # p is exactly one-hot and p - q is exactly zero
         rng = np.random.default_rng(7)
         dec = small_decoder(rng)
+        head = dec.user_layers[-1]
+        head.weights[:] = 0
+        head.bias[:] = [800.0, 0.0, 0.0, 0.0]
         x = rng.normal(size=(4, 4))
         probs = dec.forward(x, remember=True)
-        dec.backward_cross_entropy(probs, probs.copy())  # labels == probs
+        dec.backward_cross_entropy(probs, np.zeros((4, 2), dtype=int))
         for g in dec.gradients():
             assert np.allclose(g, 0, atol=1e-12)
 
@@ -163,11 +182,10 @@ class TestBackward:
         ]
         dec = MultiTaskDecoder(shared, user_layers)
         x = rng.normal(size=(5, 3))
-        labels = np.zeros((5, 2, 2))
-        labels[:, :, 0] = 1
+        msgs = np.zeros((5, 2), dtype=int)
 
         probs = dec.forward(x, remember=True)
-        dec.backward_cross_entropy(probs, labels)
+        dec.backward_cross_entropy(probs, msgs)
         analytic = [g.copy() for g in dec.gradients()]
 
         step = 1e-6
@@ -180,9 +198,9 @@ class TestBackward:
                 ix = it.multi_index
                 orig = arr[ix]
                 arr[ix] = orig + step
-                lp = cross_entropy(dec.forward(x), labels)
+                lp = cross_entropy(dec.forward(x), msgs)
                 arr[ix] = orig - step
-                lm = cross_entropy(dec.forward(x), labels)
+                lm = cross_entropy(dec.forward(x), msgs)
                 arr[ix] = orig
                 g[ix] = (lp - lm) / (2 * step)
             numeric.append(g)
@@ -203,17 +221,13 @@ def fresh_copy(dec):
 
 
 def random_batch(rng, size, n_users=6, n_messages=4):
-    x = rng.normal(size=(size, 8))
-    labels = np.zeros((size, n_users, n_messages))
-    msgs = rng.integers(0, n_messages, size=(size, n_users))
-    np.put_along_axis(labels, msgs[..., None], 1.0, axis=-1)
-    return x, labels
+    return rng.normal(size=(size, 8)), rng.integers(0, n_messages, size=(size, n_users))
 
 
-def remembered_step(dec, x, labels):
+def remembered_step(dec, x, msgs):
     """One remembered forward and backward: probabilities, input gradient."""
     probs = dec.forward(x, remember=True)
-    return probs, dec.backward_cross_entropy(probs, labels)
+    return probs, dec.backward_cross_entropy(probs, msgs)
 
 
 def assert_same_bytes(got, want):
@@ -231,10 +245,10 @@ class TestLayerBuffers:
         dec = paper_decoder(20)
         adam = AdamState.for_parameters(dec.parameters())
         for size in (1000, 333, 3):
-            x, labels = random_batch(rng, size)
+            x, msgs = random_batch(rng, size)
             twin = fresh_copy(dec)
-            got = remembered_step(dec, x, labels)
-            want = remembered_step(twin, x, labels)
+            got = remembered_step(dec, x, msgs)
+            want = remembered_step(twin, x, msgs)
             assert_same_bytes(got, want)
             assert_same_bytes(dec.gradients(), twin.gradients())
             adam_step(dec.parameters(), dec.gradients(), adam, 1e-3)
@@ -250,12 +264,12 @@ class TestLayerBuffers:
     def test_inference_between_forward_and_backward_changes_nothing(self):
         rng = np.random.default_rng(22)
         dec = paper_decoder(22)
-        x, labels = random_batch(rng, 500)
+        x, msgs = random_batch(rng, 500)
         twin = fresh_copy(dec)
-        want = remembered_step(twin, x, labels)
+        want = remembered_step(twin, x, msgs)
         probs = dec.forward(x, remember=True)
         dec.forward(rng.normal(size=x.shape))
-        got = probs, dec.backward_cross_entropy(probs, labels)
+        got = probs, dec.backward_cross_entropy(probs, msgs)
         assert_same_bytes(got, want)
         assert_same_bytes(dec.gradients(), twin.gradients())
 
@@ -264,14 +278,14 @@ class TestLayerBuffers:
         # the layer arrays afresh every step peaked at about 20.7 MB
         rng = np.random.default_rng(23)
         dec = paper_decoder(23)
-        x, labels = random_batch(rng, 1000)
-        remembered_step(dec, x, labels)  # allocates the buffers
+        x, msgs = random_batch(rng, 1000)
+        remembered_step(dec, x, msgs)  # allocates the buffers
         was_tracing = tracemalloc.is_tracing()
         tracemalloc.start()
         tracemalloc.reset_peak()
         try:
             for _ in range(3):
-                remembered_step(dec, x, labels)
+                remembered_step(dec, x, msgs)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             if not was_tracing:

@@ -172,11 +172,18 @@ class TestConfigValidation:
             dict(ebn0_max_db=np.inf),
             dict(ebn0_min_db=-np.inf),
             dict(seed=-1),
+            dict(batch_size=2**20 + 1),
+            dict(ebn0_min_db=-3083, ebn0_max_db=-3000),  # N0 = 10^308.3 overflows
         ],
     )
     def test_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             TrainConfig(**kwargs)
+
+    def test_bounds_accepted(self):
+        # the largest batch, and an Eb/N0 whose N0 (10^308.2) is still a float
+        cfg = TrainConfig(batch_size=2**20, ebn0_min_db=-3082, ebn0_max_db=-3000)
+        assert (cfg.batch_size, cfg.ebn0_min_db) == (2**20, -3082)
 
 
 def test_default_init_rejects_codebook_on_another_graph():
@@ -222,7 +229,7 @@ class _FixedGradientDecoder:
     def forward(self, r, remember=False):
         return np.full((r.shape[0], 1, 2), 0.5)
 
-    def backward_cross_entropy(self, probs, labels):
+    def backward_cross_entropy(self, probs, messages):
         return self.grad_r
 
 
@@ -245,7 +252,7 @@ def test_stacked_generator_gradient_matches_per_user_loop(seed):
     grad_r = rng.normal(size=(batch, 2 * K))
     h = rng.uniform(0.5, 1.5, 2 * K)
     _, grad_g = _loss_and_gradients(gbar, _FixedGradientDecoder(grad_r), bits,
-                                    np.full((batch, 1, 2), 0.5), np.zeros((batch, 2 * K)),
+                                    np.zeros((batch, 1), dtype=int), np.zeros((batch, 2 * K)),
                                     slots, K, h)
     expected = _generator_gradient_per_user(gbar, grad_r * h, bits, slots)
     assert grad_g.tobytes() == expected.tobytes()
