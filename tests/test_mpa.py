@@ -335,6 +335,40 @@ class TestBatchBlocks:
                 assert post[i].tobytes() == _mpa_posteriors(r[i : i + 1], huawei, ch, cfg)[0].tobytes()
 
 
+class TestChannelMetricLayout:
+    # the Huawei graph over AWGN and the padded M=8 irregular graph of
+    # block_crossing_cases over its fading h, at 8 dB
+    @pytest.fixture(scope="class")
+    def systems(self):
+        irregular, ch, _ = block_crossing_cases()["irregular"]
+        return {"huawei": (read_codebook(data_path("huawei_4x6.json")).normalized(),
+                           ChannelRealization.awgn(4, ebn0_to_n0(8.0, 4))),
+                "irregular": (irregular, ch)}
+
+    @pytest.mark.parametrize("system", ["huawei", "irregular"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("B", [1, 2000])  # one row; full blocks and a partial last one
+    def test_c_ordered_blocks_equal_the_transposed_expression(self, systems, system, dtype, B):
+        cb, ch = systems[system]
+        g = _FactorGraph(cb)
+        rng = np.random.default_rng([B, 24])
+        received = apply_channel(superimpose(cb, rng.integers(0, g.M, (B, g.J))), ch, rng)
+        # the metric as written on transposed views, whose result puts the
+        # combination axis innermost in memory
+        cdtype = np.result_type(dtype, np.complex64)
+        faded = (ch.h[:, None] * g.sums).T[:, :, None].astype(cdtype, copy=False)
+        r = received.astype(cdtype, copy=False)
+        n0 = np.dtype(dtype).type(max(ch.n0, N0_FLOOR))
+        rows, starts = block_rows(dtype), []
+        for a, phi in mpa._channel_metrics(received, ch, g, dtype):
+            starts.append(a)
+            b = min(rows, B - a)
+            assert phi.dtype == dtype and phi.shape == (g.M**g.d, g.K, b)
+            assert phi.flags.c_contiguous
+            assert phi.tobytes() == (-np.abs(r[a : a + rows].T[None] - faded) ** 2 / n0).tobytes()
+        assert starts == list(range(0, B, rows))
+
+
 def float64_decisions(r, cb, ch, cfg=MpaConfig()):
     return np.argmax(_mpa_posteriors(r, cb, ch, cfg), axis=2)
 
