@@ -8,9 +8,13 @@ strings, which round-trip bit-exactly through repr/float.
 All three formats carry the same "system" block, read and written by one pair
 of helpers. Every malformed file raises CodebookFormatError naming the file
 and the offending field: missing keys, values of the wrong type (a JSON
-boolean or string is never a number, and an integer field takes no
-fraction), non-finite codewords, unknown config keys, truncated checkpoints
-and bytes after a checkpoint's last array.
+boolean or string is never a number, an integer field takes no fraction,
+and an entry of F is a JSON integer 0 or 1), non-finite codewords and
+unknown config keys. A checkpoint is also rejected for a bad magic number, a
+truncated file, a header that is not JSON, array names other than its
+layout's in that order, a shape that is not a list of non-negative integers,
+arrays the stored system or layout rejects, a meta that is not an object,
+and bytes after its last array.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -120,9 +125,11 @@ def _system_from_dict(block, F, where: str) -> tuple[SystemConfig, IndicatorMatr
         fields = ", ".join(map(repr, _SYSTEM_KEYS))
         raise CodebookFormatError(f"{where}: fields {fields} are not a valid system ({exc})") from exc
     try:
+        if any(type(x) is not int for row in F for x in row):  # true and 1.0 would pass as 1
+            raise TypeError("entries must be JSON integers 0 or 1")
         ind = IndicatorMatrix(np.array(F))
         ind.check_fits(cfg)
-    except (ValueError, ConfigError, ShapeError) as exc:  # ValueError: a ragged list of rows
+    except (TypeError, ValueError, ConfigError, ShapeError) as exc:  # ValueError: a ragged list of rows
         raise CodebookFormatError(f"{where}: bad field 'F' ({exc})") from exc
     return cfg, ind
 
@@ -265,25 +272,29 @@ def read_experiment_config(path) -> ExperimentConfig:
     return experiment_config_from_dict(_read_json(path), where=str(Path(path)))
 
 
+def _checkpoint_names(n_shared: int, n_users: int, n_subnet: int) -> list[str]:
+    """Version 1's array names in file order: gbar, the trunk, then user by user."""
+    layers = [f"shared.{i}" for i in range(n_shared)]
+    layers += [f"subnet.{j}.{i}" for j in range(n_users) for i in range(n_subnet)]
+    return ["gbar", *(f"{layer}.{part}" for layer in layers for part in "wb")]
+
+
 def save_checkpoint(path, gen: GeneratorSet, decoder: MultiTaskDecoder,
                     indicator: IndicatorMatrix, meta: dict | None = None) -> None:
     """Binary dump of all parameters plus enough topology to rebuild them."""
-    arrays = [("gbar", gen.gbar)]
-    layout = {"shared": [], "subnets": []}
-    for i, layer in enumerate(decoder.shared):
-        arrays += [(f"shared.{i}.w", layer.weights), (f"shared.{i}.b", layer.bias)]
-        layout["shared"].append(layer.activation)
     # version 1 stores each user's subnetwork separately
-    for j in range(decoder.n_users):
-        for i, layer in enumerate(decoder.user_layers):
-            arrays += [(f"subnet.{j}.{i}.w", layer.weights[j]), (f"subnet.{j}.{i}.b", layer.bias[j])]
-        layout["subnets"].append([layer.activation for layer in decoder.user_layers])
+    layers = [(layer.weights, layer.bias) for layer in decoder.shared]
+    layers += [(layer.weights[j], layer.bias[j])
+               for j in range(decoder.n_users) for layer in decoder.user_layers]
+    arrays = [gen.gbar, *(a for pair in layers for a in pair)]
+    names = _checkpoint_names(len(decoder.shared), decoder.n_users, len(decoder.user_layers))
     header = {
         "version": CHECKPOINT_VERSION,
         "system": _system_to_dict(gen.config),
         "F": indicator.F.tolist(),
-        "layout": layout,
-        "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays],
+        "layout": {"shared": [layer.activation for layer in decoder.shared],
+                   "subnets": [[layer.activation for layer in decoder.user_layers]] * decoder.n_users},
+        "arrays": [{"name": n, "shape": list(a.shape)} for n, a in zip(names, arrays)],
         "meta": meta or {},
     }
     blob = json.dumps(header).encode()
@@ -291,25 +302,19 @@ def save_checkpoint(path, gen: GeneratorSet, decoder: MultiTaskDecoder,
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for _, a in arrays:
+        for a in arrays:
             fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
-def _read_exact(fh, n: int, what: str, where: str) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
+def _read_exact(fh: io.BytesIO, n: int, what: str, where: str) -> bytes:
+    if n > fh.getbuffer().nbytes - fh.tell():  # first: fh.read(n) overflows past sys.maxsize
         raise CodebookFormatError(f"{where}: truncated {what}")
-    return buf
+    return fh.read(n)
 
 
 def load_checkpoint(path):
-    """Returns (GeneratorSet, MultiTaskDecoder, IndicatorMatrix, meta).
-
-    A missing or unreadable file, a bad magic number, a truncated file, a
-    header that is not JSON or lacks a field, arrays whose shape or values
-    the stored system or layout rejects, and bytes after the last array
-    raise CodebookFormatError.
-    """
+    """Returns (GeneratorSet, MultiTaskDecoder, IndicatorMatrix, meta); a file
+    the module docstring calls malformed raises CodebookFormatError."""
     where = str(Path(path))
     with io.BytesIO(_read_bytes(path)) as fh:
         if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
@@ -323,31 +328,35 @@ def load_checkpoint(path):
                     f"{where}: unsupported checkpoint version {header['version']!r}")
             cfg, ind = _system_from_dict(header["system"], header["F"], f"{where}.system")
             layout = header["layout"]
-            values = {}
-            for spec in header["arrays"]:
-                shape = tuple(spec["shape"])
-                count = int(np.prod(shape)) if shape else 1
-                buf = _read_exact(fh, 8 * count, f"array {spec['name']!r}", where)
-                values[spec["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-            if fh.read(1):
-                raise CodebookFormatError(f"{where}: trailing bytes after the last array")
-            gen = GeneratorSet(gbar=values["gbar"], config=cfg)
-            shared = [
-                DenseLayer(values[f"shared.{i}.w"], values[f"shared.{i}.b"], act)
-                for i, act in enumerate(layout["shared"])
-            ]
             acts = layout["subnets"][0]
             if any(other != acts for other in layout["subnets"]):
                 raise CodebookFormatError(f"{where}: user subnetworks differ in layout")
-            users = range(len(layout["subnets"]))
-            user_layers = [
-                DenseLayer(np.stack([values[f"subnet.{j}.{i}.w"] for j in users]),
-                           np.stack([values[f"subnet.{j}.{i}.b"] for j in users]), act)
-                for i, act in enumerate(acts)
-            ]
+            names = _checkpoint_names(len(layout["shared"]), len(layout["subnets"]), len(acts))
+            stored = [spec["name"] for spec in header["arrays"]]
+            if stored != names:  # padded with values no name equals: a missing or extra array differs too
+                i = next(i for i, (a, b) in enumerate(zip([*stored, None], [*names, ...])) if a != b)
+                raise CodebookFormatError(f"{where}: array {i}: header {stored[i:i + 1]}, layout {names[i:i + 1]}")
+            arrays = []
+            for spec, name in zip(header["arrays"], names):
+                shape = spec["shape"]
+                if not isinstance(shape, list) or any(type(n) is not int or n < 0 for n in shape):
+                    raise CodebookFormatError(f"{where}: array {name!r} has shape {shape!r}, "
+                                              "not a list of integers >= 0")
+                buf = _read_exact(fh, 8 * math.prod(shape), f"array {name!r}", where)
+                arrays.append(np.frombuffer(buf, dtype="<f8").reshape(shape).copy())
+            if fh.read(1):
+                raise CodebookFormatError(f"{where}: trailing bytes after the last array")
+            values = iter(arrays)
+            gen = GeneratorSet(gbar=next(values), config=cfg)
+            shared = [DenseLayer(next(values), next(values), act) for act in layout["shared"]]
+            users = [[(next(values), next(values)) for _ in acts] for _ in layout["subnets"]]
+            # zip(*users) gives each depth's (w, b) per user, which the layer stacks
+            user_layers = [DenseLayer(*map(np.stack, zip(*depth)), act) for depth, act in zip(zip(*users), acts)]
             decoder = MultiTaskDecoder(shared, user_layers)
             decoder.check_fits(cfg)
             meta = header["meta"]
+            if not isinstance(meta, dict):
+                raise CodebookFormatError(f"{where}: bad field 'meta' (expected an object, got {meta!r})")
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise CodebookFormatError(
                 f"{where}: bad checkpoint header ({type(exc).__name__}: {exc})") from exc

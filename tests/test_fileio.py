@@ -185,6 +185,79 @@ class TestCodebookFiles:
         path.write_text(json.dumps(doc))
         assert read_codebook(path).entries[1, 0, 3] == 0.5 - 0.25j
 
+    # a codebook without config_hash: the content hash no longer stands in for the check
+    @pytest.mark.parametrize("entry", [True, 1.0])
+    def test_f_entries_are_json_integers(self, tmp_path, entry):
+        doc = codebook_to_dict(random_codebook(np.random.default_rng(0)))
+        del doc["config_hash"]
+        doc["F"][0][0] = entry  # was 1
+        path = tmp_path / "cb.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CodebookFormatError, match=f"{re.escape(str(path))}.*'F'"):
+            read_codebook(path)
+
+
+# edits of a TestCheckpoint.small_checkpoint file: each takes its parsed
+# header, which it edits in place, and its array bytes, and returns the array
+# bytes to write. The 17 arrays are gbar (24 values), shared.0.w (48),
+# shared.0.b (8), shared.1.w (48), shared.1.b (6), then user by user
+# subnet.j.0.w (30), subnet.j.0.b (5), subnet.j.1.w (20) and subnet.j.1.b (4)
+def _swapped(header, arrays):
+    """Users 0 and 1 trade first-layer weights."""
+    specs = header["arrays"]
+    specs[5]["name"], specs[9]["name"] = specs[9]["name"], specs[5]["name"]
+    return arrays
+
+
+def _extra(header, arrays):
+    header["arrays"].append({"name": "junk", "shape": [1]})
+    return arrays + bytes(8)
+
+
+def _repeated(header, arrays):
+    """A second gbar, a copy of the first, after the last array."""
+    header["arrays"].append({"name": "gbar", "shape": [3, 4, 2]})
+    return arrays + arrays[: 8 * 24]
+
+
+def _reordered(header, arrays):
+    """shared.0.b, name, shape and values, before shared.0.w."""
+    specs = header["arrays"]
+    specs[1], specs[2] = specs[2], specs[1]
+    return arrays[: 8 * 24] + arrays[8 * 72 : 8 * 80] + arrays[8 * 24 : 8 * 72] + arrays[8 * 80 :]
+
+
+def _bias_too_short(header, arrays):
+    header["arrays"][2]["shape"] = [7]
+    return arrays[: 8 * 79] + arrays[8 * 80 :]
+
+
+def _unknown_activation(header, arrays):
+    header["layout"]["shared"][1] = "tanh"
+    return arrays
+
+
+def _no_user_layers(header, arrays):
+    header["layout"]["subnets"] = [[], [], []]
+    del header["arrays"][5:]
+    return arrays[: 8 * 134]
+
+
+def _three_d_trunk(header, arrays):
+    header["arrays"][1]["shape"] = [1, 8, 6]
+    header["arrays"][2]["shape"] = [1, 8]
+    return arrays
+
+
+def _width_chain_broken(header, arrays):
+    header["arrays"][3]["shape"] = [6, 4]  # reads 4 of shared.0's 8 outputs
+    return arrays[: 8 * 104] + arrays[8 * 128 :]
+
+
+def _relu_head(header, arrays):
+    header["layout"]["subnets"] = [["relu", "relu"]] * 3
+    return arrays
+
 
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
@@ -316,6 +389,80 @@ class TestCheckpoint:
         with pytest.raises(CodebookFormatError, match=f"{re.escape(str(path))}.*trailing"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("entry", [True, 1.0])
+    def test_f_entries_are_json_integers(self, tmp_path, entry):
+        path = tmp_path / "model.bin"
+        header, arrays = self.small_checkpoint(path)
+        header["F"][0][0] = entry  # was 1
+        self.rewrite(path, header, arrays)
+        with pytest.raises(CodebookFormatError, match=f"{re.escape(str(path))}.*'F'"):
+            load_checkpoint(path)
+
+    def assert_rejected(self, tmp_path, capsys, edit, message):
+        """A small checkpoint changed by edit: load_checkpoint raises, and
+        export exits 1, with the file's name and then message."""
+        path = tmp_path / "model.bin"
+        header, arrays = self.small_checkpoint(path)
+        self.rewrite(path, header, edit(header, arrays))
+        with pytest.raises(CodebookFormatError, match=re.escape(f"{path}: {message}")):
+            load_checkpoint(path)
+        out = tmp_path / "cb.json"
+        assert cli.run_cli(["export", "--checkpoint", str(path), "--out", str(out)]) == 1
+        assert f"{path}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    # each once loaded: the extra array was ignored and the second gbar
+    # replaced the first
+    @pytest.mark.parametrize("edit, message", [
+        (_swapped, "array 5: header ['subnet.1.0.w'], layout ['subnet.0.0.w']"),
+        (_extra, "array 17: header ['junk'], layout []"),
+        (_repeated, "array 17: header ['gbar'], layout []"),
+        (_reordered, "array 1: header ['shared.0.b'], layout ['shared.0.w']"),
+    ], ids=["swapped", "extra", "repeated", "reordered"])
+    def test_array_names_must_be_the_layouts_in_order(self, tmp_path, capsys, edit, message):
+        self.assert_rejected(tmp_path, capsys, edit, message)
+
+    def test_missing_array_named(self, tmp_path, capsys):
+        def edit(header, arrays):
+            del header["arrays"][-1]
+            return arrays[:-8 * 4]
+
+        self.assert_rejected(tmp_path, capsys, edit, "array 16: header [], layout ['subnet.2.1.b']")
+
+    @pytest.mark.parametrize("meta", [5, "x", [1], None])  # each made export exit 2
+    def test_meta_must_be_an_object(self, tmp_path, capsys, meta):
+        def edit(header, arrays):
+            header["meta"] = meta
+            return arrays
+
+        self.assert_rejected(tmp_path, capsys, edit, f"bad field 'meta' (expected an object, got {meta!r})")
+
+    # 1e308 and 2**70 made export exit 2, and -1 was called a truncated array
+    @pytest.mark.parametrize("size, message", [
+        (1e308, "array 'gbar' has shape [3, 4, 1e+308]"),
+        (-1, "array 'gbar' has shape [3, 4, -1]"),
+        (True, "array 'gbar' has shape [3, 4, True]"),
+        (2**70, "truncated array 'gbar'"),
+    ], ids=["1e308", "-1", "true", "2^70"])
+    def test_shape_entries_are_non_negative_integers(self, tmp_path, capsys, size, message):
+        def edit(header, arrays):
+            header["arrays"][0]["shape"] = [3, 4, size]
+            return arrays
+
+        self.assert_rejected(tmp_path, capsys, edit, message)
+
+    # the decoder's structural checks, each reached from a header
+    @pytest.mark.parametrize("edit, message", [
+        (_bias_too_short, "weights (8, 6) and bias (7,) are inconsistent"),
+        (_unknown_activation, "unknown activation 'tanh'"),
+        (_no_user_layers, "decoder needs at least one user subnetwork layer"),
+        (_three_d_trunk, "trunk layers take (out, in) weights"),
+        (_width_chain_broken, "layer input width 4 does not match 8"),
+        (_relu_head, "every subnetwork must end in a softmax head"),
+    ], ids=["bias", "activation", "no-user-layers", "3d-trunk", "width-chain", "head"])
+    def test_decoder_structure_checks_name_file(self, tmp_path, capsys, edit, message):
+        self.assert_rejected(tmp_path, capsys, edit, message)
+
 
 class TestExperimentConfig:
     def base_doc(self):
@@ -369,6 +516,13 @@ class TestExperimentConfig:
         plain = experiment_config_from_dict(doc).config_hash()
         doc["train"]["beta"] = 0.5
         assert experiment_config_from_dict(doc).config_hash() != plain
+
+    @pytest.mark.parametrize("entry", [True, 1.0])
+    def test_f_entries_are_json_integers(self, entry):
+        doc = self.base_doc()
+        doc["system"]["F"][0][1] = entry  # was 1
+        with pytest.raises(CodebookFormatError, match="config.system.*'F'"):
+            experiment_config_from_dict(doc)
 
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "exp.json"
