@@ -12,15 +12,11 @@ build B themselves and place all users with one stacked gather or scatter.
 
 codeword_table materializes the generators as a sparse Codebook, and
 superimpose turns a batch of message tuples into the downlink signal through
-that codebook. The training loop keeps its own differentiable encoding in the
-generator domain, one user at a time: that loop is the fastest exact scatter
-measured. One stacked product with a single np.add.at scatter gives the same
-bits but takes 1.4-2x as long per forward at batch 1000, and a gather from a
-codeword table is slower than the loop too. A product with a 0/1 placement
-matrix (one GEMM for every user) ran 1.7x faster at batch 1000 and matched on
-the Huawei graph, but it sums in BLAS's order: it differed from the loop on
-93 of 300 random graphs with K <= 6 and J <= 8. The generator gradient
-scatters nothing, so it takes one stacked product for all users.
+that codebook. Training encodes the same way: its forward pass is
+split_real(superimpose(learned_codebook(...), messages)), so the codebook that
+train writes is the encoding its decoder was trained on, bit for bit. The
+generator gradient scatters nothing, so it takes one stacked product for all
+users.
 """
 
 from __future__ import annotations
@@ -56,10 +52,14 @@ class GeneratorSet:
             raise ConfigError("generator entries must be finite")
         object.__setattr__(self, "gbar", g)
 
-    def user_energies(self) -> np.ndarray:
-        """Per-user average codeword energy (1/M) sum_m ||gbar_j b_m||^2."""
-        splits = np.einsum("jab,bm->jam", self.gbar, build_bit_matrix(self.config.M))
-        return (splits**2).sum(axis=(1, 2)) / self.config.M
+    def norms(self) -> np.ndarray:
+        """Per-user Frobenius norm ||gbar_j||_F. Because B B^T = M I, its square
+        is the user's average codeword energy (1/M) sum_m ||gbar_j b_m||^2.
+        An all-zero user raises DegenerateCodebookError."""
+        norms = np.array([np.linalg.norm(g) for g in self.gbar])
+        if np.any(norms == 0):
+            raise DegenerateCodebookError(f"users {np.flatnonzero(norms == 0).tolist()} have all-zero generators")
+        return norms
 
 
 def superimpose(codebook: Codebook, msgs) -> np.ndarray:
@@ -79,13 +79,8 @@ def superimpose(codebook: Codebook, msgs) -> np.ndarray:
 
 
 def normalize(gen: GeneratorSet) -> GeneratorSet:
-    """Scale each user's generator so its average codeword energy is 1."""
-    energies = gen.user_energies()
-    if np.any(energies == 0):
-        dead = np.flatnonzero(energies == 0).tolist()
-        raise DegenerateCodebookError(f"users {dead} have all-zero generators")
-    scale = 1.0 / np.sqrt(energies)
-    return GeneratorSet(gbar=gen.gbar * scale[:, None, None], config=gen.config)
+    """Divide each user's generator by its norm: unit average codeword energy."""
+    return GeneratorSet(gbar=gen.gbar / gen.norms()[:, None, None], config=gen.config)
 
 
 def init_generators(codebook: Codebook) -> GeneratorSet:

@@ -9,8 +9,9 @@ All three formats carry the same "system" block, read and written by one pair
 of helpers. Every malformed file raises CodebookFormatError naming the file
 and the offending field: missing keys, values of the wrong type (a JSON
 boolean or string is never a number, an integer field takes no fraction,
-and an entry of F is a JSON integer 0 or 1), non-finite codewords and
-unknown config keys. A checkpoint is also rejected for a bad magic number, a
+and an entry of F is a JSON integer 0 or 1), non-finite codewords, and
+unknown keys in a config, in any system block, and in a checkpoint's header,
+layout and array entries. A checkpoint is also rejected for a bad magic number, a
 truncated file, a header that is not JSON, array names other than its
 layout's in that order, a shape that is not a list of non-negative integers,
 arrays the stored system or layout rejects, a meta that is not an object,
@@ -116,8 +117,10 @@ def _system_to_dict(cfg: SystemConfig) -> dict:
     return {key: getattr(cfg, name) for key, name in _SYSTEM_KEYS.items()}
 
 
-def _system_from_dict(block, F, where: str) -> tuple[SystemConfig, IndicatorMatrix]:
-    """A system block and its occupancy matrix, which must agree on J, K and N."""
+def _system_from_dict(block, F, where: str, extra=()) -> tuple[SystemConfig, IndicatorMatrix]:
+    """A system block and its occupancy matrix, which must agree on J, K and N;
+    the block may hold the keys in extra besides the system's own."""
+    _check_keys(block, [*_SYSTEM_KEYS, *extra], where)
     values = {name: _typed(block, key, int, where) for key, name in _SYSTEM_KEYS.items()}
     try:
         cfg = SystemConfig(**values)
@@ -175,7 +178,7 @@ def codebook_from_dict(doc: dict, where: str = "codebook") -> Codebook:
         raise CodebookFormatError(f"{where}: expected an object, got {doc!r}")
     if _require(doc, "format", where) != CODEBOOK_FORMAT:
         raise CodebookFormatError(f"{where}: format {doc.get('format')!r} is not {CODEBOOK_FORMAT!r}")
-    if _require(doc, "version", where) != CODEBOOK_VERSION:
+    if _typed(doc, "version", int, where) != CODEBOOK_VERSION:
         raise CodebookFormatError(f"{where}: unsupported version {doc.get('version')!r}")
     cfg, ind = _system_from_dict(_require(doc, "system", where), _require(doc, "F", where),
                                  f"{where}.system")
@@ -254,9 +257,8 @@ def _train_from_dict(block, where: str) -> TrainConfig:
 def experiment_config_from_dict(doc: dict, where: str = "config") -> ExperimentConfig:
     _check_keys(doc, {"system", "train", "paths"}, where)
     sysblock = _require(doc, "system", where)
-    _check_keys(sysblock, {*_SYSTEM_KEYS, "F"}, f"{where}.system")
     cfg, ind = _system_from_dict(sysblock, _require(sysblock, "F", f"{where}.system"),
-                                 f"{where}.system")
+                                 f"{where}.system", extra=("F",))
 
     train = _train_from_dict(_require(doc, "train", where), f"{where}.train")
 
@@ -323,15 +325,19 @@ def load_checkpoint(path):
         blob = _read_exact(fh, hlen, "header", where)
         try:
             header = json.loads(blob)
-            if header["version"] != CHECKPOINT_VERSION:
+            _check_keys(header, ("version", "system", "F", "layout", "arrays", "meta"), where)
+            if _typed(header, "version", int, where) != CHECKPOINT_VERSION:
                 raise CodebookFormatError(
                     f"{where}: unsupported checkpoint version {header['version']!r}")
             cfg, ind = _system_from_dict(header["system"], header["F"], f"{where}.system")
             layout = header["layout"]
+            _check_keys(layout, ("shared", "subnets"), f"{where}.layout")
             acts = layout["subnets"][0]
             if any(other != acts for other in layout["subnets"]):
                 raise CodebookFormatError(f"{where}: user subnetworks differ in layout")
             names = _checkpoint_names(len(layout["shared"]), len(layout["subnets"]), len(acts))
+            for i, spec in enumerate(header["arrays"]):
+                _check_keys(spec, ("name", "shape"), f"{where}.arrays[{i}]")
             stored = [spec["name"] for spec in header["arrays"]]
             if stored != names:  # padded with values no name equals: a missing or extra array differs too
                 i = next(i for i, (a, b) in enumerate(zip([*stored, None], [*names, ...])) if a != b)

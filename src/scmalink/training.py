@@ -5,10 +5,12 @@ runs encoder -> superposition -> AWGN channel -> decoder, and updates every
 parameter (generator matrices and all network weights) with ADAM under an
 exponentially decaying learning rate.
 
-The per-user power constraint is enforced inside the forward pass as a
-differentiable scaling c = gbar b / ||gbar||_F. Because the bit-pattern
-matrix satisfies B B^T = M I, the Frobenius norm squared equals the average
-codeword energy, so this is exactly unit average energy per user.
+The forward pass encodes through the codebook that train writes:
+split_real(superimpose(learned_codebook(gen, ind), messages)). The per-user
+power constraint is the differentiable scaling c = gbar b / ||gbar||_F inside
+learned_codebook. Because the bit-pattern matrix satisfies B B^T = M I, the
+Frobenius norm squared equals the average codeword energy, so this is exactly
+unit average energy per user.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ebn0_to_n0, sample_noise_split
+from .channel import ebn0_to_n0, sample_noise_split, split_real
 from .core import Codebook, ConfigError, IndicatorMatrix, ShapeError, SystemConfig
-from .encoder import GeneratorSet, codeword_table, init_generators, normalize
+from .encoder import GeneratorSet, codeword_table, init_generators, normalize, superimpose
 from .nn import AdamState, MultiTaskDecoder, adam_step, cross_entropy
 
 
@@ -39,8 +41,8 @@ class TrainConfig:
         for name in ("alpha0", "beta", "ebn0_min_db", "ebn0_max_db"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if not self.alpha0 > 0:
-            raise ConfigError("initial learning rate alpha0 must be positive")
+        if not 0 < self.alpha0 <= 1:  # Adam moves a parameter by at most about 3.2 alpha per step
+            raise ConfigError(f"initial learning rate alpha0 must be in (0, 1], got {self.alpha0!r}")
         if not 0 < self.beta <= 1:
             raise ConfigError("decay factor beta must be in (0, 1]")
         if self.decay_step < 1:
@@ -121,8 +123,14 @@ def default_init(sys_cfg: SystemConfig, ind: IndicatorMatrix, cfg: TrainConfig,
 
 
 def learned_codebook(gen: GeneratorSet, ind: IndicatorMatrix) -> Codebook:
-    """The codebook of trained generators: normalized to unit energy, then tabulated."""
-    return codeword_table(normalize(gen), ind)
+    """The codebook of trained generators: tabulated, then each user's words
+    divided by ||gbar_j||_F, which is unit energy. The real and imaginary parts
+    are divided apart; a complex division by the norm rounds differently."""
+    entries = codeword_table(gen, ind).entries
+    norms = gen.norms()[:, None, None]
+    entries.real /= norms
+    entries.imag /= norms
+    return Codebook(entries=entries, config=gen.config, indicator=ind)
 
 
 def _slot_indices(ind: IndicatorMatrix) -> np.ndarray:
@@ -138,38 +146,25 @@ def _labels_from_bits(bits: np.ndarray) -> np.ndarray:
     return (bits > 0) @ weights
 
 
-def _encoder_forward(gbar, bits, slots, K):
-    """Normalized encoding and superposition: returns (batch, 2K) and norms.
-
-    This is encoder.superimpose in the generator domain, kept separate
-    because the generator gradient needs the norms and the real-split layout.
-    """
-    batch = bits.shape[0]
-    s = np.zeros((batch, 2 * K))
-    norms = []
-    for j, g in enumerate(gbar):
-        n = np.linalg.norm(g)
-        if n == 0:
-            raise ConfigError(f"user {j} generator collapsed to zero during training")
-        s[:, slots[j]] += (bits[:, j, :] @ g.T) / n
-        norms.append(n)
-    return s, norms
+def _encoder_forward(gen: GeneratorSet, messages, ind: IndicatorMatrix) -> np.ndarray:
+    """(batch, J) messages -> (batch, 2K) real-split signal through learned_codebook."""
+    return split_real(superimpose(learned_codebook(gen, ind), messages))
 
 
-def _loss_and_gradients(gbar, decoder, bits, messages, noise, slots, K, h_split=None):
+def _loss_and_gradients(gen, decoder, bits, messages, noise, ind, h_split=None):
     """Batch loss plus the analytic gradient of the (J, 2N, log2 M) generator
     stack; decoder layers accumulate their own gradients as a side effect."""
-    s, norms = _encoder_forward(gbar, bits, slots, K)
-    h = np.ones(2 * K) if h_split is None else h_split
+    s = _encoder_forward(gen, messages, ind)
+    h = np.ones(2 * ind.n_resources) if h_split is None else h_split
     r = s * h + noise
     probs = decoder.forward(r, remember=True)
     loss = cross_entropy(probs, messages)
     grad_r = decoder.backward_cross_entropy(probs, messages)
     grad_s = grad_r * h
     # d loss / d (g / ||g||), then through the normalization, every user at once
-    raw = np.matmul(grad_s[:, slots].transpose(1, 2, 0), bits.transpose(1, 0, 2))
-    n = np.array(norms)[:, None, None]
-    a = gbar / n
+    raw = np.matmul(grad_s[:, _slot_indices(ind)].transpose(1, 2, 0), bits.transpose(1, 0, 2))
+    n = gen.norms()[:, None, None]
+    a = gen.gbar / n
     return loss, (raw - np.sum(raw * a, axis=(1, 2), keepdims=True) * a) / n
 
 
@@ -188,10 +183,9 @@ def train(cfg: TrainConfig, sys_cfg: SystemConfig, ind: IndicatorMatrix,
         raise ShapeError(f"generators are for {init.config}, not for the trained system {sys_cfg}")
     t0 = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
-    slots = _slot_indices(ind)
 
-    gbar = init.gbar.copy()
-    params = [gbar] + decoder.parameters()
+    gen = GeneratorSet(gbar=init.gbar.copy(), config=sys_cfg)  # Adam steps gen.gbar in place
+    params = [gen.gbar] + decoder.parameters()
     adam = AdamState.for_parameters(params)
 
     losses, lrs = [], []
@@ -206,7 +200,7 @@ def train(cfg: TrainConfig, sys_cfg: SystemConfig, ind: IndicatorMatrix,
         messages = _labels_from_bits(bits)
         noise = sample_noise_split(rng, n0, (cfg.batch_size, 2 * sys_cfg.K))
 
-        loss, grad_g = _loss_and_gradients(gbar, decoder, bits, messages, noise, slots, sys_cfg.K)
+        loss, grad_g = _loss_and_gradients(gen, decoder, bits, messages, noise, ind)
         if not np.isfinite(loss):
             reason = f"non-finite loss at iteration {t}"
             for p, good in zip(params, last_good):
@@ -221,7 +215,6 @@ def train(cfg: TrainConfig, sys_cfg: SystemConfig, ind: IndicatorMatrix,
         if progress_every and t % progress_every == 0:
             print(f"iteration {t}/{cfg.n_iterations}  loss {loss:.4f}  lr {lr:.2e}  snr {snr_db:.1f} dB")
 
-    gen = GeneratorSet(gbar=gbar, config=sys_cfg)
     return TrainReport(
         losses=np.array(losses, dtype=float),
         learning_rates=np.array(lrs, dtype=float),
@@ -255,7 +248,7 @@ def gradient_check(rng: np.random.Generator, step: float = 1e-5) -> float:
         for j in range(J):
             F[rng.permutation(K)[:N], j] = 1
         ind = IndicatorMatrix(F)
-        gbar = rng.normal(0, 0.7, size=(J, 2 * N, sys_cfg.bits_per_symbol))
+        gen = GeneratorSet(gbar=rng.normal(0, 0.7, size=(J, 2 * N, sys_cfg.bits_per_symbol)), config=sys_cfg)
         decoder = MultiTaskDecoder.build(
             rng, 2 * K, J, M,
             shared_widths=(int(rng.integers(4, 9)), int(rng.integers(3, 8))),
@@ -272,8 +265,7 @@ def gradient_check(rng: np.random.Generator, step: float = 1e-5) -> float:
         messages = _labels_from_bits(bits)
         noise = rng.normal(0, 0.3, size=(batch, 2 * K))
         h_split = np.concatenate([rng.uniform(0.5, 1.5, K)] * 2)
-        slots = _slot_indices(ind)
-        _, grad_g = _loss_and_gradients(gbar, decoder, bits, messages, noise, slots, K, h_split)
+        _, grad_g = _loss_and_gradients(gen, decoder, bits, messages, noise, ind, h_split)
         kink = min(np.abs(layer._preact).min() for layer in decoder.layers()
                    if layer.activation == "relu")
         if kink > 100 * step:
@@ -281,10 +273,10 @@ def gradient_check(rng: np.random.Generator, step: float = 1e-5) -> float:
 
     analytic = [grad_g] + [g.copy() for g in decoder.gradients()]
 
-    arrays = [gbar] + decoder.parameters()
+    arrays = [gen.gbar] + decoder.parameters()
 
     def loss_fn():
-        s, _ = _encoder_forward(gbar, bits, slots, K)
+        s = _encoder_forward(gen, messages, ind)
         return cross_entropy(decoder.forward(s * h_split + noise), messages)
 
     numeric = []

@@ -427,6 +427,20 @@ class TestMalformedInputs:
         assert f"{cfg_path}.{block}" in err and repr(key) in err
         assert list(tmp_path.iterdir()) == [cfg_path]
 
+    def test_alpha0_above_one_rejected_before_any_output(self, tmp_path, capsys):
+        # alpha0 1e308 once trained for an iteration, overflowed the generator
+        # norms and wrote an all-zero learned codebook, exiting 0
+        out = tmp_path / "out"
+        cfg = {"system": dict(PAPER_SYSTEM),
+               "train": {"iterations": 1, "batch_size": 4, "alpha0": 1e308},
+               "paths": {"output_dir": str(out)}}
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli(["train", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{cfg_path}.train" in err and "'alpha0'" in err
+        assert not out.exists()
+
     # str() would turn either value into a path, so each must be a JSON string
     @pytest.mark.parametrize("key, value", [("output_dir", 5), ("init_codebook", 7)])
     def test_non_string_path_names_file_and_field(self, tmp_path, monkeypatch, capsys, key, value):

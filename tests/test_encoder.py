@@ -129,12 +129,13 @@ class TestNormalize:
         out = normalize(gen)
         assert out.gbar[0, 0, 0] == pytest.approx(1.0)
 
-    def test_random_generator_postcondition(self):
+    def test_random_generator_postcondition(self, huawei_codebook):
         cfg = SystemConfig(n_users=6, n_resources=4, n_nonzero=2, alphabet_size=4)
         rng = np.random.default_rng(11)
         gen = GeneratorSet(gbar=rng.normal(size=(6, 4, 2)), config=cfg)
         out = normalize(gen)
-        assert out.user_energies() == pytest.approx(np.ones(6), abs=1e-12)
+        energies = codeword_table(out, huawei_codebook.indicator).user_energies()
+        assert energies == pytest.approx(np.ones(6), abs=1e-12)
 
     def test_idempotent(self):
         cfg = SystemConfig(n_users=3, n_resources=4, n_nonzero=2, alphabet_size=4)
@@ -147,16 +148,18 @@ class TestNormalize:
     def test_zero_generator_raises(self):
         cfg = SystemConfig(n_users=1, n_resources=2, n_nonzero=1, alphabet_size=2)
         gen = GeneratorSet(gbar=np.zeros((1, 2, 1)), config=cfg)
-        with pytest.raises(DegenerateCodebookError):
+        with pytest.raises(DegenerateCodebookError, match=re.escape("users [0] have all-zero generators")):
             normalize(gen)
 
     def test_frobenius_identity(self):
         # because B B^T = M I, average codeword energy equals ||gbar||_F^2
         cfg = SystemConfig(n_users=4, n_resources=4, n_nonzero=2, alphabet_size=8)
+        ind = IndicatorMatrix([[1, 0, 0, 1], [1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]])
         rng = np.random.default_rng(13)
         gen = GeneratorSet(gbar=rng.normal(size=(4, 4, 3)), config=cfg)
-        frob = np.array([np.linalg.norm(g) ** 2 for g in gen.gbar])
-        assert gen.user_energies() == pytest.approx(frob, rel=1e-12)
+        frob = np.array([np.sum(g**2) for g in gen.gbar])
+        assert codeword_table(gen, ind).user_energies() == pytest.approx(frob, rel=1e-12)
+        assert gen.norms() ** 2 == pytest.approx(frob, rel=1e-12)
 
 
 class TestInitGenerators:

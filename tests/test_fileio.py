@@ -185,6 +185,28 @@ class TestCodebookFiles:
         path.write_text(json.dumps(doc))
         assert read_codebook(path).entries[1, 0, 3] == 0.5 - 0.25j
 
+    # each loaded as version 1; the hash does not cover the version
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_version_is_a_json_integer(self, tmp_path, capsys, version):
+        doc = codebook_to_dict(random_codebook(np.random.default_rng(3)))
+        doc["version"] = version
+        path = tmp_path / "cb.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CodebookFormatError, match=re.escape(f"{path}: bad field 'version'")):
+            read_codebook(path)
+        assert cli.run_cli(["med", "--codebook", str(path)]) == 1
+        assert f"{path}: bad field 'version'" in capsys.readouterr().err
+
+    def test_unknown_system_key_names_file_and_key(self, tmp_path, capsys):
+        # the Huawei codebook with a misspelt key and no hash to catch it once loaded
+        doc = json.loads(Path(data_path("huawei_4x6.json")).read_text())
+        del doc["config_hash"]
+        doc["system"]["alphabt"] = 8
+        path = tmp_path / "cb.json"
+        path.write_text(json.dumps(doc))
+        assert cli.run_cli(["med", "--codebook", str(path)]) == 1
+        assert f"{path}.system: unknown keys ['alphabt']" in capsys.readouterr().err
+
     # a codebook without config_hash: the content hash no longer stands in for the check
     @pytest.mark.parametrize("entry", [True, 1.0])
     def test_f_entries_are_json_integers(self, tmp_path, entry):
@@ -345,6 +367,36 @@ class TestCheckpoint:
         self.rewrite(path, header, arrays)
         with pytest.raises(CodebookFormatError, match=re.escape(f"{path}: unsupported checkpoint version 2")):
             load_checkpoint(path)
+
+    # each loaded as version 1
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_version_is_a_json_integer(self, tmp_path, capsys, version):
+        def edit(header, arrays):
+            header["version"] = version
+            return arrays
+
+        self.assert_rejected(tmp_path, capsys, edit,
+                             f"bad field 'version' (TypeError: expected int, got {version!r})")
+
+    # each loaded, the key ignored
+    @pytest.mark.parametrize("block, where", [
+        (lambda header: header, ""),
+        (lambda header: header["system"], ".system"),
+        (lambda header: header["layout"], ".layout"),
+        (lambda header: header["arrays"][3], ".arrays[3]"),
+    ], ids=["header", "system", "layout", "array-entry"])
+    def test_unknown_keys_name_file_and_key(self, tmp_path, capsys, block, where):
+        path = tmp_path / "model.bin"
+        header, arrays = self.small_checkpoint(path)
+        block(header)["alphabt"] = 8
+        self.rewrite(path, header, arrays)
+        message = f"{path}{where}: unknown keys ['alphabt']"
+        with pytest.raises(CodebookFormatError, match=re.escape(message)):
+            load_checkpoint(path)
+        out = tmp_path / "cb.json"
+        assert cli.run_cli(["export", "--checkpoint", str(path), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_user_layouts_must_agree(self, tmp_path):
         # the decoder stacks the users' subnetworks, so they share one layout

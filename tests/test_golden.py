@@ -4,8 +4,10 @@ golden_seed7.json holds the seed-7 training trace and learned codebook, the
 BER error counts of the three detectors and one gradient_check value, each as
 the repr of the float (which round-trips bit-exactly). Any change that moves a
 single bit of these fails here, with no tolerance. Regenerate the file with
-`PYTHONPATH=src python tests/test_golden.py` only for a change that is meant
-to alter the numbers.
+`OPENBLAS_NUM_THREADS=2 PYTHONPATH=src python tests/test_golden.py` only for a
+change that is meant to alter the numbers; before it writes, it prints each
+key whose value changes, how many entries moved and the largest absolute
+change.
 
 The record depends on the BLAS thread count. It was taken with OpenBLAS on
 2 threads, and conftest.py sets OPENBLAS_NUM_THREADS=2 before numpy is
@@ -74,6 +76,42 @@ def record() -> dict:
     }
 
 
+def _numbers(value) -> list[float]:
+    """Every number in a record value in order; floats are stored as reprs."""
+    if isinstance(value, dict):
+        return [x for v in value.values() for x in _numbers(v)]
+    if isinstance(value, list):
+        return [x for v in value for x in _numbers(v)]
+    return [float(value)]
+
+
+def changes(old: dict, new: dict) -> list[str]:
+    """One line per key whose value changes from old to new."""
+    lines = []
+    for key in [*old, *(k for k in new if k not in old)]:
+        if old.get(key) == new.get(key):
+            continue
+        if key not in old or key not in new:
+            lines.append(f"{key}: {'added' if key not in old else 'removed'}")
+            continue
+        a, b = _numbers(old[key]), _numbers(new[key])
+        if len(a) != len(b):
+            lines.append(f"{key}: {len(a)} entries, now {len(b)}")
+            continue
+        moved = [abs(y - x) for x, y in zip(a, b) if repr(x) != repr(y)]
+        lines.append(f"{key}: {len(moved)} of {len(a)} entries moved, largest absolute change {max(moved)!r}")
+    return lines
+
+
+def test_changes_names_each_moved_key():
+    old = {"losses": ["1.0", "2.0", "0.0"], "ber_errors": {"ml": [5, 100]}, "gradient_check": "1e-09"}
+    new = {"losses": ["1.0", "2.5", "-0.0"], "ber_errors": {"ml": [5, 100]}, "gradient_check": "2e-09"}
+    assert changes(old, new) == ["losses: 2 of 3 entries moved, largest absolute change 0.5",
+                                 "gradient_check: 1 of 1 entries moved, largest absolute change 1e-09"]
+    assert changes(old, dict(old, losses=["1.0"], extra=[])) == ["losses: 3 entries, now 1", "extra: added"]
+    assert changes(old, old) == []
+
+
 def test_seeded_outputs_are_bit_identical():
     golden = json.loads(GOLDEN.read_text())
     got = record()
@@ -84,4 +122,6 @@ def test_seeded_outputs_are_bit_identical():
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(record(), indent=1) + "\n")
+    new = record()
+    print("\n".join(changes(json.loads(GOLDEN.read_text()), new)) or "no value changes")
+    GOLDEN.write_text(json.dumps(new, indent=1) + "\n")

@@ -3,6 +3,7 @@ import pytest
 
 from scmalink import (
     ConfigError,
+    GeneratorSet,
     IndicatorMatrix,
     MultiTaskDecoder,
     ShapeError,
@@ -19,7 +20,7 @@ from scmalink import (
     train,
 )
 from scmalink import training
-from scmalink.training import _loss_and_gradients, _slot_indices
+from scmalink.training import _encoder_forward, _labels_from_bits, _loss_and_gradients, _slot_indices
 
 
 @pytest.fixture
@@ -168,6 +169,8 @@ class TestConfigValidation:
             dict(decay_step=0),
             dict(ebn0_min_db=10, ebn0_max_db=5),
             dict(alpha0=np.inf),
+            dict(alpha0=1.5),
+            dict(alpha0=1e308),
             dict(ebn0_min_db=np.nan),
             dict(ebn0_max_db=np.inf),
             dict(ebn0_min_db=-np.inf),
@@ -182,8 +185,8 @@ class TestConfigValidation:
 
     def test_bounds_accepted(self):
         # the largest batch, and an Eb/N0 whose N0 (10^308.2) is still a float
-        cfg = TrainConfig(batch_size=2**20, ebn0_min_db=-3082, ebn0_max_db=-3000)
-        assert (cfg.batch_size, cfg.ebn0_min_db) == (2**20, -3082)
+        cfg = TrainConfig(batch_size=2**20, ebn0_min_db=-3082, ebn0_max_db=-3000, alpha0=1.0)
+        assert (cfg.batch_size, cfg.ebn0_min_db, cfg.alpha0) == (2**20, -3082, 1.0)
 
 
 def test_default_init_rejects_codebook_on_another_graph():
@@ -223,11 +226,12 @@ def _generator_gradient_per_user(gbar, grad_s, bits, slots):
 class _FixedGradientDecoder:
     """Stands in for the decoder: returns a fixed gradient w.r.t. its input."""
 
-    def __init__(self, grad_r):
+    def __init__(self, grad_r, n_users, M):
         self.grad_r = grad_r
+        self.shape = (n_users, M)
 
     def forward(self, r, remember=False):
-        return np.full((r.shape[0], 1, 2), 0.5)
+        return np.full((r.shape[0], *self.shape), 0.5)
 
     def backward_cross_entropy(self, probs, messages):
         return self.grad_r
@@ -245,14 +249,59 @@ def test_stacked_generator_gradient_matches_per_user_loop(seed):
     F = np.zeros((K, J), dtype=int)
     for j in range(J):
         F[rng.permutation(K)[:N], j] = 1
-    slots = _slot_indices(IndicatorMatrix(F))
+    ind = IndicatorMatrix(F)
+    slots = _slot_indices(ind)
     batch = int(rng.integers(1, 1500))
     gbar = rng.normal(0.0, 0.7, size=(J, 2 * N, M.bit_length() - 1))
     bits = rng.integers(0, 2, size=(batch, J, gbar.shape[2])) * 2.0 - 1.0
     grad_r = rng.normal(size=(batch, 2 * K))
     h = rng.uniform(0.5, 1.5, 2 * K)
-    _, grad_g = _loss_and_gradients(gbar, _FixedGradientDecoder(grad_r), bits,
-                                    np.zeros((batch, 1), dtype=int), np.zeros((batch, 2 * K)),
-                                    slots, K, h)
+    gen = GeneratorSet(gbar=gbar, config=SystemConfig(n_users=J, n_resources=K, n_nonzero=N, alphabet_size=M))
+    _, grad_g = _loss_and_gradients(gen, _FixedGradientDecoder(grad_r, J, M), bits, _labels_from_bits(bits),
+                                    np.zeros((batch, 2 * K)), ind, h)
     expected = _generator_gradient_per_user(gbar, grad_r * h, bits, slots)
     assert grad_g.tobytes() == expected.tobytes()
+
+
+def _encoding_per_user(gbar, bits, slots, K):
+    """Reference: the training encoding one user at a time, (bits_j @ g_j^T) /
+    ||g_j||_F added into the real-split signal in user order from zero."""
+    s = np.zeros((bits.shape[0], 2 * K))
+    for j, g in enumerate(gbar):
+        s[:, slots[j]] += (bits[:, j, :] @ g.T) / np.linalg.norm(g)
+    return s
+
+
+def _assert_encoding_matches(gen, ind, bits):
+    got = _encoder_forward(gen, _labels_from_bits(bits), ind)
+    expected = _encoding_per_user(gen.gbar, bits, _slot_indices(ind), ind.n_resources)
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(120))
+def test_training_encoding_matches_per_user_formula(seed):
+    """Training encodes through learned_codebook byte for byte as the per-user
+    formula did, on random irregular graphs, M in {2, 4, 8, 16}, batch 1 included."""
+    rng = np.random.default_rng(seed)
+    K = int(rng.integers(2, 7))
+    J = int(rng.integers(2, 9))
+    N = int(rng.integers(1, K + 1))
+    M = (2, 4, 8, 16)[seed % 4]
+    F = np.zeros((K, J), dtype=int)
+    for j in range(J):
+        F[rng.permutation(K)[:N], j] = 1
+    batch = 1 if seed % 10 == 0 else int(rng.integers(1, 1500))
+    cfg = SystemConfig(n_users=J, n_resources=K, n_nonzero=N, alphabet_size=M)
+    gen = GeneratorSet(gbar=rng.normal(0.0, 0.7, size=(J, 2 * N, cfg.bits_per_symbol)), config=cfg)
+    bits = rng.integers(0, 2, size=(batch, J, cfg.bits_per_symbol)) * 2.0 - 1.0
+    _assert_encoding_matches(gen, IndicatorMatrix(F), bits)
+
+
+@pytest.mark.parametrize("batch", [1, 1000])
+def test_training_encoding_matches_per_user_formula_on_huawei(batch):
+    huawei = read_codebook(data_path("huawei_4x6.json"))
+    rng = np.random.default_rng(batch)
+    bits = rng.integers(0, 2, size=(batch, 6, 2)) * 2.0 - 1.0
+    fitted, _ = default_init(huawei.config, huawei.indicator, small_train_cfg(), huawei)
+    for gen in (fitted, GeneratorSet(gbar=rng.normal(size=(6, 4, 2)), config=huawei.config)):
+        _assert_encoding_matches(gen, huawei.indicator, bits)
