@@ -49,7 +49,7 @@ def parse_snr_spec(spec: str) -> list[float]:
             raise CodebookFormatError(f"bad SNR range {spec!r}, expected start:step:stop")
         start, step, stop = (_db(p, spec) for p in parts)
         if step <= 0:
-            raise CodebookFormatError("SNR range step must be positive")
+            raise CodebookFormatError(f"SNR range {spec!r} has a step that is not positive")
         count = (stop - start + 1e-9) // step + 1
         if not count <= MAX_SNR_POINTS:  # also rejects the NaN of an overflowed range
             raise CodebookFormatError(f"SNR range {spec!r} has more than {MAX_SNR_POINTS} points")

@@ -10,12 +10,18 @@ of helpers. Every malformed file raises CodebookFormatError naming the file
 and the offending field: missing keys, values of the wrong type (a JSON
 boolean or string is never a number, an integer field takes no fraction,
 and an entry of F is a JSON integer 0 or 1), non-finite codewords, and
-unknown keys in a config, in any system block, and in a checkpoint's header,
-layout and array entries. A checkpoint is also rejected for a bad magic number, a
-truncated file, a header that is not JSON, array names other than its
-layout's in that order, a shape that is not a list of non-negative integers,
-arrays the stored system or layout rejects, a meta that is not an object,
-and bytes after its last array.
+unknown keys in a config, at a codebook's top level, in any system block, and
+in a checkpoint's header, layout and array entries. A checkpoint is also
+rejected for a bad magic number, a truncated file, a header that is not JSON,
+a layout other than the rule's, array names other than its layout's in that
+order, a shape that is not a list of non-negative integers, arrays the stored
+system or layout rejects, a meta that is not an object, and bytes after its
+last array.
+
+A checkpoint's layout names each layer's role, which follows from its
+position: relu everywhere but each user's last layer, its softmax head, with
+one layout for every user. _checkpoint_layout builds it from the layer and
+user counts, for the writer and for the reader's check alike.
 """
 
 from __future__ import annotations
@@ -174,8 +180,7 @@ def _check_list(value, length: int, field: str, items: str, where: str) -> None:
 
 
 def codebook_from_dict(doc: dict, where: str = "codebook") -> Codebook:
-    if not isinstance(doc, dict):
-        raise CodebookFormatError(f"{where}: expected an object, got {doc!r}")
+    _check_keys(doc, ("format", "version", "name", "seed", "config_hash", "system", "F", "codewords"), where)
     if _require(doc, "format", where) != CODEBOOK_FORMAT:
         raise CodebookFormatError(f"{where}: format {doc.get('format')!r} is not {CODEBOOK_FORMAT!r}")
     if _typed(doc, "version", int, where) != CODEBOOK_VERSION:
@@ -281,6 +286,11 @@ def _checkpoint_names(n_shared: int, n_users: int, n_subnet: int) -> list[str]:
     return ["gbar", *(f"{layer}.{part}" for layer in layers for part in "wb")]
 
 
+def _checkpoint_layout(n_shared: int, n_users: int, n_subnet: int) -> dict:
+    """Version 1's layout block: relu layers, each user's last its softmax head."""
+    return {"shared": ["relu"] * n_shared, "subnets": [["relu"] * (n_subnet - 1) + ["softmax"]] * n_users}
+
+
 def save_checkpoint(path, gen: GeneratorSet, decoder: MultiTaskDecoder,
                     indicator: IndicatorMatrix, meta: dict | None = None) -> None:
     """Binary dump of all parameters plus enough topology to rebuild them."""
@@ -294,8 +304,7 @@ def save_checkpoint(path, gen: GeneratorSet, decoder: MultiTaskDecoder,
         "version": CHECKPOINT_VERSION,
         "system": _system_to_dict(gen.config),
         "F": indicator.F.tolist(),
-        "layout": {"shared": [layer.activation for layer in decoder.shared],
-                   "subnets": [[layer.activation for layer in decoder.user_layers]] * decoder.n_users},
+        "layout": _checkpoint_layout(len(decoder.shared), decoder.n_users, len(decoder.user_layers)),
         "arrays": [{"name": n, "shape": list(a.shape)} for n, a in zip(names, arrays)],
         "meta": meta or {},
     }
@@ -332,10 +341,14 @@ def load_checkpoint(path):
             cfg, ind = _system_from_dict(header["system"], header["F"], f"{where}.system")
             layout = header["layout"]
             _check_keys(layout, ("shared", "subnets"), f"{where}.layout")
-            acts = layout["subnets"][0]
-            if any(other != acts for other in layout["subnets"]):
-                raise CodebookFormatError(f"{where}: user subnetworks differ in layout")
-            names = _checkpoint_names(len(layout["shared"]), len(layout["subnets"]), len(acts))
+            try:
+                counts = len(layout["shared"]), len(layout["subnets"]), len(layout["subnets"][0])
+            except (KeyError, TypeError, IndexError):
+                counts = None
+            if counts is None or layout != _checkpoint_layout(*counts):
+                raise CodebookFormatError(f"{where}: bad field 'layout' (not relu layers, each user's "
+                                          f"last its softmax head, the same for every user: {layout!r})")
+            names = _checkpoint_names(*counts)
             for i, spec in enumerate(header["arrays"]):
                 _check_keys(spec, ("name", "shape"), f"{where}.arrays[{i}]")
             stored = [spec["name"] for spec in header["arrays"]]
@@ -354,10 +367,10 @@ def load_checkpoint(path):
                 raise CodebookFormatError(f"{where}: trailing bytes after the last array")
             values = iter(arrays)
             gen = GeneratorSet(gbar=next(values), config=cfg)
-            shared = [DenseLayer(next(values), next(values), act) for act in layout["shared"]]
-            users = [[(next(values), next(values)) for _ in acts] for _ in layout["subnets"]]
+            shared = [DenseLayer(next(values), next(values)) for _ in layout["shared"]]
+            users = [[(next(values), next(values)) for _ in acts] for acts in layout["subnets"]]
             # zip(*users) gives each depth's (w, b) per user, which the layer stacks
-            user_layers = [DenseLayer(*map(np.stack, zip(*depth)), act) for depth, act in zip(zip(*users), acts)]
+            user_layers = [DenseLayer(*map(np.stack, zip(*depth))) for depth in zip(*users)]
             decoder = MultiTaskDecoder(shared, user_layers)
             decoder.check_fits(cfg)
             meta = header["meta"]

@@ -12,14 +12,15 @@ as (J, out); its activations are (J, batch, width). A trunk layer holds
 (out, in) weights and (out,) biases.
 
 A remembered (training) forward and its backward write into arrays each
-layer owns, allocated again only when the batch shape changes: the
-pre-activation, a relu output, the relu mask and the input gradient. They
-stay valid until the next remembered forward. Weight and bias gradients are
-written in place. Fresh (J, batch, width) arrays every step cost page
-faults, as the allocator hands them back to the OS. The probabilities and
-backward_cross_entropy's input gradient leave the decoder, so they are
-fresh. Inference (remember=False) allocates: simulate_ber runs one
-decoder's inference forward on several threads at once.
+layer owns, allocated again only when the batch shape changes: the affine
+output (relu applied to it in place on hidden layers), the relu mask and the
+input gradient. They stay valid until the next remembered forward. Weight
+and bias gradients are written in place. Fresh (J, batch, width) arrays
+every step cost page faults, as the allocator hands them back to the OS.
+The probabilities and backward_cross_entropy's input gradient leave the
+decoder, so they are fresh. Inference (remember=False) allocates:
+simulate_ber runs one decoder's inference forward on several threads at
+once.
 """
 
 from __future__ import annotations
@@ -42,29 +43,23 @@ def softmax(z):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-_ACTIVATIONS = ("relu", "softmax")
-
-
 class DenseLayer:
-    """Affine map plus activation, for one network or J stacked ones;
-    caches inputs for the backward pass."""
+    """Affine map x W^T + b, for one network or J stacked ones, and relu on
+    it; a decoder's last layer, its softmax head, reads only the affine map."""
 
-    def __init__(self, weights, bias, activation="relu"):
+    def __init__(self, weights, bias):
         w = np.asarray(weights, dtype=float)
         b = np.asarray(bias, dtype=float)
         if w.ndim not in (2, 3) or b.shape != w.shape[:-1]:
             raise ShapeError(f"weights {w.shape} and bias {b.shape} are inconsistent")
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
             raise ConfigError("layer parameters must be finite")
-        if activation not in _ACTIVATIONS:
-            raise ConfigError(f"unknown activation {activation!r}")
         self.weights = w
         self.bias = b
-        self.activation = activation
         self.grad_weights = np.zeros_like(w)
         self.grad_bias = np.zeros_like(b)
         self._input = None
-        self._preact = None
+        self._output = None
         self._buffers = {}
 
     @property
@@ -82,22 +77,23 @@ class DenseLayer:
             buf = self._buffers[name] = np.empty(shape, dtype)
         return buf
 
-    def forward(self, x, remember=False):
-        """Layer output for a (batch, in) or (J, batch, in) input; remembered,
-        it is a layer buffer unless the layer is a softmax head."""
+    def affine(self, x, remember=False):
+        """x W^T + b for a (batch, in) or (J, batch, in) input; a layer buffer if remembered."""
         w_t = np.swapaxes(self.weights, -1, -2)
         if remember:
             shape = (*self.weights.shape[:-2], x.shape[-2], self.n_out)
             z = np.matmul(x, w_t, out=self._buffer("z", shape))
             self._input = x
-            self._preact = z
+            self._output = z
         else:
             z = x @ w_t
         z += self.bias[..., None, :]
-        if self.activation == "softmax":
-            return softmax(z)
-        # the pre-activation is overwritten only when no backward needs it
-        return np.maximum(z, 0.0, out=self._buffer("a", z.shape) if remember else z)
+        return z
+
+    def forward(self, x, remember=False):
+        """relu(x W^T + b), applied in place on the affine output."""
+        z = self.affine(x, remember)
+        return np.maximum(z, 0.0, out=z)
 
     def backward_preact(self, grad_z):
         """Backward from the gradient w.r.t. the pre-activation z; the
@@ -110,26 +106,20 @@ class DenseLayer:
         return np.matmul(grad_z, self.weights, out=self._buffer("grad_in", shape))
 
     def backward(self, grad_out):
-        """Backward from the gradient w.r.t. the layer output, which a relu
-        layer masks in place.
-
-        The returned input gradient is a buffer of this layer, like the
-        pre-activation and relu output of a remembered forward: each stays
-        valid until the next remembered forward, which overwrites it.
-        """
-        if self.activation != "relu":
-            raise ConfigError(
-                "softmax layers are fused with the cross-entropy loss; use backward_preact"
-            )
-        if self._preact is None:
+        """Backward from the gradient w.r.t. the relu output, masked in place
+        where the kept output is 0: relu(z) > 0 exactly where z > 0. The input
+        gradient returned is a layer buffer, like the affine output, valid
+        until the next remembered forward overwrites it."""
+        if self._output is None:
             raise ConfigError("backward called without a remembered forward pass")
-        mask = np.greater(self._preact, 0, out=self._buffer("mask", grad_out.shape, bool))
+        mask = np.greater(self._output, 0, out=self._buffer("mask", grad_out.shape, bool))
         return self.backward_preact(np.multiply(grad_out, mask, out=grad_out))
 
 
 class MultiTaskDecoder:
     """Shared dense trunk feeding J per-user softmax classification heads;
-    `user_layers` holds one stacked layer per subnetwork depth."""
+    `user_layers` holds one stacked layer per subnetwork depth. Roles follow
+    from position: every layer is relu but the last user layer, the heads."""
 
     def __init__(self, shared, user_layers):
         if not user_layers:
@@ -144,10 +134,6 @@ class MultiTaskDecoder:
         for prev, layer in zip(layers, layers[1:]):
             if layer.n_in != prev.n_out:
                 raise ShapeError(f"layer input width {layer.n_in} does not match {prev.n_out}")
-        if user_layers[-1].activation != "softmax":
-            raise ConfigError("every subnetwork must end in a softmax head")
-        if any(layer.activation == "softmax" for layer in layers[:-1]):
-            raise ConfigError("softmax is only allowed as the terminal activation")
         self.shared = list(shared)
         self.user_layers = list(user_layers)
 
@@ -171,11 +157,8 @@ class MultiTaskDecoder:
         shared = [DenseLayer(gaussian(a, b), np.zeros(b)) for a, b in zip(chain, chain[1:])]
         sub = [chain[-1], *subnet_widths, n_messages]
         per_user = [[gaussian(a, b) for a, b in zip(sub, sub[1:])] for _ in range(n_users)]
-        acts = ["relu"] * len(subnet_widths) + ["softmax"]
-        user_layers = [
-            DenseLayer(np.stack(ws), np.zeros((n_users, n_out)), act)
-            for ws, n_out, act in zip(zip(*per_user), sub[1:], acts)
-        ]
+        user_layers = [DenseLayer(np.stack(ws), np.zeros((n_users, n_out)))
+                       for ws, n_out in zip(zip(*per_user), sub[1:])]
         return cls(shared, user_layers)
 
     @property
@@ -188,7 +171,7 @@ class MultiTaskDecoder:
 
     @property
     def input_width(self):
-        return next(self.layers()).n_in
+        return self.layers()[0].n_in
 
     def check_fits(self, cfg: SystemConfig) -> None:
         """Raise ConfigError unless the decoder reads 2K real inputs and has
@@ -206,9 +189,9 @@ class MultiTaskDecoder:
             x = x[None, :]
         if x.shape[1] != self.input_width:
             raise ShapeError(f"input width {x.shape[1]}, decoder expects {self.input_width}")
-        for layer in self.layers():
+        for layer in self.layers()[:-1]:
             x = layer.forward(x, remember)
-        probs = np.swapaxes(x, 0, 1)
+        probs = np.swapaxes(softmax(self.user_layers[-1].affine(x, remember)), 0, 1)
         return probs[0] if single else probs
 
     def backward_cross_entropy(self, probs, messages):
@@ -232,8 +215,7 @@ class MultiTaskDecoder:
         return g.copy()
 
     def layers(self):
-        yield from self.shared
-        yield from self.user_layers
+        return [*self.shared, *self.user_layers]
 
     def parameters(self):
         return [p for layer in self.layers() for p in (layer.weights, layer.bias)]

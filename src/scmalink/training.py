@@ -266,8 +266,8 @@ def gradient_check(rng: np.random.Generator, step: float = 1e-5) -> float:
         noise = rng.normal(0, 0.3, size=(batch, 2 * K))
         h_split = np.concatenate([rng.uniform(0.5, 1.5, K)] * 2)
         _, grad_g = _loss_and_gradients(gen, decoder, bits, messages, noise, ind, h_split)
-        kink = min(np.abs(layer._preact).min() for layer in decoder.layers()
-                   if layer.activation == "relu")
+        # forward ran relu in place, so the hidden layers' pre-activations are recomputed
+        kink = min(np.abs(layer.affine(layer._input)).min() for layer in decoder.layers()[:-1])
         if kink > 100 * step:
             break
 

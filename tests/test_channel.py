@@ -4,6 +4,7 @@ import pytest
 from scmalink import (
     ChannelRealization,
     ConfigError,
+    ShapeError,
     apply_channel,
     ebn0_to_n0,
     split_real,
@@ -91,6 +92,15 @@ class TestApplyChannel:
     def test_rejects_non_finite_coefficient(self, bad):
         with pytest.raises(ConfigError, match="coefficients must be finite"):
             ChannelRealization(h=np.array([bad, 1, 1, 1]), n0=0.1)
+
+    def test_rejects_coefficients_that_are_not_a_vector(self):
+        with pytest.raises(ShapeError, match=r"must be a vector, got shape \(2, 2\)"):
+            ChannelRealization(h=np.ones((2, 2)), n0=0.1)
+
+    def test_rejects_signal_of_another_resource_count(self):
+        ch = ChannelRealization.awgn(4, 0.1)
+        with pytest.raises(ShapeError, match="signal has 3 resources, channel has 4"):
+            apply_channel(np.zeros((2, 3), dtype=complex), ch, np.random.default_rng(0))
 
 
 def test_split_real_layout():

@@ -44,8 +44,8 @@ class TestSnrSpec:
         with pytest.raises(CodebookFormatError):
             parse_snr_spec("4:2")
 
-    # an infinite stop never ends the range; the others give no point at all
-    @pytest.mark.parametrize("spec", ["0:1:inf", "nan:1:5", "0:nan:5", "-inf:1:5", "12:2:4", "inf"])
+    # an infinite stop or a zero step never ends the range; the others give no point at all
+    @pytest.mark.parametrize("spec", ["0:1:inf", "nan:1:5", "0:nan:5", "-inf:1:5", "12:2:4", "inf", "4:0:12"])
     def test_non_finite_or_empty_rejected(self, spec):
         with pytest.raises(CodebookFormatError, match=re.escape(repr(spec))):
             parse_snr_spec(spec)

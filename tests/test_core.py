@@ -133,6 +133,12 @@ class TestCodebook:
             Codebook(entries=huawei_codebook.entries, config=huawei_codebook.config,
                      indicator=IndicatorMatrix(F))
 
+    def test_entries_of_another_shape_rejected(self):
+        cfg = SystemConfig(n_users=2, n_resources=2, n_nonzero=1, alphabet_size=2)
+        with pytest.raises(ShapeError, match=r"entries shape \(2, 2, 4\), expected \(2, 2, 2\)"):
+            Codebook(entries=np.zeros((2, 2, 4), dtype=complex), config=cfg,
+                     indicator=IndicatorMatrix(np.eye(2, dtype=int)))
+
     @pytest.mark.parametrize("value", [np.inf, np.nan, complex(0.0, -np.inf)])
     def test_non_finite_entry_rejected(self, value):
         cfg = SystemConfig(n_users=2, n_resources=2, n_nonzero=1, alphabet_size=2)

@@ -162,6 +162,14 @@ class TestNormalize:
         assert gen.norms() ** 2 == pytest.approx(frob, rel=1e-12)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_generator_set_rejects_non_finite_entry(tiny_cfg, bad):
+    gbar = np.ones((1, 2, 2))
+    gbar[0, 1, 0] = bad
+    with pytest.raises(ConfigError, match="generator entries must be finite"):
+        GeneratorSet(gbar=gbar, config=tiny_cfg)
+
+
 class TestInitGenerators:
     def test_pseudo_inverse_roundtrip(self, tiny_cfg):
         gen = gen_from_complex([np.array([[1.0, 1j]])], tiny_cfg)

@@ -197,6 +197,15 @@ class TestCodebookFiles:
         assert cli.run_cli(["med", "--codebook", str(path)]) == 1
         assert f"{path}: bad field 'version'" in capsys.readouterr().err
 
+    def test_unknown_top_level_key_names_file_and_key(self, tmp_path, capsys):
+        # config_hash covers the body only, so a key beside 'format' passed it
+        doc = json.loads(Path(data_path("huawei_4x6.json")).read_text())
+        doc["colour"] = 1
+        path = tmp_path / "cb.json"
+        path.write_text(json.dumps(doc))
+        assert cli.run_cli(["med", "--codebook", str(path)]) == 1
+        assert f"{path}: unknown keys ['colour']" in capsys.readouterr().err
+
     def test_unknown_system_key_names_file_and_key(self, tmp_path, capsys):
         # the Huawei codebook with a misspelt key and no hash to catch it once loaded
         doc = json.loads(Path(data_path("huawei_4x6.json")).read_text())
@@ -279,6 +288,14 @@ def _width_chain_broken(header, arrays):
 def _relu_head(header, arrays):
     header["layout"]["subnets"] = [["relu", "relu"]] * 3
     return arrays
+
+
+def _layout_edit(key, value):
+    """An edit setting header["layout"][key] to value."""
+    def edit(header, arrays):
+        header["layout"][key] = value
+        return arrays
+    return edit
 
 
 class TestCheckpoint:
@@ -404,7 +421,7 @@ class TestCheckpoint:
         header, arrays = self.small_checkpoint(path)
         header["layout"]["subnets"][1][0] = "linear"
         self.rewrite(path, header, arrays)
-        with pytest.raises(CodebookFormatError, match=f"{re.escape(str(path))}.*differ"):
+        with pytest.raises(CodebookFormatError, match=f"{re.escape(str(path))}: bad field 'layout'"):
             load_checkpoint(path)
 
     def test_generator_shape_names_file(self, tmp_path):
@@ -440,6 +457,30 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(CodebookFormatError, match=f"{re.escape(str(path))}.*trailing"):
             load_checkpoint(path)
+
+    # the layout rule at its edges: no trunk layer, a head with no hidden user layer, one user
+    @pytest.mark.parametrize("F, shared_widths, subnet_widths, layout", [
+        ([[1, 1, 0], [1, 0, 1], [0, 1, 1]], (), (5,),
+         {"shared": [], "subnets": [["relu", "softmax"]] * 3}),
+        ([[1, 1, 0], [1, 0, 1], [0, 1, 1]], (8, 6), (),
+         {"shared": ["relu", "relu"], "subnets": [["softmax"]] * 3}),
+        ([[1], [1], [0]], (8, 6), (5,),
+         {"shared": ["relu", "relu"], "subnets": [["relu", "softmax"]]}),
+    ], ids=["no-trunk", "head-only", "one-user"])
+    def test_roundtrip_at_layout_edges(self, tmp_path, F, shared_widths, subnet_widths, layout):
+        ind = IndicatorMatrix(F)
+        sys_cfg = SystemConfig(ind.n_users, ind.n_resources, 2, 4)
+        rng = np.random.default_rng(5)
+        dec = MultiTaskDecoder.build(rng, 2 * sys_cfg.K, sys_cfg.J, sys_cfg.M,
+                                     shared_widths=shared_widths, subnet_widths=subnet_widths)
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, random_generators(sys_cfg, rng), dec, ind)
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack("<I", raw[8:12])
+        assert json.loads(raw[12 : 12 + hlen])["layout"] == layout
+        _, dec2, _, _ = load_checkpoint(path)
+        x = rng.normal(size=(5, 2 * sys_cfg.K))
+        assert dec2.forward(x).tobytes() == dec.forward(x).tobytes()
 
     @pytest.mark.parametrize("entry", [True, 1.0])
     def test_f_entries_are_json_integers(self, tmp_path, entry):
@@ -503,15 +544,20 @@ class TestCheckpoint:
 
         self.assert_rejected(tmp_path, capsys, edit, message)
 
-    # the decoder's structural checks, each reached from a header
+    # the decoder's structural checks and the layout rule, each reached from a header
     @pytest.mark.parametrize("edit, message", [
         (_bias_too_short, "weights (8, 6) and bias (7,) are inconsistent"),
-        (_unknown_activation, "unknown activation 'tanh'"),
-        (_no_user_layers, "decoder needs at least one user subnetwork layer"),
+        (_unknown_activation, "bad field 'layout'"),
+        (_no_user_layers, "bad field 'layout'"),
         (_three_d_trunk, "trunk layers take (out, in) weights"),
         (_width_chain_broken, "layer input width 4 does not match 8"),
-        (_relu_head, "every subnetwork must end in a softmax head"),
-    ], ids=["bias", "activation", "no-user-layers", "3d-trunk", "width-chain", "head"])
+        (_relu_head, "bad field 'layout'"),
+        (_layout_edit("shared", ["relu", "softmax"]), "bad field 'layout'"),
+        (_layout_edit("subnets", []), "bad field 'layout'"),  # was an IndexError
+        (_layout_edit("shared", 3), "bad field 'layout'"),  # was a TypeError
+        (_layout_edit("subnets", "relu"), "bad field 'layout'"),  # was "user subnetworks differ"
+    ], ids=["bias", "activation", "no-user-layers", "3d-trunk", "width-chain", "head",
+            "softmax-trunk", "no-users", "shared-int", "subnets-string"])
     def test_decoder_structure_checks_name_file(self, tmp_path, capsys, edit, message):
         self.assert_rejected(tmp_path, capsys, edit, message)
 

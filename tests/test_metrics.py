@@ -255,6 +255,9 @@ class TestNearestPoints:
 
 
 class TestCompareCodebooks:
+    def test_no_codebooks_no_rows(self):
+        assert compare_codebooks({}) == []
+
     def test_identical_entries_identical_med(self):
         cb = read_codebook(data_path("huawei_4x6.json"))
         rows = dict(compare_codebooks({"a": cb, "b": cb}))
@@ -279,6 +282,9 @@ class TestCompareCodebooks:
 
 
 class TestWilson:
+    def test_no_bits_is_the_whole_interval(self):
+        assert wilson_interval(0, 0) == (0.0, 1.0)
+
     def test_zero_errors(self):
         lo, hi = wilson_interval(0, 1000)
         assert lo == 0.0

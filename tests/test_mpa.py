@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -534,6 +535,16 @@ class TestNonFiniteInputs:
             PosteriorSet(probs=probs)
 
 
+    @pytest.mark.parametrize("shape", [(4,), (1, 2, 4)])
+    def test_posterior_set_rejects_other_than_two_dimensions(self, shape):
+        with pytest.raises(ShapeError, match="posteriors must be"):
+            PosteriorSet(probs=np.full(shape, 0.25))
+
+    def test_hard_decisions_are_each_users_most_probable_message(self):
+        posteriors = PosteriorSet(probs=[[0.1, 0.6, 0.3], [0.5, 0.2, 0.3]])
+        assert posteriors.hard_decisions().tolist() == [1, 0]
+
+
 class TestChannelLength:
     # one coefficient per resource: a length-1 h must not broadcast over the four
     @pytest.mark.parametrize("n", [1, 2, 5])
@@ -542,6 +553,12 @@ class TestChannelLength:
         ch = ChannelRealization(h=np.ones(n), n0=0.1)
         with pytest.raises(ShapeError, match=f"channel has {n} coefficients, codebook has 4 resources"):
             detect(np.ones(4, dtype=complex), huawei, ch)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("detect", [mpa_detect, ml_detect])
+    def test_received_vector_of_another_length_rejected(self, huawei, detect, n):
+        with pytest.raises(ShapeError, match=re.escape(f"received vector shape ({n},), expected (4,)")):
+            detect(np.ones(n, dtype=complex), huawei, ChannelRealization.awgn(4, 0.1))
 
 
 class TestMlDetect:

@@ -13,6 +13,7 @@ from scmalink import (
     cross_entropy,
     dnn_complexity,
 )
+from scmalink.nn import softmax
 
 
 def small_decoder(rng, input_width=4, n_users=2, n_messages=4):
@@ -23,16 +24,17 @@ def small_decoder(rng, input_width=4, n_users=2, n_messages=4):
 
 
 class TestForward:
+    # a decoder of one layer: by position, that layer is the softmax head
     def test_softmax_symmetric_case(self):
-        layer = DenseLayer(np.zeros((4, 4)), np.zeros(4), "softmax")
-        out = layer.forward(np.zeros((1, 4)))
-        assert out[0] == pytest.approx([0.25, 0.25, 0.25, 0.25])
+        dec = MultiTaskDecoder([], [DenseLayer(np.zeros((1, 4, 4)), np.zeros((1, 4)))])
+        out = dec.forward(np.zeros((1, 4)))
+        assert out[0, 0] == pytest.approx([0.25, 0.25, 0.25, 0.25])
 
     def test_softmax_log2_example(self):
         # pre-activations [ln 2, 0, 0, 0] -> [0.4, 0.2, 0.2, 0.2]
-        layer = DenseLayer(np.eye(4), np.zeros(4), "softmax")
-        out = layer.forward(np.array([[np.log(2), 0, 0, 0]]))
-        assert out[0] == pytest.approx([0.4, 0.2, 0.2, 0.2])
+        dec = MultiTaskDecoder([], [DenseLayer(np.eye(4)[None], np.zeros((1, 4)))])
+        out = dec.forward(np.array([[np.log(2), 0, 0, 0]]))
+        assert out[0, 0] == pytest.approx([0.4, 0.2, 0.2, 0.2])
 
     def test_zero_decoder_outputs_uniform(self):
         rng = np.random.default_rng(0)
@@ -54,21 +56,24 @@ class TestForward:
     def test_softmax_shift_invariance(self):
         rng = np.random.default_rng(2)
         z = rng.normal(size=(20, 8))
-        from scmalink.nn import softmax
-
         assert softmax(z + 123.456) == pytest.approx(softmax(z), abs=1e-12)
+
+    def test_decoder_needs_a_head(self):
+        # the last user layer is the softmax head, so a decoder needs one
+        with pytest.raises(ConfigError, match="at least one user subnetwork layer"):
+            MultiTaskDecoder([DenseLayer(np.ones((4, 4)), np.zeros(4))], [])
+
+    def test_user_layers_must_stack_one_user_count(self):
+        rng = np.random.default_rng(4)
+        user_layers = [DenseLayer(rng.normal(size=(2, 4, 4)), np.zeros((2, 4))),
+                       DenseLayer(rng.normal(size=(3, 4, 4)), np.zeros((3, 4)))]
+        with pytest.raises(ShapeError, match="must stack 2 users"):
+            MultiTaskDecoder([], user_layers)
 
     def test_width_mismatch_raises(self):
         dec = small_decoder(np.random.default_rng(3))
         with pytest.raises(ShapeError):
             dec.forward(np.ones(5))
-
-    def test_softmax_only_terminal(self):
-        rng = np.random.default_rng(4)
-        shared = [DenseLayer(rng.normal(size=(4, 4)), np.zeros(4), "softmax")]
-        heads = [DenseLayer(rng.normal(size=(1, 4, 4)), np.zeros((1, 4)), "softmax")]
-        with pytest.raises(ConfigError):
-            MultiTaskDecoder(shared, heads)
 
     def test_stacked_forward_matches_each_user_alone(self):
         # one (J, out, in) layer per depth computes what J separate
@@ -82,9 +87,10 @@ class TestForward:
             trunk = layer.forward(trunk)
         for j in range(3):
             h = trunk
-            for layer in dec.user_layers:
-                h = DenseLayer(layer.weights[j], layer.bias[j], layer.activation).forward(h)
-            assert np.array_equal(probs[:, j, :], h)
+            *hidden, head = [DenseLayer(layer.weights[j], layer.bias[j]) for layer in dec.user_layers]
+            for layer in hidden:
+                h = layer.forward(h)
+            assert np.array_equal(probs[:, j, :], softmax(head.affine(h)))
 
 
 class TestLoss:
@@ -173,12 +179,12 @@ class TestBackward:
         # decoder with relu trunk and subnetwork layers and a softmax head
         rng = np.random.default_rng(8)
         shared = [
-            DenseLayer(rng.normal(0, 0.7, size=(5, 3)), np.zeros(5), "relu"),
-            DenseLayer(rng.normal(0, 0.7, size=(4, 5)), np.zeros(4), "relu"),
+            DenseLayer(rng.normal(0, 0.7, size=(5, 3)), np.zeros(5)),
+            DenseLayer(rng.normal(0, 0.7, size=(4, 5)), np.zeros(4)),
         ]
         user_layers = [
-            DenseLayer(rng.normal(0, 0.7, size=(2, 4, 4)), np.zeros((2, 4)), "relu"),
-            DenseLayer(rng.normal(0, 0.7, size=(2, 2, 4)), np.zeros((2, 2)), "softmax"),
+            DenseLayer(rng.normal(0, 0.7, size=(2, 4, 4)), np.zeros((2, 4))),
+            DenseLayer(rng.normal(0, 0.7, size=(2, 2, 4)), np.zeros((2, 2))),
         ]
         dec = MultiTaskDecoder(shared, user_layers)
         x = rng.normal(size=(5, 3))
@@ -216,7 +222,7 @@ def paper_decoder(seed):
 def fresh_copy(dec):
     """The same parameters in new layers that hold no buffers yet."""
     def copy(layer):
-        return DenseLayer(layer.weights.copy(), layer.bias.copy(), layer.activation)
+        return DenseLayer(layer.weights.copy(), layer.bias.copy())
     return MultiTaskDecoder([copy(l) for l in dec.shared], [copy(l) for l in dec.user_layers])
 
 
@@ -301,6 +307,13 @@ class TestAdam:
         state = AdamState.for_parameters(p)
         adam_step(p, g, state, lr=0.01)
         assert p[0][0] == pytest.approx(1.0 - 0.01, abs=1e-6)
+
+    def test_lists_of_different_lengths_rejected(self):
+        p = [np.zeros(2), np.zeros(3)]
+        state = AdamState.for_parameters(p)
+        with pytest.raises(ShapeError, match="must align"):
+            adam_step(p, [np.zeros(2)], state, lr=0.1)
+        assert state.step == 0
 
     def test_zero_gradient_keeps_parameters(self):
         p = [np.array([2.0, -3.0])]

@@ -55,6 +55,10 @@ class TestLrSchedule:
     def test_real_valued_exponent(self):
         assert lr_schedule(TrainConfig(), 250) == pytest.approx(0.001 * 0.9**0.5, rel=1e-12)
 
+    def test_negative_iteration_rejected(self):
+        with pytest.raises(ConfigError, match=">= 0"):
+            lr_schedule(TrainConfig(), -1)
+
 
 class TestSampleSnr:
     def test_degenerate_range(self):
@@ -167,6 +171,7 @@ class TestConfigValidation:
             dict(beta=0.0),
             dict(beta=1.5),
             dict(decay_step=0),
+            dict(n_iterations=0),
             dict(ebn0_min_db=10, ebn0_max_db=5),
             dict(alpha0=np.inf),
             dict(alpha0=1.5),
