@@ -19,6 +19,8 @@ import sys
 import threading
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "scmalink"
 
@@ -49,8 +51,6 @@ def function_statements(tree):
 
 
 def main(argv):
-    import pytest
-
     sys.path.insert(0, str(ROOT / "src"))
     files = {str(p.resolve()): p for p in sorted(PACKAGE.glob("*.py"))}
     executed = {name: set() for name in files}
