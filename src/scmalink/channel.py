@@ -72,8 +72,6 @@ def apply_channel(signal, ch: ChannelRealization, rng: np.random.Generator) -> n
     k = ch.h.size
     if s.shape[-1] != k:
         raise ShapeError(f"signal has {s.shape[-1]} resources, channel has {k}")
-    # the faded signal is allocated before the noise: batched MPA speed
-    # follows where its block arrays land on the heap, which this order sets
     faded = ch.h * s
     e = sample_noise_split(rng, ch.n0, s.shape[:-1] + (2 * k,))
     return faded + e[..., :k] + 1j * e[..., k:]

@@ -10,18 +10,18 @@ of every resource is one block, and a user reaches its N messages through
 the (slot, resource) pairs of its edges.
 
 The resource-to-user update views the combination metrics of a resource as a
-cube with one length-M axis per slot. For each slot, the max over the other
-slot axes is folded off one axis at a time with elementwise np.maximum over
-halves of that axis, and the max over the later slots is shared between
-slots. Each message is that max minus the slot's own incoming message, which
-rounds exactly as the max of the differences would. The batch runs in
-blocks of BLOCK_BYTES / itemsize vectors, 256 in float64 and 512 in float32,
-with the vectors on the last axis of every array: inner loops run over
-vectors rather than over length-M slot axes, and a block's arrays take the
-same bytes in either dtype. The channel metric of a block is C-ordered
+cube with one length-M axis per slot. Each slot's peak is one np.max over the
+other slot axes: a max rounds nothing, so the order numpy reduces in changes
+no value, only possibly the sign of a zero peak, which no later step turns
+into other bits. Each message is that peak minus the slot's own incoming
+message, which rounds exactly as the max of the differences would. The batch
+runs in blocks of BLOCK_BYTES / itemsize vectors, 256 in float64 and 512 in
+float32, with the vectors on the last axis of every array: inner loops run
+over vectors rather than over length-M slot axes, and a block's arrays take
+the same bytes in either dtype. The channel metric of a block is C-ordered
 (M^d, K, b), the order in which the cube adds read it, so they run over
-contiguous memory. Every step is row-wise, so blocking changes no bit of
-the output.
+contiguous memory. Every step is row-wise, so blocking changes no bit of the
+output.
 
 _channel_metrics and _block_totals work in the dtype they are given.
 _mpa_posteriors, and so mpa_detect, runs them in float64. _mpa_decisions,
@@ -72,9 +72,10 @@ N0_FLOOR = 1e-12
 # array of _block_totals holds the block's vectors on its last axis, so a block
 # has BLOCK_BYTES / itemsize of them: 256 in float64, 512 in float32. On the
 # Huawei graph (K=4, d=3, M=4) a block's (M^d, K, b) metric then takes 512 kB
-# in either dtype, and the other arrays of an iteration peak at 1.6 MB, about
-# a 2 MB L2 cache. Huawei, 8 dB, 2,000 vectors, 2-core Xeon, float32 pass and
-# re-run: 13 ms per chunk at 2048, 13-14 at 4096, 15 at 1024 and 16 at 8192
+# in either dtype, and the block's arrays together about 1.5 MB, within a 2 MB
+# L2 cache. Huawei, 8 dB, 48,000 bits (two chunks of 2,000 vectors), 2-core
+# Xeon, float32 pass and re-run, medians of 528 alternated points: 25.7 ms
+# at 2048, 27.2 at 8192, 27.4 at 4096 and 28.7 at 1024
 BLOCK_BYTES = 2048
 # largest bound constant E (_mpa_decisions) with a float32 pass. Huawei, 8 dB,
 # 2,000 vectors, 2-core Xeon: 14 iterations (E = 0.031) re-run 827 rows in 34
@@ -108,35 +109,6 @@ class PosteriorSet:
 
     def hard_decisions(self) -> np.ndarray:
         return np.argmax(self.probs, axis=1)
-
-
-def _fold_max(x: np.ndarray, axis: int) -> np.ndarray:
-    """Max over one axis of x whose length is a power of two, by np.maximum of its halves."""
-    lead = (slice(None),) * axis
-    n = x.shape[axis]
-    while n > 1:
-        n //= 2
-        x = np.maximum(x[lead + (slice(0, n),)], x[lead + (slice(n, 2 * n),)])
-    return x[lead + (0,)]
-
-
-def _slot_maxima(cube: np.ndarray, d: int) -> list[np.ndarray]:
-    """For each of the d leading (slot) axes of cube, the max over the other slot axes.
-
-    cube is (M,) * d + rest; returns d arrays of shape (M,) + rest. The max
-    over the slots after s is shared: it is folded off the back once, one
-    slot at a time, and slot s then folds the slots before it off the front.
-    """
-    after = [cube]  # after[i] keeps slots 0..d-1-i
-    for axis in range(d - 1, 0, -1):
-        after.append(_fold_max(after[-1], axis))
-    maxima = []
-    for s in range(d):
-        x = after[d - 1 - s]
-        for _ in range(s):
-            x = _fold_max(x, 0)
-        maxima.append(x)
-    return maxima
 
 
 class _FactorGraph:
@@ -329,6 +301,9 @@ def _block_totals(phi: np.ndarray, g: _FactorGraph, cfg: MpaConfig) -> tuple[np.
     length-M slot axis. Messages are (d, M, K, b): the resource update reads
     and writes slot s's (M, K, b) block whole, and the user update gathers
     and scatters each edge's (M, b) messages at (g.slot, :, g.resource).
+    Slot s's peak is one max of the (M,) * d + (K, b) cube over its other
+    slot axes, and a user's message is normalised by its max over the M
+    messages.
     """
     M, K, d, b = g.M, g.K, g.d, phi.shape[-1]
     cube_shape = (M,) * d + (K, b)
@@ -339,6 +314,8 @@ def _block_totals(phi: np.ndarray, g: _FactorGraph, cfg: MpaConfig) -> tuple[np.
     low = np.zeros((d, M, K, b), phi.dtype)  # every message is <= 0
     # v[s] broadcast along slot axis s of the cube
     v_axis = [v[s].reshape((1,) * s + (M,) + (1,) * (d - 1 - s) + (K, b)) for s in range(d)]
+    # the cube's slot axes other than s, the axes slot s's peak is taken over
+    others = [tuple(q for q in range(d) if q != s) for s in range(d)]
 
     for _ in range(cfg.n_iter):
         # resource-to-user: combine channel metric with every slot's message,
@@ -346,13 +323,13 @@ def _block_totals(phi: np.ndarray, g: _FactorGraph, cfg: MpaConfig) -> tuple[np.
         np.add(phi.reshape(cube_shape), v_axis[0], out=total)
         for s in range(1, d):
             total += v_axis[s]
-        for s, peak in enumerate(_slot_maxima(total, d)):
-            np.subtract(peak, v[s], out=r_msg[s])
+        for s in range(d):
+            np.subtract(total.max(axis=others[s]), v[s], out=r_msg[s])
         np.minimum(low, r_msg, out=low)
         # user-to-resource: sum of the other resources' messages, normalized
         incoming = r_msg[g.slot, :, g.resource]  # (J, N, M, b)
         msg = incoming.sum(axis=1, keepdims=True) - incoming
-        msg -= _fold_max(msg, 2)[:, :, None]
+        msg -= msg.max(axis=2, keepdims=True)
         v[g.slot, :, g.resource] = msg
 
     return r_msg[g.slot, :, g.resource].sum(axis=1), -low.min(axis=(0, 1, 2))

@@ -32,8 +32,8 @@ from scmalink import (
 )
 from scmalink import core, mpa
 from scmalink.core import SEARCH_BLOCK, nearest_points
-from scmalink.mpa import (N0_FLOOR, _FactorGraph, _ml_decisions, _mpa_decisions,
-                          _mpa_posteriors, _slot_maxima, _top_two, block_rows)
+from scmalink.mpa import (N0_FLOOR, _block_totals, _FactorGraph, _ml_decisions, _mpa_decisions,
+                          _mpa_posteriors, _top_two, block_rows)
 
 # received vectors per message-passing block: float64 runs (_mpa_posteriors)
 # and float32 runs (_mpa_decisions)
@@ -231,18 +231,59 @@ class TestRecordedBlockPosteriors:
         assert sha256_of(post) == want["posteriors_sha256"][config]
 
 
-class TestSlotMaxima:
+def loop_block_totals(phi, g, n_iter):
+    """Reference Max-Log on one block, one resource, slot and combination at a
+    time: phi (M^d, K, b) -> each user's totals (J, M, b) and the largest |r|
+    (b,) of any resource-to-user message. The message of slot s at message m
+    is the max, over the combinations that put m on slot s, of the metric plus
+    the other slots' incoming messages."""
+    M, K, d, b = g.M, g.K, g.d, phi.shape[-1]
+    zero = np.zeros((M, b), phi.dtype)
+    v = {(k, s): zero for k in range(K) for s in range(d)}
+    r = {}
+    largest = np.zeros(b, phi.dtype)
+    # each user's (resource, slot) edges; phantom slots belong to no user
+    edges = [[(k, s) for k in range(K) for s in range(d) if g.slot_users[k, s] == j] for j in range(g.J)]
+    combos = list(itertools.product(range(M), repeat=d))  # slot 0 most significant, as phi's rows
+    for _ in range(n_iter):
+        for k, s in itertools.product(range(K), range(d)):
+            peak = np.full((M, b), -np.inf, phi.dtype)
+            for row, combo in enumerate(combos):
+                value = phi[row, k] + sum(v[k, q][combo[q]] for q in range(d) if q != s)
+                peak[combo[s]] = np.maximum(peak[combo[s]], value)
+            r[k, s] = peak
+            largest = np.maximum(largest, -peak.min(axis=0))
+        for own in edges:
+            for e in own:
+                msg = sum(r[f] for f in own if f != e) + zero
+                v[e] = msg - msg.max(axis=0)
+    totals = np.stack([sum(r[e] for e in own) for own in edges])
+    return totals, largest
+
+
+class TestBlockTotals:
+    # one graph per padded row degree d; d = 2 and d = 3 have phantom slots
+    GRAPHS = {1: np.eye(2, dtype=int),
+              2: [[1, 0], [1, 1], [0, 1]],
+              3: [[1, 1, 1, 0], [1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 0]],
+              4: np.ones((2, 4), dtype=int)}
+
     @pytest.mark.parametrize("M", [2, 4, 8])
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
-    def test_equals_multi_axis_max(self, d, M):
-        rng = np.random.default_rng(10 * d + M)
-        # five distinct values, so most maxima are ties; two trailing axes
-        cube = rng.integers(-2, 3, (M,) * d + (3, 5)).astype(float)
-        maxima = _slot_maxima(cube, d)
-        assert len(maxima) == d
-        for s, got in enumerate(maxima):
-            want = np.max(cube, axis=tuple(a for a in range(d) if a != s))
-            assert got.shape == want.shape and np.array_equal(got, want)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_loop_reference(self, dtype, d, M):
+        rng = np.random.default_rng([d, M])
+        g = _FactorGraph(random_sparse_codebook(self.GRAPHS[d], M, rng))
+        assert g.d == d
+        # integer metrics: every sum is exact. Each peak is taken over
+        # M^(d-1) combinations of about twice as many values, so ties are
+        # common but the peaks are not all the largest value
+        phi = rng.integers(-2 * M ** (d - 1), 1, (M**d, g.K, 3)).astype(dtype)
+        tot, largest = _block_totals(phi, g, MpaConfig(n_iter=3))
+        want_tot, want_largest = loop_block_totals(phi, g, 3)
+        assert tot.dtype == largest.dtype == dtype
+        assert tot.shape == want_tot.shape and np.array_equal(tot, want_tot)
+        assert largest.shape == want_largest.shape and np.array_equal(largest, want_largest)
 
 
 def loop_constellation(cb):
