@@ -1,4 +1,6 @@
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from scmalink import (
     cross_entropy,
     dnn_complexity,
 )
+from scmalink.fileio import load_checkpoint
 from scmalink.nn import softmax
 
 
@@ -74,6 +77,12 @@ class TestForward:
         dec = small_decoder(np.random.default_rng(3))
         with pytest.raises(ShapeError):
             dec.forward(np.ones(5))
+
+    @pytest.mark.parametrize("shape", [(), (2, 4, 4)])
+    def test_input_neither_vector_nor_batch_raises(self, shape):
+        dec = small_decoder(np.random.default_rng(3))
+        with pytest.raises(ShapeError, match=rf"input shape {re.escape(str(shape))}"):
+            dec.forward(np.ones(shape))
 
     def test_stacked_forward_matches_each_user_alone(self):
         # one (J, out, in) layer per depth computes what J separate
@@ -297,6 +306,85 @@ class TestLayerBuffers:
             if not was_tracing:
                 tracemalloc.stop()
         assert peak < 6 * 1000 * 64 * 8
+
+
+# batch sizes around every block boundary, and the harness's 2,000-vector chunk
+BLOCK_SWEEP = [0, 1, 2, 5, 66, *range(127, 130), *range(255, 258), 300, *range(383, 386),
+               *range(511, 514), 700, 1000, *range(1999, 2002), 2049, 4000, 5000]
+
+
+class TestRowBlocks:
+    """Inference runs near-equal row blocks of at most ROW_BLOCK rows; a
+    remembered forward runs the batch as one block."""
+
+    @pytest.fixture(scope="class")
+    def decoders(self):
+        # the seed-7 default_init decoder, as train and the benchmark build it
+        paper = MultiTaskDecoder.build(np.random.default_rng(np.random.SeedSequence([7, 1])), 8, 6, 4)
+        _, recorded, _, _ = load_checkpoint(Path(__file__).with_name("checkpoint_v1.bin"))
+        return {"paper": paper, "checkpoint_v1": recorded}
+
+    @pytest.mark.parametrize("name", ["paper", "checkpoint_v1"])
+    def test_blocks_equal_one_block_byte_for_byte(self, decoders, name):
+        dec = decoders[name]
+        x = np.random.default_rng(30).normal(size=(max(BLOCK_SWEEP), dec.input_width))
+        differ = []
+        for b in BLOCK_SWEEP:
+            got = dec.forward(x[:b])
+            assert got.shape == (b, dec.n_users, dec.n_messages)
+            if got.tobytes() != dec.forward(x[:b], remember=True).tobytes():
+                differ.append(b)
+        assert differ == []
+
+    def test_wide_decoder_within_tolerance_with_equal_decisions(self):
+        # wider layers take other BLAS kernels by size; measured at most
+        # 8.2e-16 relative, as between batch sizes before blocking
+        dec = MultiTaskDecoder.build(np.random.default_rng(5), 8, 6, 4,
+                                     shared_widths=(256, 128), subnet_widths=(128, 64))
+        x = np.random.default_rng(31).normal(size=(4000, 8))
+        for b in (257, 511, 2000, 4000):
+            got = dec.forward(x[:b])
+            want = dec.forward(x[:b], remember=True)
+            assert np.abs(got - want).max() <= 1e-14 * want.min()
+            assert np.array_equal(got.argmax(axis=-1), want.argmax(axis=-1))
+
+
+def two_reduction_softmax(z):
+    """Reference softmax: one max reduction and one sum reduction over the last axis."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+class TestSoftmax:
+    SPECIAL = [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 700.0, -745.0, 1e308]
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 8, 16])
+    def test_equals_two_reductions_byte_for_byte(self, m):
+        rng = np.random.default_rng(40 + m)
+        pool = np.array(self.SPECIAL)
+        cases = [
+            rng.normal(size=(200, m)),
+            rng.normal(size=(50, 6, m)) * 30,
+            pool[rng.integers(0, len(pool), size=(500, m))],  # +-0, +-inf, NaN
+            np.repeat(rng.normal(size=(40, 1)), m, axis=1),  # rows of equal entries
+            np.repeat(pool[:, None], m, axis=1),
+            np.where(rng.random((100, m)) < 0.5, 0.0, -0.0),
+            # (b, J, M) as the MPA posteriors pass it: a C-ordered copy of a transpose
+            np.ascontiguousarray(rng.integers(-3, 3, size=(m, 20, 6)).astype(float).transpose(1, 2, 0)),
+        ]
+        with np.errstate(invalid="ignore", over="ignore"):
+            for z in cases:
+                got, want = softmax(z), two_reduction_softmax(z)
+                assert got.shape == want.shape and got.flags.c_contiguous
+                assert got.tobytes() == want.tobytes()
+
+    def test_negative_nan_logit_gives_nan_row(self):
+        # numpy's max reduction may return a NaN of the other sign than the
+        # -NaN it met; np.maximum returns that -NaN itself
+        z = np.array([[-np.nan, 1.0, 2.0, 0.0], [1.0, -np.nan, 0.0, 0.0]])
+        with np.errstate(invalid="ignore"):
+            got, want = softmax(z), two_reduction_softmax(z)
+        assert np.isnan(got).all() and np.isnan(want).all()
 
 
 class TestAdam:
