@@ -13,7 +13,7 @@ import pytest
 
 from scmalink import (IndicatorMatrix, MultiTaskDecoder, SystemConfig, compute_med, data_path,
                       load_checkpoint, random_generators, read_codebook, read_experiment_config,
-                      save_checkpoint)
+                      save_checkpoint, write_codebook)
 from scmalink import cli
 from scmalink.cli import parse_snr_spec, run_cli
 from scmalink.fileio import CodebookFormatError, codebook_from_dict, codebook_to_dict
@@ -617,6 +617,22 @@ class TestMalformedInputs:
         path = self._dead_user_codebook(tmp_path)
         assert run_cli(["med", "--codebook", str(path), "--raw"]) == 0
         assert capsys.readouterr().out.startswith("med 0\n")
+
+    # |x|^2 of user 0 overflows to inf, which once divided the user to zeros
+    # (med 0, exit 0), or underflows to 0, which once called it all-zero
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale, message", [
+        (1e160, "users [0] have codeword energy that overflows to inf"),
+        (1e-170, "users [0] have nonzero codewords whose energy underflows to 0"),
+    ], ids=["overflow", "underflow"])
+    def test_user_energy_out_of_range_names_file_and_user(self, tmp_path, capsys, scale, message):
+        cb = read_codebook(HUAWEI)
+        entries = cb.entries.copy()
+        entries[0] *= scale
+        path = tmp_path / "scaled.json"
+        write_codebook(path, replace(cb, entries=entries))
+        assert run_cli(["med", "--codebook", str(path)]) == 1
+        assert f"{path}: {message}" in capsys.readouterr().err
 
     def test_snr_whose_n0_overflows_is_validation_error(self, tmp_path, capsys):
         out = tmp_path / "ber.csv"

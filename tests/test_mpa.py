@@ -286,14 +286,29 @@ class TestBlockTotals:
         assert largest.shape == want_largest.shape and np.array_equal(largest, want_largest)
 
 
-def loop_constellation(cb):
-    """Reference: each user's (M, K) codewords added in user order from zero."""
-    K = cb.config.K
-    words = np.ascontiguousarray(cb.entries.transpose(0, 2, 1))
-    pts = np.zeros((1, K), dtype=complex)
-    for j in range(cb.config.J):
-        pts = (pts[:, None, :] + words[j][None, :, :]).reshape(-1, K)
-    return pts
+def broadcast_sums(words):
+    """Reference: the (n, M, K) groups' words added in group order from zero,
+    each step broadcasting the sums so far against the group's words."""
+    K = words.shape[2]
+    sums = np.zeros((1, K), dtype=complex)
+    for w in words:
+        sums = (sums[:, None, :] + w[None, :, :]).reshape(-1, K)
+    return sums
+
+
+def awkward_words(n, M, K):
+    """(n, M, K) words, as a non-C-ordered view, on which the order and start
+    of the additions show in the bits: gaussian entries scaled by 2^-500, 1
+    or 2^500, so a sum depends on its order; the same small integers on
+    every other word of every group, so distinct tuples tie exactly; and
+    -0.0 in both parts of word 0 on resource 0 in every group, so the
+    all-zero tuple's sum is -0.0 unless the additions start from +0.0."""
+    rng = np.random.default_rng([n, M, K])
+    scale = 2.0 ** rng.choice([-500, 0, 500], size=(n, M, K))
+    words = (rng.normal(size=(n, M, K)) + 1j * rng.normal(size=(n, M, K))) * scale
+    words[:, 1::2] = rng.integers(-2, 3, size=(M // 2, K)) * (1 + 1j)
+    words[:, 0, 0] = complex(-0.0, -0.0)
+    return np.ascontiguousarray(words.transpose(0, 2, 1)).transpose(0, 2, 1)
 
 
 def loop_graph_sums(cb, g):
@@ -331,10 +346,20 @@ def codeword_sum_cases():
 class TestCodewordSums:
     CASES = codeword_sum_cases()
 
+    # 16^6 sums would take 1 GB; every table the exhaustive searches build
+    # has at most SEARCH_GUARD rows
+    @pytest.mark.parametrize("n, M, K", [(n, M, K) for n in (0, 1, 2, 3, 6) for M in (2, 4, 16)
+                                         for K in (1, 4) if M**n <= core.SEARCH_GUARD])
+    def test_equals_broadcast_recurrence_byte_for_byte(self, n, M, K):
+        words = awkward_words(n, M, K)
+        sums, want = core.codeword_sums(words), broadcast_sums(words)
+        assert sums.flags.c_contiguous and sums.dtype == np.complex128
+        assert sums.shape == want.shape == (M**n, K) and sums.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_constellation_equals_loop_bit_for_bit(self, case):
         cb = self.CASES[case]
-        pts, want = superimposed_constellation(cb), loop_constellation(cb)
+        pts, want = superimposed_constellation(cb), broadcast_sums(cb.entries.transpose(0, 2, 1))
         assert pts.flags.c_contiguous
         assert pts.dtype == want.dtype and pts.shape == want.shape and pts.tobytes() == want.tobytes()
 
