@@ -26,7 +26,7 @@ from .fileio import (
     write_csv,
 )
 from .metrics import BerPoint, MpaConfig, compare_codebooks, compute_med, simulate_ber
-from .training import default_init, gradient_check, learned_codebook, train
+from .training import TRAIN_DTYPE, default_init, gradient_check, learned_codebook, train
 
 MAX_SNR_POINTS = 10_000
 
@@ -177,6 +177,13 @@ def _cmd_ber(args) -> int:
     return 0
 
 
+def _blas_threads() -> str | None:
+    """The BLAS thread count set in the environment, or None if unset.
+    OpenBLAS reads OPENBLAS_NUM_THREADS before OMP_NUM_THREADS; training's
+    bits depend on the count, because BLAS splits a GEMM's sums by thread."""
+    return next((os.environ[v] for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS") if v in os.environ), None)
+
+
 def _cmd_train(args) -> int:
     if args.progress < 0:
         raise ConfigError(f"--progress must be >= 0, got {args.progress}")
@@ -210,7 +217,8 @@ def _cmd_train(args) -> int:
     )
     meta = {"config_hash": exp.config_hash(), "seed": exp.train.seed,
             "init_codebook_hash": None if init_cb is None else codebook_to_dict(init_cb)["config_hash"],
-            "iterations": report.iterations_run, "aborted": report.aborted}
+            "iterations": report.iterations_run, "aborted": report.aborted,
+            "train_dtype": np.dtype(TRAIN_DTYPE).name, "blas_threads": _blas_threads()}
     ckpt = out / "checkpoint.bin"
     save_checkpoint(ckpt, report.generators, report.decoder, exp.indicator, meta)
     cb_path = out / "learned_codebook.json"

@@ -212,7 +212,12 @@ class Codebook:
 
         DegenerateCodebookError names the users it cannot rescale: all-zero
         codewords, and energy outside float64's range, where |x|^2 underflows
-        to 0 or overflows to inf (an error here, not a RuntimeWarning)."""
+        to 0 or overflows to inf (an error here, not a RuntimeWarning).
+
+        Each user is first scaled by the power of two that brings its largest
+        real or imaginary part into [0.5, 1). That is exact, and it changes
+        no bit of the result where the energy is a normal float; where it is
+        subnormal, squaring the unscaled entries would lose its low bits."""
         with np.errstate(over="ignore"):
             energies = self.user_energies()
         all_zero = np.all(self.entries == 0, axis=(1, 2))
@@ -221,7 +226,13 @@ class Codebook:
                           (energies == np.inf, "have codeword energy that overflows to inf")):
             if bad.any():
                 raise DegenerateCodebookError(f"users {np.flatnonzero(bad).tolist()} {what}")
-        scaled = self.entries / np.sqrt(energies)[:, None, None]
+        parts = (self.entries.real, self.entries.imag)
+        _, exponents = np.frexp(np.maximum(*map(np.abs, parts)).max(axis=(1, 2)))
+        prescaled = np.empty_like(self.entries)
+        # ldexp, because 2^-exponent itself overflows for a subnormal user
+        prescaled.real, prescaled.imag = (np.ldexp(p, -exponents[:, None, None]) for p in parts)
+        energies = Codebook(entries=prescaled, config=self.config, indicator=self.indicator).user_energies()
+        scaled = prescaled / np.sqrt(energies)[:, None, None]
         return Codebook(entries=scaled, config=self.config, indicator=self.indicator)
 
 

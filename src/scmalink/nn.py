@@ -3,8 +3,15 @@
 One shared trunk maps the 2K-dimensional real received vector to a common
 representation; J per-user subnetworks classify it into one of M messages
 through a softmax head. Forward, analytic backward and ADAM are implemented
-directly on numpy arrays; batches are row-major (samples x features) and all
-arithmetic is float64.
+directly on numpy arrays; batches are row-major (samples x features).
+
+A layer computes in the dtype of its arrays: float32 weights and biases stay
+float32, and any other dtype becomes float64. Its buffers (except the bool
+relu mask) and gradients take that dtype, and a decoder casts its input to
+it; a decoder whose layers mix dtypes is rejected. Everything the package
+builds or loads is float64; training runs a float32 copy of the decoder
+(MultiTaskDecoder.astype, see training.train), where the GEMMs run about
+twice as fast.
 
 The J subnetworks have one shape, so each subnetwork depth is one
 DenseLayer holding every user's weights stacked as (J, out, in) and biases
@@ -81,8 +88,9 @@ class DenseLayer:
     it; a decoder's last layer, its softmax head, reads only the affine map."""
 
     def __init__(self, weights, bias):
-        w = np.asarray(weights, dtype=float)
-        b = np.asarray(bias, dtype=float)
+        w, b = (np.asarray(a, dtype=_dtype_of(a)) for a in (weights, bias))
+        if w.dtype != b.dtype:
+            raise ConfigError(f"weights {w.dtype} and bias {b.dtype} differ in dtype")
         if w.ndim not in (2, 3) or b.shape != w.shape[:-1]:
             raise ShapeError(f"weights {w.shape} and bias {b.shape} are inconsistent")
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
@@ -103,11 +111,12 @@ class DenseLayer:
     def n_out(self):
         return self.weights.shape[-2]
 
-    def _buffer(self, name, shape, dtype=float):
-        """The layer's own array `name`, allocated again only when `shape` changes."""
+    def _buffer(self, name, shape, dtype=None):
+        """The layer's own array `name`, allocated again only when `shape`
+        changes; in the layer's dtype unless another is given."""
         buf = self._buffers.get(name)
         if buf is None or buf.shape != shape:
-            buf = self._buffers[name] = np.empty(shape, dtype)
+            buf = self._buffers[name] = np.empty(shape, self.weights.dtype if dtype is None else dtype)
         return buf
 
     def affine(self, x, remember=False):
@@ -167,8 +176,24 @@ class MultiTaskDecoder:
         for prev, layer in zip(layers, layers[1:]):
             if layer.n_in != prev.n_out:
                 raise ShapeError(f"layer input width {layer.n_in} does not match {prev.n_out}")
+        dtypes = sorted({layer.weights.dtype.name for layer in layers})
+        if len(dtypes) > 1:
+            raise ConfigError(f"decoder layers mix dtypes {dtypes}")
         self.shared = list(shared)
         self.user_layers = list(user_layers)
+        self.dtype = layers[0].weights.dtype
+
+    def astype(self, dtype):
+        """A copy of this decoder in `dtype`, by DenseLayer's rule: float32
+        stays float32, anything else is float64. The values are assigned
+        into new layers, so the copy keeps a parameter that went non-finite."""
+        def zeros(layers):
+            return [DenseLayer(np.zeros(layer.weights.shape, dtype), np.zeros(layer.bias.shape, dtype))
+                    for layer in layers]
+        twin = MultiTaskDecoder(zeros(self.shared), zeros(self.user_layers))
+        for p, value in zip(twin.parameters(), self.parameters()):
+            p[...] = value
+        return twin
 
     @classmethod
     def build(cls, rng, input_width, n_users, n_messages,
@@ -220,7 +245,7 @@ class MultiTaskDecoder:
         Inference runs the whole network on one near-equal block of at most
         ROW_BLOCK rows before it starts the next; a remembered forward runs
         the batch as one block."""
-        x = np.asarray(r_split, dtype=float)
+        x = np.asarray(r_split, dtype=self.dtype)
         if x.ndim not in (1, 2):
             raise ShapeError(f"input shape {x.shape} is neither (2K,) nor (batch, 2K)")
         single = x.ndim == 1
@@ -233,7 +258,7 @@ class MultiTaskDecoder:
         if blocks <= 1:
             probs = self._block_probs(x, remember)
         else:
-            probs = np.empty((self.n_users, n, self.n_messages))
+            probs = np.empty((self.n_users, n, self.n_messages), self.dtype)
             for i in range(blocks):
                 rows = slice(i * n // blocks, (i + 1) * n // blocks)
                 probs[:, rows] = self._block_probs(x[rows], False)
@@ -280,6 +305,11 @@ class MultiTaskDecoder:
         chain = [self.input_width] + [l.n_out for l in self.shared]
         sub = [chain[-1]] + [l.n_out for l in self.user_layers]
         return chain, sub
+
+
+def _dtype_of(a):
+    """float32 for a float32 array, float64 for anything else."""
+    return np.float32 if getattr(a, "dtype", None) == np.float32 else np.float64
 
 
 def _targets(probs, messages):

@@ -329,6 +329,24 @@ class TestCliCommands:
             hashes.append(meta["config_hash"])
         assert hashes[0] != hashes[1]
 
+    # the environment is read when the checkpoint is written; BLAS read it at import
+    @pytest.mark.parametrize("env, threads", [
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "4"}, "2"),
+        ({"OMP_NUM_THREADS": "3"}, "3"),
+        ({}, None),
+    ], ids=["openblas", "omp", "unset"])
+    def test_checkpoint_records_training_precision_and_blas_threads(self, tmp_path, capsys,
+                                                                     monkeypatch, env, threads):
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"system": PAPER_SYSTEM, "train": {"iterations": 1, "batch_size": 8}}))
+        assert run_cli(["train", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+        meta = load_checkpoint(tmp_path / "checkpoint.bin")[3]
+        assert meta["train_dtype"] == "float32" and meta["blas_threads"] == threads
+
     def test_init_codebook_on_another_graph_names_file_and_field(self, tmp_path, capsys):
         # the paper graph with users 0 and 1 swapped; the Huawei file keeps its own
         system = dict(PAPER_SYSTEM, F=[[row[1], row[0], *row[2:]] for row in PAPER_SYSTEM["F"]])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from scmalink import (
     ShapeError,
     SystemConfig,
     build_bit_matrix,
+    compute_med,
 )
 from scmalink.core import alphabet_bits
 from scmalink.training import _labels_from_bits
@@ -155,3 +158,17 @@ class TestCodebook:
         entries[1, 1] = [1j, -1j]
         cb = Codebook(entries=entries, config=cfg, indicator=ind).normalized()
         assert cb.user_energies() == pytest.approx([1.0, 1.0], abs=1e-12)
+
+    def test_normalized_subnormal_energy_is_exact(self, huawei_codebook):
+        # user 0's energy is about 1e-320, a subnormal: squared unscaled it
+        # lost its low bits, and the user normalised to energy 1.0000379
+        entries = huawei_codebook.entries.copy()
+        entries[0] *= 1e-160
+        cb = replace(huawei_codebook, entries=entries).normalized()
+        assert np.abs(cb.user_energies() - 1.0).max() <= 4 * np.finfo(float).eps
+        assert compute_med(cb).med == pytest.approx(0.5534440688493857, abs=1e-12)
+        # every user of normal energy keeps the bits of the plain division
+        huawei = huawei_codebook.normalized()
+        assert cb.entries[1:].tobytes() == huawei.entries[1:].tobytes()
+        assert huawei.entries.tobytes() == (huawei_codebook.entries / np.sqrt(
+            huawei_codebook.user_energies())[:, None, None]).tobytes()

@@ -15,6 +15,12 @@ imported. BLAS splits the decoder's matrix products by thread, which changes
 their summation order: on 1 thread, the benchmark's setting, losses[8] reads
 7.7921185505550215 instead of the recorded 7.792118550555022. The failure
 message names the thread settings in effect.
+
+The decoder trains in float32 (training.TRAIN_DTYPE) since the record was
+last re-taken. The regenerator then reported: losses 20 of 20 entries moved,
+largest absolute change 1.68e-07; codebook_real 48 of 96, at most 6.9e-09;
+codebook_imag 48 of 96, at most 5.0e-09. The BER counts, the neural one
+included, and gradient_check (a float64 decoder) did not move.
 """
 
 import json

@@ -308,6 +308,81 @@ class TestLayerBuffers:
         assert peak < 6 * 1000 * 64 * 8
 
 
+def norm_rel(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+class TestDtype:
+    """A layer computes in its arrays' dtype: float32 stays float32, any other
+    dtype becomes float64. Float32 matches float64 within a few hundred
+    float32 ulps where no relu pre-activation changes sign between the two,
+    as on the batch here. On 12 random paper decoders at batch 1000, the 10
+    without such a flip read probabilities at most 1.5e-7 apart and input and
+    parameter gradients at most 2.6e-7 and 6.1e-7 apart, relative in norm
+    (float32's epsilon is 1.2e-7); the two with one flipped unit read up to
+    5e-4, a whole sample's term."""
+
+    PROB_ABS = 1e-6
+    GRAD_REL = 1e-5
+
+    def twins(self, seed=0):
+        # float32-representable float64 parameters: only the arithmetic differs
+        dec = paper_decoder(seed).astype(np.float32).astype(np.float64)
+        return dec, dec.astype(np.float32)
+
+    def test_decoder_forward_and_backward_match_float64(self):
+        dec, d32 = self.twins()
+        x, msgs = random_batch(np.random.default_rng(0), 1000)
+        (p64, g64), (p32, g32) = remembered_step(dec, x, msgs), remembered_step(d32, x, msgs)
+        for a, b in zip(d32.layers()[:-1], dec.layers()[:-1]):
+            assert np.array_equal(a._output > 0, b._output > 0)
+        assert p32.dtype == g32.dtype == np.float32 and d32.dtype == np.float32
+        assert np.abs(p32 - p64).max() <= self.PROB_ABS
+        assert norm_rel(g32, g64) <= self.GRAD_REL
+        for a, b in zip(d32.gradients(), dec.gradients()):
+            assert a.dtype == np.float32 and norm_rel(a, b) <= self.GRAD_REL
+        # inference casts a float64 input and keeps the layer dtype
+        assert d32.forward(x).dtype == np.float32 and dec.forward(x).dtype == np.float64
+
+    def test_layer_forward_and_backward_match_float64(self):
+        rng = np.random.default_rng(1)
+        w = rng.normal(size=(6, 64, 128)).astype(np.float32)
+        b = rng.normal(size=(6, 64)).astype(np.float32)
+        x = rng.normal(size=(6, 500, 128)).astype(np.float32)
+        grad = rng.normal(size=(6, 500, 64))
+        l32, l64 = DenseLayer(w, b), DenseLayer(w.astype(np.float64), b.astype(np.float64))
+        y32, y64 = l32.forward(x, remember=True), l64.forward(x.astype(np.float64), remember=True)
+        assert np.array_equal(y32 > 0, y64 > 0)
+        g32, g64 = l32.backward(grad.astype(np.float32)), l64.backward(grad.copy())
+        assert y32.dtype == g32.dtype == l32.grad_weights.dtype == l32.grad_bias.dtype == np.float32
+        assert l32._buffers["mask"].dtype == bool
+        for got, want in ((y32, y64), (g32, g64), (l32.grad_weights, l64.grad_weights),
+                          (l32.grad_bias, l64.grad_bias)):
+            assert norm_rel(got, want) <= self.GRAD_REL
+
+    def test_other_dtypes_become_float64(self):
+        layer = DenseLayer(np.ones((3, 2), dtype=np.float16), [0, 1, 2])
+        assert layer.weights.dtype == layer.bias.dtype == np.float64
+        dec = paper_decoder(1)
+        assert dec.astype(np.float16).dtype == np.float64
+        assert dec.astype(np.float32).astype(np.float64).dtype == np.float64
+
+    def test_astype_copies_values(self):
+        dec = paper_decoder(2)
+        twin = dec.astype(np.float64)
+        assert_same_bytes(twin.parameters(), dec.parameters())
+        twin.shared[0].weights[0, 0] += 1.0
+        assert twin.shared[0].weights[0, 0] != dec.shared[0].weights[0, 0]
+
+    def test_mixed_dtypes_raise(self):
+        with pytest.raises(ConfigError, match="weights float32 and bias float64 differ in dtype"):
+            DenseLayer(np.ones((3, 2), dtype=np.float32), np.zeros(3))
+        dec = paper_decoder(3)
+        d32 = dec.astype(np.float32)
+        with pytest.raises(ConfigError, match=re.escape("decoder layers mix dtypes ['float32', 'float64']")):
+            MultiTaskDecoder(d32.shared, dec.user_layers)
+
+
 # batch sizes around every block boundary, and the harness's 2,000-vector chunk
 BLOCK_SWEEP = [0, 1, 2, 5, 66, *range(127, 130), *range(255, 258), 300, *range(383, 386),
                *range(511, 514), 700, 1000, *range(1999, 2002), 2049, 4000, 5000]

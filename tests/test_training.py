@@ -13,10 +13,12 @@ from scmalink import (
     data_path,
     default_init,
     gradient_check,
+    load_checkpoint,
     lr_schedule,
     random_generators,
     read_codebook,
     sample_snr,
+    save_checkpoint,
     train,
 )
 from scmalink import training
@@ -135,6 +137,50 @@ class TestTrainLoop:
         assert report.aborted
         assert "non-finite" in report.abort_reason
         assert report.iterations_run == 0
+
+    def test_decoder_trains_in_float32_and_returns_in_float64(self, small_setup):
+        sys_cfg, ind = small_setup
+        gen = random_generators(sys_cfg, np.random.default_rng(5))
+        decoder = small_decoder(sys_cfg)
+        before = [p.copy() for p in decoder.parameters()]
+        report = train(small_train_cfg(), sys_cfg, ind, gen, decoder)
+        assert report.decoder is decoder and decoder.dtype == np.float64
+        assert report.generators.gbar.dtype == np.float64
+        for p, old in zip(decoder.parameters(), before):
+            assert p.dtype == np.float64 and not np.array_equal(p, old)
+            assert p.astype(np.float32).astype(np.float64).tobytes() == p.tobytes()
+
+    def test_abort_writes_the_last_good_values_back(self, small_setup, monkeypatch):
+        # a loss that turns NaN at step 3 restores the values step 2 ran on,
+        # those after one update
+        sys_cfg, ind = small_setup
+        gen = random_generators(sys_cfg, np.random.default_rng(5))
+        steps = []
+        real = training._loss_and_gradients
+
+        def nan_at_third(*args):
+            steps.append(None)
+            loss, grad = real(*args)
+            return (np.nan if len(steps) == 3 else loss), grad
+
+        one, two = (train(small_train_cfg(n_iterations=n), sys_cfg, ind, gen, small_decoder(sys_cfg))
+                    for n in (1, 2))
+        monkeypatch.setattr(training, "_loss_and_gradients", nan_at_third)
+        aborted = train(small_train_cfg(), sys_cfg, ind, gen, small_decoder(sys_cfg))
+        assert aborted.abort_reason == "non-finite loss at iteration 3"
+        assert np.array_equal(aborted.losses, two.losses)
+        for a, b in zip(aborted.decoder.parameters(), one.decoder.parameters()):
+            assert a.dtype == np.float64 and a.tobytes() == b.tobytes()
+        assert aborted.generators.gbar.tobytes() == one.generators.gbar.tobytes()
+
+    def test_checkpoint_reload_infers_as_the_report(self, small_setup, tmp_path):
+        sys_cfg, ind = small_setup
+        gen = random_generators(sys_cfg, np.random.default_rng(6))
+        report = train(small_train_cfg(), sys_cfg, ind, gen, small_decoder(sys_cfg))
+        save_checkpoint(tmp_path / "c.bin", report.generators, report.decoder, ind)
+        _, loaded, _, _ = load_checkpoint(tmp_path / "c.bin")
+        x = np.random.default_rng(7).normal(size=(300, 2 * sys_cfg.K))
+        assert loaded.forward(x).tobytes() == report.decoder.forward(x).tobytes()
 
     def test_mismatched_decoder_rejected(self, small_setup):
         sys_cfg, ind = small_setup
