@@ -121,15 +121,17 @@ def _cmd_med(args) -> int:
 def _cmd_compare(args) -> int:
     if args.csv:
         _check_out_file(args.csv, "--csv")
-    named = {}
+    named = {}  # name -> path; every name is checked before any codebook is read
     for item in args.codebooks:
         name, _, path = item.partition("=")
         if not path:
             name, path = Path(item).stem, item
+        if not name:
+            raise CodebookFormatError(f"codebook argument {item!r} has an empty NAME")
         if name in named:
             raise CodebookFormatError(f"codebook name {name!r} given twice")
-        named[name] = read_codebook(path)
-    rows = compare_codebooks(named)
+        named[name] = path
+    rows = compare_codebooks({name: read_codebook(path) for name, path in named.items()})
     width = max(len(n) for n in named)
     for name, med in rows:
         print(f"{name:<{width}}  {med:.6g}")
@@ -193,17 +195,14 @@ def _cmd_train(args) -> int:
             exp = replace(exp, train=replace(exp.train, seed=args.seed))
         except ConfigError as exc:
             raise ConfigError(f"--seed: {exc}") from exc
-    init_path = exp.paths.init_codebook
     init_cb = None
-    if init_path:
-        candidate = Path(init_path)
-        if not candidate.exists():
-            candidate = Path(args.config).parent / init_path
-        init_cb = read_codebook(candidate)
+    if exp.paths.init_codebook:  # a relative path is read from the config file's directory
+        init_path = Path(args.config).parent / exp.paths.init_codebook
+        init_cb = read_codebook(init_path)
     try:
         gen, decoder = default_init(exp.system, exp.indicator, exp.train, init_cb)
     except (ConfigError, DegenerateCodebookError) as exc:  # default_init checks only the init codebook
-        raise ConfigError(f"{candidate}: {exc}") from exc
+        raise ConfigError(f"{init_path}: {exc}") from exc
     out = _make_out_dir(args.out_dir or exp.paths.output_dir,
                         "--out-dir" if args.out_dir else f"{args.config}: paths.output_dir")
     report = train(exp.train, exp.system, exp.indicator, gen, decoder,

@@ -8,15 +8,15 @@ strings, which round-trip bit-exactly through repr/float.
 All three formats carry the same "system" block, read and written by one pair
 of helpers. Every malformed file raises CodebookFormatError naming the file
 and the offending field: missing keys, values of the wrong type (a JSON
-boolean or string is never a number, an integer field takes no fraction,
-and an entry of F is a JSON integer 0 or 1), non-finite codewords, and
-unknown keys in a config, at a codebook's top level, in any system block, and
-in a checkpoint's header, layout and array entries. A checkpoint is also
-rejected for a bad magic number, a truncated file, a header that is not JSON,
-a layout other than the rule's, array names other than its layout's in that
-order, a shape that is not a list of non-negative integers, arrays the stored
-system or layout rejects, a meta that is not an object, and bytes after its
-last array.
+boolean or string is never a number, an integer field takes no fraction, and
+an entry of F is a JSON integer 0 or 1), non-finite codewords, unknown keys in
+a config, at a codebook's top level, in any system block, and in a
+checkpoint's header, layout and array entries, and a key given twice in one
+JSON object of any of the three. A checkpoint is also rejected for a bad magic
+number, a truncated file, a header that is not JSON, a layout other than the
+rule's, array names other than its layout's in that order, a shape that is not
+a list of non-negative integers, arrays the stored system or layout rejects, a
+meta that is not an object, and bytes after its last array.
 
 A checkpoint's layout names each layer's role, which follows from its
 position: relu everywhere but each user's last layer, its softmax head, with
@@ -26,6 +26,7 @@ user counts, for the writer and for the reader's check alike.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import io
 import json
@@ -78,14 +79,26 @@ def _read_bytes(path) -> bytes:
         raise CodebookFormatError(f"{p}: cannot read ({exc.strerror})") from exc
 
 
-def _read_json(path):
-    p = Path(path)
+def _parse_json(blob: bytes, where: str):
+    """The JSON document in UTF-8 bytes, read from where. Bad text names its
+    position, and a key given twice in one object names the key."""
+    def unique(pairs):
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise CodebookFormatError(f"{where}: key {key!r} given twice in one object")
+            doc[key] = value
+        return doc
     try:
-        return json.loads(_read_bytes(p).decode("utf-8"))
+        return json.loads(blob.decode("utf-8"), object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
-        raise CodebookFormatError(f"{p}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+        raise CodebookFormatError(f"{where}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     except UnicodeDecodeError as exc:
-        raise CodebookFormatError(f"{p}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+        raise CodebookFormatError(f"{where}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
+def _read_json(path):
+    return _parse_json(_read_bytes(path), str(Path(path)))
 
 
 def _require(doc: dict, key: str, where: str):
@@ -333,7 +346,7 @@ def load_checkpoint(path):
         (hlen,) = struct.unpack("<I", _read_exact(fh, 4, "header length", where))
         blob = _read_exact(fh, hlen, "header", where)
         try:
-            header = json.loads(blob)
+            header = _parse_json(blob, where)
             _check_keys(header, ("version", "system", "F", "layout", "arrays", "meta"), where)
             if _typed(header, "version", int, where) != CHECKPOINT_VERSION:
                 raise CodebookFormatError(
@@ -385,6 +398,7 @@ def load_checkpoint(path):
 
 
 def write_csv(path, header, rows) -> None:
-    """Column names, then one line per row; every float, numpy's too, by _fmt."""
-    lines = [",".join(_fmt(x) if isinstance(x, float) else str(x) for x in row) for row in (header, *rows)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Column names, then one csv row per row; every float, numpy's too, by _fmt."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(
+            [_fmt(x) if isinstance(x, float) else str(x) for x in row] for row in (header, *rows))

@@ -24,7 +24,7 @@ from .channel import ChannelRealization, apply_channel, ebn0_to_n0, split_real
 from .core import (Codebook, ConfigError, DegenerateCodebookError, build_bit_matrix, nearest_points,
                    ordered_distances, superimposed_constellation, tuple_digits)
 from .encoder import superimpose
-from .mpa import N0_FLOOR, MpaConfig, _FactorGraph, _ml_decisions, _mpa_decisions, _mpa_posteriors
+from .mpa import MpaConfig, _FactorGraph, _ml_decisions, _mpa_decisions, _mpa_posteriors
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -130,15 +130,17 @@ def simulate_ber(codebook: Codebook, detector: str, ebn0_db_list, *,
     """Monte Carlo bit error rate of one codebook/detector combination.
 
     Per SNR point, random message tuples run through superposition, the AWGN
-    channel and the chosen detector in chunks of batch_size tuples. Chunk c
-    of point i draws from the generator seeded (seed, i, c). Chunk results
-    are taken in chunk order, and the point stops after the first chunk that
-    brings its totals to min_errors bit errors or max_bits simulated bits, so
-    a point does not depend on the worker count. One thread pool serves the
-    whole call: it runs the chunks workers at a time, dropping those of a
-    wave that follow the stopping chunk, and its threads share one decoder,
-    whose inference forward writes no layer state. With workers=1 the chunks
-    run one by one on the calling thread.
+    channel and the chosen detector in chunks of batch_size tuples. Each point
+    draws from one channel at its exact N0; all are built before any chunk
+    runs, so an N0 that underflows to 0 (from about 3231 dB) raises ConfigError
+    first. Chunk c of point i draws from the generator seeded (seed, i, c).
+    Chunk results are taken in chunk order, and the point stops after the first
+    chunk that brings its totals to min_errors bit errors or max_bits simulated
+    bits, so a point does not depend on the worker count. One thread pool
+    serves the whole call: it runs the chunks workers at a time, dropping those
+    of a wave that follow the stopping chunk, and its threads share one
+    decoder, whose inference forward writes no layer state. With workers=1 the
+    chunks run one by one on the calling thread.
 
     The MPA detector decides a chunk by a float32 run (mpa._mpa_decisions,
     in blocks of 512 vectors with a complex64 channel metric) on the factor
@@ -166,11 +168,10 @@ def simulate_ber(codebook: Codebook, detector: str, ebn0_db_list, *,
     points = superimposed_constellation(codebook) if detector == "ml" else None
     errtab = _bit_error_table(cfg.M)
 
-    def run_chunk(point_idx: int, chunk_idx: int, n0: float) -> np.ndarray:
+    def run_chunk(point_idx: int, chunk_idx: int, ch: ChannelRealization) -> np.ndarray:
         rng = np.random.default_rng([seed, point_idx, chunk_idx])
         msgs = rng.integers(0, cfg.M, size=(batch_size, cfg.J))
         tx = superimpose(codebook, msgs)
-        ch = ChannelRealization.awgn(cfg.K, max(n0, N0_FLOOR))
         r = apply_channel(tx, ch, rng)
         if detector == "mpa":
             dec, unsure = _mpa_decisions(r, graph, ch, mpa_cfg)
@@ -181,12 +182,13 @@ def simulate_ber(codebook: Codebook, detector: str, ebn0_db_list, *,
             dec = np.argmax(decoder.forward(split_real(r)), axis=2)
         return errtab[msgs, dec].sum(axis=0)  # (J,) bit errors per user
 
+    channels = [(ebn0, ChannelRealization.awgn(cfg.K, ebn0_to_n0(ebn0, cfg.M))) for ebn0 in ebn0_db_list]
     chunk_bits = batch_size * cfg.J * cfg.bits_per_symbol
     rows = []
     with ThreadPoolExecutor(max_workers=workers) as pool:
         run = pool.map if workers > 1 else map
-        for pt, ebn0 in enumerate(ebn0_db_list):
-            point_chunk = partial(run_chunk, pt, n0=ebn0_to_n0(ebn0, cfg.M))
+        for pt, (ebn0, ch) in enumerate(channels):
+            point_chunk = partial(run_chunk, pt, ch=ch)
             waves = (run(point_chunk, range(c, c + workers)) for c in count(0, workers))
             user_errors = np.zeros(cfg.J, dtype=np.int64)
             bits = 0

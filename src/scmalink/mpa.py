@@ -66,7 +66,7 @@ from .core import (
 )
 from .nn import softmax
 
-# keeps log-likelihoods finite when noise-free inputs are decoded
+# the floor of the MPA metric only: keeps its log-likelihoods finite at a tiny N0
 N0_FLOOR = 1e-12
 # bytes of one (combination, resource) row of a message-passing block. Every
 # array of _block_totals holds the block's vectors on its last axis, so a block

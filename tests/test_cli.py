@@ -371,6 +371,20 @@ class TestCliCommands:
         meta = load_checkpoint(tmp_path / "out" / "checkpoint.bin")[3]
         assert meta["init_codebook_hash"] == json.loads(Path(HUAWEI).read_text())["config_hash"]
 
+    def test_relative_init_codebook_ignores_the_working_directory(self, tmp_path, capsys, monkeypatch):
+        conf = tmp_path / "conf"
+        conf.mkdir()
+        (conf / "init.json").write_text(Path(HUAWEI).read_text())
+        huawei = read_codebook(HUAWEI)
+        write_codebook(tmp_path / "init.json", replace(huawei, entries=2 * huawei.entries))
+        cfg = conf / "exp.json"
+        cfg.write_text(json.dumps({"system": PAPER_SYSTEM, "train": {"iterations": 1, "batch_size": 8},
+                                   "paths": {"init_codebook": "init.json"}}))
+        monkeypatch.chdir(tmp_path)  # holds an init.json other than the config's
+        assert run_cli(["train", "--config", str(cfg), "--out-dir", "out"]) == 0
+        meta = load_checkpoint(tmp_path / "out" / "checkpoint.bin")[3]
+        assert meta["init_codebook_hash"] == json.loads(Path(HUAWEI).read_text())["config_hash"]
+
     def test_aborted_training_keeps_its_record_and_exits_2(self, tmp_path, capsys, monkeypatch):
         real_train = cli.train
         monkeypatch.setattr(cli, "train", lambda *a, **kw: replace(
@@ -485,6 +499,21 @@ class TestMalformedInputs:
         assert "'huawei_4x6'" in capsys.readouterr().err
         assert run_cli(["compare", f"H={HUAWEI}", f"H={HUAWEI}"]) == 1
         assert "'H'" in capsys.readouterr().err
+
+    def test_compare_empty_name_is_rejected_before_any_codebook_is_read(self, tmp_path, capsys,
+                                                                        monkeypatch):
+        read = []
+        monkeypatch.setattr(cli, "read_codebook", lambda path: read.append(path))
+        csv = tmp_path / "table.csv"
+        assert run_cli(["compare", f"H={HUAWEI}", f"={HUAWEI}", "--csv", str(csv)]) == 1
+        assert repr(f"={HUAWEI}") in capsys.readouterr().err
+        assert read == [] and not csv.exists()
+
+    def test_snr_whose_n0_underflows_is_validation_error(self, tmp_path, capsys):
+        out = tmp_path / "ber.csv"
+        assert run_cli(["ber", "--codebook", HUAWEI, "--snr", "3300", "--out", str(out)]) == 1
+        assert "noise power must be positive and finite, got 0.0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_numeric_snr_is_validation_error(self, tmp_path):
         out = tmp_path / "ber.csv"

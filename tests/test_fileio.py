@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 import struct
@@ -26,6 +27,7 @@ from scmalink.fileio import (
     CodebookFormatError,
     codebook_to_dict,
     experiment_config_from_dict,
+    write_csv,
 )
 from scmalink.metrics import BerCurve, BerPoint
 from scmalink.training import random_generators
@@ -205,6 +207,13 @@ class TestCodebookFiles:
         path.write_text(json.dumps(doc))
         assert cli.run_cli(["med", "--codebook", str(path)]) == 1
         assert f"{path}: unknown keys ['colour']" in capsys.readouterr().err
+
+    def test_repeated_key_names_file_and_key(self, tmp_path, capsys):
+        text = Path(data_path("huawei_4x6.json")).read_text()
+        path = tmp_path / "cb.json"
+        path.write_text('{"name": "other", ' + text.lstrip()[1:])
+        assert cli.run_cli(["med", "--codebook", str(path)]) == 1
+        assert f"{path}: key 'name' given twice in one object" in capsys.readouterr().err
 
     def test_unknown_system_key_names_file_and_key(self, tmp_path, capsys):
         # the Huawei codebook with a misspelt key and no hash to catch it once loaded
@@ -408,6 +417,19 @@ class TestCheckpoint:
         block(header)["alphabt"] = 8
         self.rewrite(path, header, arrays)
         message = f"{path}{where}: unknown keys ['alphabt']"
+        with pytest.raises(CodebookFormatError, match=re.escape(message)):
+            load_checkpoint(path)
+        out = tmp_path / "cb.json"
+        assert cli.run_cli(["export", "--checkpoint", str(path), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_header_key_names_file_and_key(self, tmp_path, capsys):
+        path = tmp_path / "model.bin"
+        header, arrays = self.small_checkpoint(path)
+        blob = json.dumps(header).replace('"users": 3', '"users": 3, "users": 4', 1).encode()
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(blob)) + blob + arrays)
+        message = f"{path}: key 'users' given twice in one object"
         with pytest.raises(CodebookFormatError, match=re.escape(message)):
             load_checkpoint(path)
         out = tmp_path / "cb.json"
@@ -628,6 +650,12 @@ class TestExperimentConfig:
         exp = read_experiment_config(path)
         assert exp.train.seed == 7
 
+    def test_repeated_key_names_file_and_key(self, tmp_path):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(self.base_doc()).replace('"seed": 7', '"seed": 7, "seed": 3'))
+        with pytest.raises(CodebookFormatError, match=re.escape(f"{path}: key 'seed' given twice")):
+            read_experiment_config(path)
+
 
 def test_ber_csv_schema(tmp_path, monkeypatch):
     point = BerPoint(8.0, 1000, 17, 0.017, 0.01, 0.027, "mpa", "huawei_4x6")
@@ -640,3 +668,12 @@ def test_ber_csv_schema(tmp_path, monkeypatch):
     assert cells[1] == "1000" and cells[2] == "17" and cells[6] == "mpa" and cells[7] == "huawei_4x6"
     floats = (point.ebn0_db, point.ber, point.ci_low, point.ci_high)
     assert [cells[i] for i in (0, 3, 4, 5)] == [repr(float(x)) for x in floats]
+
+
+def test_csv_cell_with_comma_quote_and_newline_round_trips(tmp_path):
+    path = tmp_path / "table.csv"
+    name = 'a,b "c"\nd'
+    write_csv(path, ("name", "med"), [(name, 0.5534440688493857), ("plain", 1)])
+    with open(path, newline="") as fh:
+        assert list(csv.reader(fh)) == [["name", "med"], [name, "0.5534440688493857"], ["plain", "1"]]
+    assert path.read_text().endswith("\nplain,1\n")

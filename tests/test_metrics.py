@@ -25,7 +25,7 @@ from scmalink import (
     tuple_digits,
     wilson_interval,
 )
-from scmalink import core
+from scmalink import core, metrics
 from scmalink.core import SEARCH_BLOCK, nearest_points
 from scmalink.metrics import _bit_error_table
 from scmalink.mpa import _ml_decisions, _mpa_posteriors
@@ -379,6 +379,23 @@ class TestSimulateBer:
             for j in range(cfg.J):
                 want[j] += int((labels[:, msgs[:, j]] != labels[:, dec[:, j]]).sum())
         assert list(pt.user_errors) == want
+
+    # at 130 dB, N0 is below mpa.N0_FLOOR, which floors the MPA metric only
+    @pytest.mark.parametrize("ebn0", [8.0, 130.0])
+    def test_every_chunk_draws_at_the_exact_n0(self, huawei, monkeypatch, ebn0):
+        seen = []
+        def spy(signal, ch, rng):
+            seen.append(ch.n0)
+            return apply_channel(signal, ch, rng)
+        monkeypatch.setattr(metrics, "apply_channel", spy)
+        simulate_ber(huawei, "ml", [ebn0], min_errors=10**9, max_bits=2 * 500 * 12, batch_size=500)
+        assert seen == [ebn0_to_n0(ebn0, huawei.config.M)] * 2
+
+    @pytest.mark.parametrize("ebn0s", [[3300.0], [8.0, np.inf]])
+    def test_n0_that_underflows_raises_before_any_chunk(self, huawei, monkeypatch, ebn0s):
+        monkeypatch.setattr(metrics, "apply_channel", lambda *args: pytest.fail("a chunk ran"))
+        with pytest.raises(ConfigError, match="noise power must be positive and finite, got 0.0"):
+            simulate_ber(huawei, "mpa", ebn0s)
 
     def test_neural_requires_decoder(self, huawei):
         with pytest.raises(ConfigError, match="decoder"):
