@@ -398,7 +398,14 @@ def load_checkpoint(path):
 
 
 def write_csv(path, header, rows) -> None:
-    """Column names, then one csv row per row; every float, numpy's too, by _fmt."""
+    """Column names, then one csv row per row; every float, numpy's too, by _fmt.
+
+    The csv writer quotes a cell with a comma, a quote or a newline, but not
+    one with a bare carriage return, which a reader takes for a line end, so
+    a row holding one has every cell quoted."""
     with open(path, "w", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(
-            [_fmt(x) if isinstance(x, float) else str(x) for x in row] for row in (header, *rows))
+        plain = csv.writer(fh, lineterminator="\n")
+        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        for row in (header, *rows):
+            cells = [_fmt(x) if isinstance(x, float) else str(x) for x in row]
+            (quoted if any("\r" in c for c in cells) else plain).writerow(cells)

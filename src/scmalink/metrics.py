@@ -13,6 +13,7 @@ of the three detectors and reports Wilson intervals.
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -24,7 +25,7 @@ from .channel import ChannelRealization, apply_channel, ebn0_to_n0, split_real
 from .core import (Codebook, ConfigError, DegenerateCodebookError, build_bit_matrix, nearest_points,
                    ordered_distances, superimposed_constellation, tuple_digits)
 from .encoder import superimpose
-from .mpa import MpaConfig, _FactorGraph, _ml_decisions, _mpa_decisions, _mpa_posteriors
+from .mpa import MpaConfig, _FactorGraph, _ml_decisions, _mpa_decisions, _mpa_posteriors, _Workspace
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -133,23 +134,26 @@ def simulate_ber(codebook: Codebook, detector: str, ebn0_db_list, *,
     channel and the chosen detector in chunks of batch_size tuples. Each point
     draws from one channel at its exact N0; all are built before any chunk
     runs, so an N0 that underflows to 0 (from about 3231 dB) raises ConfigError
-    first. Chunk c of point i draws from the generator seeded (seed, i, c).
-    Chunk results are taken in chunk order, and the point stops after the first
-    chunk that brings its totals to min_errors bit errors or max_bits simulated
-    bits, so a point does not depend on the worker count. One thread pool
-    serves the whole call: it runs the chunks workers at a time, dropping those
-    of a wave that follow the stopping chunk, and its threads share one
-    decoder, whose inference forward writes no layer state. With workers=1 the
-    chunks run one by one on the calling thread.
+    naming that Eb/N0 first. Chunk c of point i draws from the generator
+    seeded (seed, i, c). Chunk results are taken in chunk order, and the point
+    stops after the first chunk that brings its totals to min_errors bit
+    errors or max_bits simulated bits, so a point does not depend on the
+    worker count. One thread pool serves the whole call: it runs the chunks
+    workers at a time, dropping those of a wave that follow the stopping
+    chunk, and its threads share one decoder, whose inference forward writes
+    no layer state. With workers=1 the chunks run one by one on the calling
+    thread.
 
     The MPA detector decides a chunk by a float32 run (mpa._mpa_decisions,
     in blocks of 512 vectors with a complex64 channel metric) on the factor
     graph built once per call, and re-runs the rows it cannot vouch for,
     those with a top-two margin within its rounding bound, through the
     float64 _mpa_posteriors on the same graph, all of them past
-    mpa.FLOAT32_MAX_E. Rows are independent, so every decision and every
-    count is that of the float64 detector. A point keeps each user's bit
-    errors beside their total, and the stopping rule reads the total.
+    mpa.FLOAT32_MAX_E. Both take their block arrays from one mpa._Workspace
+    per worker thread, kept for the whole call. Rows are independent, so
+    every decision and every count is that of the float64 detector. A point
+    keeps each user's bit errors beside their total, and the stopping rule
+    reads the total.
     """
     if detector not in ("mpa", "ml", "neural"):
         raise ConfigError(f"unknown detector {detector!r}")
@@ -167,6 +171,7 @@ def simulate_ber(codebook: Codebook, detector: str, ebn0_db_list, *,
     graph = _FactorGraph(codebook) if detector == "mpa" else None
     points = superimposed_constellation(codebook) if detector == "ml" else None
     errtab = _bit_error_table(cfg.M)
+    workspaces = threading.local()  # each thread's MPA block arrays, reused for the whole call
 
     def run_chunk(point_idx: int, chunk_idx: int, ch: ChannelRealization) -> np.ndarray:
         rng = np.random.default_rng([seed, point_idx, chunk_idx])
@@ -174,15 +179,22 @@ def simulate_ber(codebook: Codebook, detector: str, ebn0_db_list, *,
         tx = superimpose(codebook, msgs)
         r = apply_channel(tx, ch, rng)
         if detector == "mpa":
-            dec, unsure = _mpa_decisions(r, graph, ch, mpa_cfg)
-            dec[unsure] = np.argmax(_mpa_posteriors(r[unsure], codebook, ch, mpa_cfg, graph), axis=2)
+            ws = vars(workspaces).setdefault("ws", _Workspace())
+            dec, unsure = _mpa_decisions(r, graph, ch, mpa_cfg, ws)
+            dec[unsure] = np.argmax(_mpa_posteriors(r[unsure], codebook, ch, mpa_cfg, graph, ws), axis=2)
         elif detector == "ml":
             dec = _ml_decisions(r, codebook, ch, points=points)
         else:
             dec = np.argmax(decoder.forward(split_real(r)), axis=2)
         return errtab[msgs, dec].sum(axis=0)  # (J,) bit errors per user
 
-    channels = [(ebn0, ChannelRealization.awgn(cfg.K, ebn0_to_n0(ebn0, cfg.M))) for ebn0 in ebn0_db_list]
+    channels = []
+    for ebn0 in ebn0_db_list:
+        n0 = ebn0_to_n0(ebn0, cfg.M)
+        try:
+            channels.append((ebn0, ChannelRealization.awgn(cfg.K, n0)))
+        except ConfigError as exc:
+            raise ConfigError(f"Eb/N0 {float(ebn0)} dB: {exc}") from None
     chunk_bits = batch_size * cfg.J * cfg.bits_per_symbol
     rows = []
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -10,7 +10,7 @@ of every resource is one block, and a user reaches its N messages through
 the (slot, resource) pairs of its edges.
 
 The resource-to-user update views the combination metrics of a resource as a
-cube with one length-M axis per slot. Each slot's peak is one np.max over the
+cube with one length-M axis per slot. Each slot's peak is one max over the
 other slot axes: a max rounds nothing, so the order numpy reduces in changes
 no value, only possibly the sign of a zero peak, which no later step turns
 into other bits. Each message is that peak minus the slot's own incoming
@@ -22,6 +22,16 @@ the same bytes in either dtype. The channel metric of a block is C-ordered
 (M^d, K, b), the order in which the cube adds read it, so they run over
 contiguous memory. Every step is row-wise, so blocking changes no bit of the
 output.
+
+A pass takes its block arrays, the complex difference r - h s and the metric
+of _channel_metrics and the cube, messages, peaks and minima of
+_block_totals, from one _Workspace, which simulate_ber keeps per worker
+thread for a whole call and mpa_detect makes per call. Each array starts
+on a 64-byte cache line, at its own 256-byte step past a 4096-byte page
+boundary, so no two share a page offset, and a smaller block uses a
+C-contiguous prefix of it. A cube off a line boundary runs about a fifth
+slower (see BLOCK_BYTES), and reuse spares the page faults of a fresh
+allocation per block.
 
 _channel_metrics and _block_totals work in the dtype they are given.
 _mpa_posteriors, and so mpa_detect, runs them in float64. _mpa_decisions,
@@ -49,6 +59,8 @@ index) wins.
 
 from __future__ import annotations
 
+import ctypes
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +87,12 @@ N0_FLOOR = 1e-12
 # in either dtype, and the block's arrays together about 1.5 MB, within a 2 MB
 # L2 cache. Huawei, 8 dB, 48,000 bits (two chunks of 2,000 vectors), 2-core
 # Xeon, float32 pass and re-run, medians of 528 alternated points: 25.7 ms
-# at 2048, 27.2 at 8192, 27.4 at 4096 and 28.7 at 1024
+# at 2048, 27.2 at 8192, 27.4 at 4096 and 28.7 at 1024. Those arrays come from
+# a _Workspace, each 64-byte aligned at its own 256-byte step within a page:
+# on the same Xeon, 10 iterations of one 512-vector float32 block took
+# 1.96-2.01 ms with the cube 64, 192, 3968 or 4032 bytes off the metric's
+# alignment, and 2.37-2.41 ms at 16, 48, 1040, 2064 or 4080 bytes, where
+# numpy's own allocations start 16 or 32 bytes past a line
 BLOCK_BYTES = 2048
 # largest bound constant E (_mpa_decisions) with a float32 pass. Huawei, 8 dB,
 # 2,000 vectors, 2-core Xeon: 14 iterations (E = 0.031) re-run 827 rows in 34
@@ -137,38 +154,88 @@ class _FactorGraph:
         self.resource, self.slot = np.divmod(order[: J * cfg.N].reshape(J, cfg.N), d)
 
 
+class _Workspace:
+    """Block arrays of the message-passing passes, reused from block to block.
+
+    array(name, shape, dtype) returns a C-contiguous prefix of one flat
+    buffer per (name, dtype), holding whatever the last block left. A
+    buffer only grows, and a grown one at least doubles, so blocks of
+    rising width (the float64 re-runs of successive chunks) reallocate
+    rarely. The buffer of the i-th (name, dtype) pair requested starts
+    STAGGER * i bytes (mod PAGE) past a PAGE boundary, grown or not: every
+    array is 64-byte aligned, and no two of the first PAGE / STAGGER pairs
+    share a page offset, which split loads and 4K aliasing between the
+    arrays of one elementwise step would punish.
+    """
+
+    PAGE, STAGGER = 4096, 256
+
+    def __init__(self):
+        self._buffers: dict[tuple[str, np.dtype], np.ndarray] = {}
+        self._steps: dict[tuple[str, np.dtype], int] = {}
+
+    def array(self, name: str, shape: tuple, dtype) -> np.ndarray:
+        key, size = (name, np.dtype(dtype)), math.prod(shape)
+        buf = self._buffers.get(key)
+        if buf is None or buf.size < size:
+            buf = self._buffers[key] = self._allocate(key, size if buf is None else max(size, 2 * buf.size))
+        return buf[:size].reshape(shape)
+
+    def _allocate(self, key: tuple[str, np.dtype], size: int) -> np.ndarray:
+        offset = self._steps.setdefault(key, len(self._steps)) * self.STAGGER % self.PAGE
+        nbytes = size * key[1].itemsize
+        raw = np.empty(nbytes + self.PAGE + offset, np.uint8)
+        # raw's address; ctypes.addressof takes a third of the time of raw.ctypes.data
+        start = -ctypes.addressof(ctypes.c_char.from_buffer(raw)) % self.PAGE + offset
+        return raw[start : start + nbytes].view(key[1])
+
+
 def block_rows(dtype) -> int:
     """Received vectors per message-passing block of a channel metric in dtype."""
     return BLOCK_BYTES // np.dtype(dtype).itemsize
 
 
-def _channel_metrics(received: np.ndarray, ch: ChannelRealization, g: _FactorGraph, dtype=np.float64):
+def _channel_metrics(received: np.ndarray, ch: ChannelRealization, g: _FactorGraph, dtype,
+                     ws: _Workspace):
     """(a, phi) per block of received (B, K) from row a on: the block's channel
     metric phi (M^d, K, b) in dtype, -|r - h s|^2 / N0 for every combination s
     on every resource, evaluated on r and h s cast once to the complex dtype
-    of that precision.
+    of that precision. phi is ws's "phi" array, which the next block
+    overwrites.
 
     phi is C-ordered (M^d, K, b), the order in which _block_totals' cube adds
-    read it: both operands of the subtraction are made C-contiguous, and
-    numpy gives the result their memory order. Transposed views there would
-    put the combination axis innermost and make every cube add stride across
-    it."""
+    read it: the difference is written into a C-ordered workspace array, and
+    the abs, square, negation and division run in place on phi, in the order
+    -np.abs(x) ** 2 / n0 evaluates in, so each rounds as that expression
+    does. Transposed views there would put the combination axis innermost
+    and make every cube add stride across it."""
     cdtype = np.result_type(dtype, np.complex64)
     faded = np.ascontiguousarray((ch.h[:, None] * g.sums).T, dtype=cdtype)[:, :, None]
     n0 = np.dtype(dtype).type(max(ch.n0, N0_FLOOR))
     rows = block_rows(dtype)
     for a in range(0, len(received), rows):
         r = np.ascontiguousarray(received[a : a + rows].T, dtype=cdtype)
-        yield a, -np.abs(r - faded) ** 2 / n0
+        shape = faded.shape[:2] + r.shape[-1:]
+        diff, phi = ws.array("diff", shape, cdtype), ws.array("phi", shape, dtype)
+        np.subtract(r, faded, out=diff)
+        np.abs(diff, out=phi)
+        np.square(phi, out=phi)
+        np.negative(phi, out=phi)
+        np.divide(phi, n0, out=phi)
+        yield a, phi
 
 
 def _mpa_posteriors(received: np.ndarray, codebook: Codebook, ch: ChannelRealization,
-                    cfg: MpaConfig, graph: _FactorGraph | None = None) -> np.ndarray:
-    """Batched message passing in float64: received (B, K) complex -> posteriors (B, J, M)."""
+                    cfg: MpaConfig, graph: _FactorGraph | None = None,
+                    ws: _Workspace | None = None) -> np.ndarray:
+    """Batched message passing in float64: received (B, K) complex -> posteriors (B, J, M).
+
+    The block arrays come from ws, or from a workspace of this call alone."""
     g = graph if graph is not None else _FactorGraph(codebook)
+    ws = ws if ws is not None else _Workspace()
     post = np.empty((received.shape[0], g.J, g.M))
-    for a, phi in _channel_metrics(received, ch, g):
-        tot = _block_totals(phi, g, cfg)[0]
+    for a, phi in _channel_metrics(received, ch, g, np.float64, ws):
+        tot = _block_totals(phi, g, cfg, ws)[0]
         post[a : a + tot.shape[-1]] = softmax(np.ascontiguousarray(tot.transpose(2, 0, 1)))
     return post
 
@@ -196,11 +263,12 @@ def _top_two(tot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _mpa_decisions(received: np.ndarray, g: _FactorGraph, ch: ChannelRealization,
-                   cfg: MpaConfig) -> tuple[np.ndarray, np.ndarray]:
+                   cfg: MpaConfig, ws: _Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Max-Log decisions (B, J) from a float32 run on graph g, and the rows it cannot vouch for.
 
     Each block's channel metric is evaluated in complex64 arithmetic and
-    iterated in float32 by _block_totals. Every decision is the argmax of a
+    iterated in float32 by _block_totals, on the arrays of ws, or of a
+    workspace of this call alone. Every decision is the argmax of a
     float32 total. A row is sure when each user's margin between its top two
     totals exceeds
         bound = 2 E (1 + 4 E + 2^-10) R + 2 N G (1 + 2^-10) A + 2^-40;
@@ -278,9 +346,10 @@ def _mpa_decisions(received: np.ndarray, g: _FactorGraph, ch: ChannelRealization
         e = (n * (d * n + 2 + (d - 1) * (n - 1) * (n + 2)) * growth + n * (n - 1)) * (u + u64)
         if e > FLOAT32_MAX_E:
             return dec, np.arange(received.shape[0])
-        for a, phi in _channel_metrics(received, ch, g, np.float32):
+        ws = ws if ws is not None else _Workspace()
+        for a, phi in _channel_metrics(received, ch, g, np.float32, ws):
             rows = slice(a, a + phi.shape[-1])
-            tot, r_max[rows] = _block_totals(phi, g, cfg)
+            tot, r_max[rows] = _block_totals(phi, g, cfg, ws)
             dec[rows], least[rows] = _top_two(tot)
         # S / sqrt(N0) per row, S the largest |r_k| + |h_k s| over resources k and combinations s
         s = (np.abs(received) + np.abs(ch.h[:, None] * g.sums).max(axis=1)).max(axis=1)
@@ -291,7 +360,8 @@ def _mpa_decisions(received: np.ndarray, g: _FactorGraph, ch: ChannelRealization
     return dec, np.flatnonzero(~sure)
 
 
-def _block_totals(phi: np.ndarray, g: _FactorGraph, cfg: MpaConfig) -> tuple[np.ndarray, np.ndarray]:
+def _block_totals(phi: np.ndarray, g: _FactorGraph, cfg: MpaConfig,
+                  ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
     """All iterations on one block, in phi's dtype: channel metric phi
     (M^d, K, b) -> each user's final log-domain totals (J, M, b), and the
     largest |r| (b,) of any resource-to-user message over the iterations.
@@ -301,38 +371,53 @@ def _block_totals(phi: np.ndarray, g: _FactorGraph, cfg: MpaConfig) -> tuple[np.
     length-M slot axis. Messages are (d, M, K, b): the resource update reads
     and writes slot s's (M, K, b) block whole, and the user update gathers
     and scatters each edge's (M, b) messages at (g.slot, :, g.resource).
-    Slot s's peak is one max of the (M,) * d + (K, b) cube over its other
-    slot axes, and a user's message is normalised by its max over the M
-    messages.
+    Slot s's peak is one np.maximum.reduce of the (M,) * d + (K, b) cube
+    over its other slot axes, those before s and those after it each merged
+    into one, into the slot's block of the peaks; one subtraction of the
+    incoming messages from all d peaks then gives every message. A user's
+    message is normalised by its max over the M messages. The last
+    iteration's totals are the sum its user update would take, and no
+    message to a resource is made after them.
+
+    The cube, messages, peaks and running minima are ws's (64-byte aligned,
+    each at its own 256-byte page offset, see _Workspace); the messages and
+    minima restart from zero on every block, and the returned arrays are
+    the block's own.
     """
     M, K, d, b = g.M, g.K, g.d, phi.shape[-1]
     cube_shape = (M,) * d + (K, b)
-    total = np.empty(cube_shape, phi.dtype)
-    # user-to-resource (v) and resource-to-user messages, slot-major
-    # (d, M, K, b) with a uniform start: slot s's messages are one block v[s]
-    v, r_msg = np.zeros((2, d, M, K, b), phi.dtype)
-    low = np.zeros((d, M, K, b), phi.dtype)  # every message is <= 0
+    total = ws.array("total", cube_shape, phi.dtype)
+    # user-to-resource (v) and resource-to-user messages, each slot's peak
+    # and each message's running minimum, slot-major (d, M, K, b): slot s's
+    # messages are one block v[s]. v starts uniform, and every message is <= 0
+    v, peak, r_msg, low = (ws.array(name, (d, M, K, b), phi.dtype) for name in ("v", "peak", "r_msg", "low"))
+    v.fill(0)
+    low.fill(0)
     # v[s] broadcast along slot axis s of the cube
     v_axis = [v[s].reshape((1,) * s + (M,) + (1,) * (d - 1 - s) + (K, b)) for s in range(d)]
-    # the cube's slot axes other than s, the axes slot s's peak is taken over
-    others = [tuple(q for q in range(d) if q != s) for s in range(d)]
+    # the cube with slot s on axis 1 and the slots before and after it merged on axes 0 and 2
+    slot_cube = [total.reshape(M**s, M, M ** (d - 1 - s), K, b) for s in range(d)]
 
-    for _ in range(cfg.n_iter):
+    for it in range(cfg.n_iter):
         # resource-to-user: combine channel metric with every slot's message,
         # then remove each slot's own message from the max over the others
         np.add(phi.reshape(cube_shape), v_axis[0], out=total)
         for s in range(1, d):
             total += v_axis[s]
         for s in range(d):
-            np.subtract(total.max(axis=others[s]), v[s], out=r_msg[s])
+            np.maximum.reduce(slot_cube[s], axis=(0, 2), out=peak[s])
+        np.subtract(peak, v, out=r_msg)
         np.minimum(low, r_msg, out=low)
         # user-to-resource: sum of the other resources' messages, normalized
         incoming = r_msg[g.slot, :, g.resource]  # (J, N, M, b)
-        msg = incoming.sum(axis=1, keepdims=True) - incoming
+        tot = incoming.sum(axis=1, keepdims=True)
+        if it == cfg.n_iter - 1:
+            break
+        msg = tot - incoming
         msg -= msg.max(axis=2, keepdims=True)
         v[g.slot, :, g.resource] = msg
 
-    return r_msg[g.slot, :, g.resource].sum(axis=1), -low.min(axis=(0, 1, 2))
+    return tot[:, 0], -low.min(axis=(0, 1, 2))
 
 
 def _received_vector(received, codebook: Codebook, ch: ChannelRealization) -> np.ndarray:

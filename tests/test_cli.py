@@ -515,6 +515,12 @@ class TestMalformedInputs:
         assert "noise power must be positive and finite, got 0.0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_snr_whose_n0_underflows_names_the_point(self, tmp_path, capsys):
+        out = tmp_path / "ber.csv"
+        assert run_cli(["ber", "--codebook", HUAWEI, "--snr", "8,3300", "--out", str(out)]) == 1
+        assert "Eb/N0 3300.0 dB: noise power must be positive and finite, got 0.0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_numeric_snr_is_validation_error(self, tmp_path):
         out = tmp_path / "ber.csv"
         assert run_cli(["ber", "--codebook", HUAWEI, "--snr", "abc", "--out", str(out)]) == 1

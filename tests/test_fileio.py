@@ -677,3 +677,11 @@ def test_csv_cell_with_comma_quote_and_newline_round_trips(tmp_path):
     with open(path, newline="") as fh:
         assert list(csv.reader(fh)) == [["name", "med"], [name, "0.5534440688493857"], ["plain", "1"]]
     assert path.read_text().endswith("\nplain,1\n")
+
+
+def test_csv_cell_with_bare_carriage_return_round_trips(tmp_path):
+    path = tmp_path / "table.csv"
+    write_csv(path, ("name", "med"), [("c\rr", 0.5), ("plain", 1)])
+    with open(path, newline="") as fh:
+        assert list(csv.reader(fh)) == [["name", "med"], ["c\rr", "0.5"], ["plain", "1"]]
+    assert path.read_bytes() == b'name,med\n"c\rr","0.5"\nplain,1\n'

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from scmalink import (
     tuple_digits,
     wilson_interval,
 )
-from scmalink import core, metrics
+from scmalink import core, metrics, mpa
 from scmalink.core import SEARCH_BLOCK, nearest_points
 from scmalink.metrics import _bit_error_table
 from scmalink.mpa import _ml_decisions, _mpa_posteriors
@@ -391,11 +392,25 @@ class TestSimulateBer:
         simulate_ber(huawei, "ml", [ebn0], min_errors=10**9, max_bits=2 * 500 * 12, batch_size=500)
         assert seen == [ebn0_to_n0(ebn0, huawei.config.M)] * 2
 
-    @pytest.mark.parametrize("ebn0s", [[3300.0], [8.0, np.inf]])
+    # the error names the point: "Eb/N0 3300.0 dB", "Eb/N0 inf dB"
+    @pytest.mark.parametrize("ebn0s", [[3300], [8.0, np.inf]])
     def test_n0_that_underflows_raises_before_any_chunk(self, huawei, monkeypatch, ebn0s):
         monkeypatch.setattr(metrics, "apply_channel", lambda *args: pytest.fail("a chunk ran"))
-        with pytest.raises(ConfigError, match="noise power must be positive and finite, got 0.0"):
+        point = float(ebn0s[-1])
+        with pytest.raises(ConfigError, match=f"^Eb/N0 {point} dB: noise power must be positive and finite, got 0.0"):
             simulate_ber(huawei, "mpa", ebn0s)
+
+    # each (name, dtype) block array of the float32 pass and the float64
+    # re-run is made at its first block and grown at most once over the 4 chunks
+    def test_mpa_point_reuses_one_workspace_across_blocks_and_chunks(self, huawei, monkeypatch):
+        made, allocate = [], mpa._Workspace._allocate
+        monkeypatch.setattr(mpa._Workspace, "_allocate",
+                            lambda ws, key, size: made.append(key) or allocate(ws, key, size))
+        pt = simulate_ber(huawei, "mpa", [8.0], min_errors=10**9, max_bits=4 * 2000 * 12,
+                          batch_size=2000).points[0]
+        assert pt.bits == 4 * 2000 * 12
+        assert {dtype for _, dtype in made} == set(map(np.dtype, ["f4", "f8", "c8", "c16"]))
+        assert max(Counter(made).values()) <= 2
 
     def test_neural_requires_decoder(self, huawei):
         with pytest.raises(ConfigError, match="decoder"):

@@ -33,7 +33,7 @@ from scmalink import (
 from scmalink import core, mpa
 from scmalink.core import SEARCH_BLOCK, nearest_points
 from scmalink.mpa import (N0_FLOOR, _block_totals, _FactorGraph, _ml_decisions, _mpa_decisions,
-                          _mpa_posteriors, _top_two, block_rows)
+                          _mpa_posteriors, _top_two, _Workspace, block_rows)
 
 # received vectors per message-passing block: float64 runs (_mpa_posteriors)
 # and float32 runs (_mpa_decisions)
@@ -279,11 +279,58 @@ class TestBlockTotals:
         # M^(d-1) combinations of about twice as many values, so ties are
         # common but the peaks are not all the largest value
         phi = rng.integers(-2 * M ** (d - 1), 1, (M**d, g.K, 3)).astype(dtype)
-        tot, largest = _block_totals(phi, g, MpaConfig(n_iter=3))
+        tot, largest = _block_totals(phi, g, MpaConfig(n_iter=3), _Workspace())
         want_tot, want_largest = loop_block_totals(phi, g, 3)
         assert tot.dtype == largest.dtype == dtype
         assert tot.shape == want_tot.shape and np.array_equal(tot, want_tot)
         assert largest.shape == want_largest.shape and np.array_equal(largest, want_largest)
+
+
+class TestWorkspace:
+    # blocks of the widths the passes meet (a full float32 block, a partial
+    # one, a few re-run rows and one vector), the dtypes alternating, through
+    # one workspace. The first two are scaled up, so their messages and
+    # minima are far larger than those of the later, smaller block of the
+    # same dtype, which would read them if the workspace kept them
+    BLOCKS = [(512, np.float32, 16.0), (464, np.float64, 16.0), (39, np.float32, 1.0), (1, np.float64, 1.0)]
+
+    def test_reuse_keeps_no_state_between_blocks(self, huawei):
+        g, cfg = _FactorGraph(huawei), MpaConfig()
+        ch = ChannelRealization.awgn(4, ebn0_to_n0(8.0, 4))
+        faded = (ch.h[:, None] * g.sums).T[:, :, None]
+        shared, rng = _Workspace(), np.random.default_rng(33)
+        for b, dtype, scale in self.BLOCKS:
+            r = scale * apply_channel(superimpose(huawei, rng.integers(0, 4, (b, 6))), ch, rng)
+            cdtype = np.result_type(dtype, np.complex64)
+            phi = -np.abs(r.T.astype(cdtype) - faded.astype(cdtype)) ** 2 / np.dtype(dtype).type(ch.n0)
+            want = _block_totals(phi, g, cfg, _Workspace())
+            got = _block_totals(phi, g, cfg, shared)
+            if dtype == np.float32:
+                want += _mpa_decisions(r, g, ch, cfg)
+                got += _mpa_decisions(r, g, ch, cfg, shared)
+            else:
+                want += (_mpa_posteriors(r, huawei, ch, cfg, g),)
+                got += (_mpa_posteriors(r, huawei, ch, cfg, g, shared),)
+            assert [(x.dtype, x.shape, x.tobytes()) for x in got] == [(x.dtype, x.shape, x.tobytes()) for x in want]
+
+    def test_arrays_are_line_aligned_at_distinct_page_offsets(self, huawei, monkeypatch):
+        addresses, array = {}, _Workspace.array
+        def spy(ws, name, shape, dtype):
+            out = array(ws, name, shape, dtype)
+            addresses[name, np.dtype(dtype)] = out.ctypes.data
+            return out
+        monkeypatch.setattr(_Workspace, "array", spy)
+        g, cfg, ws = _FactorGraph(huawei), MpaConfig(), _Workspace()
+        ch = ChannelRealization.awgn(4, ebn0_to_n0(8.0, 4))
+        r = apply_channel(superimpose(huawei, np.random.default_rng(5).integers(0, 4, (600, 6))), ch,
+                          np.random.default_rng(6))
+        _mpa_decisions(r, g, ch, cfg, ws)
+        _mpa_posteriors(r[:300], huawei, ch, cfg, g, ws)
+        kinds = [(np.float32, np.complex64), (np.float64, np.complex128)]
+        assert set(addresses) == {("diff", np.dtype(c)) for _, c in kinds} | {
+            (n, np.dtype(t)) for n in ("phi", "total", "v", "peak", "r_msg", "low") for t, _ in kinds}
+        assert all(a % 64 == 0 for a in addresses.values())
+        assert len({a % 4096 for a in addresses.values()}) == len(addresses)
 
 
 def broadcast_sums(words):
@@ -427,7 +474,7 @@ class TestChannelMetricLayout:
         r = received.astype(cdtype, copy=False)
         n0 = np.dtype(dtype).type(max(ch.n0, N0_FLOOR))
         rows, starts = block_rows(dtype), []
-        for a, phi in mpa._channel_metrics(received, ch, g, dtype):
+        for a, phi in mpa._channel_metrics(received, ch, g, dtype, _Workspace()):
             starts.append(a)
             b = min(rows, B - a)
             assert phi.dtype == dtype and phi.shape == (g.M**g.d, g.K, b)
