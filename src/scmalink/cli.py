@@ -17,6 +17,7 @@ import numpy as np
 from .core import Codebook, ConfigError, DegenerateCodebookError, ScmaError
 from .fileio import (
     CodebookFormatError,
+    _check_label,
     codebook_to_dict,
     load_checkpoint,
     read_codebook,
@@ -146,11 +147,16 @@ def _cmd_ber(args) -> int:
     if args.detector == "neural":
         if not args.model:
             raise CodebookFormatError("--model checkpoint is required for the neural detector")
-        _, decoder, _, _ = load_checkpoint(args.model)
+        _, decoder, ind, _ = load_checkpoint(args.model)
         try:
             decoder.check_fits(cb.config)
+            if not np.array_equal(ind.F, cb.indicator.F):
+                raise ConfigError(f"field 'F' {ind.F.tolist()} differs from the codebook's "
+                                  f"{cb.indicator.F.tolist()}")
         except ConfigError as exc:
             raise ConfigError(f"--model {args.model}: {exc}") from exc
+    elif args.model is not None:
+        raise ConfigError(f"--model {args.model}: only the neural detector reads a model, not {args.detector}")
     # --out-dir is made only once there is a curve to write, so a rejected run leaves none
     out = args.out or Path(args.out_dir) / f"ber_{Path(args.codebook).stem}_{args.detector}.csv"
     _check_out_file(out, "--out" if args.out else "--out-dir", make_dir=not args.out)
@@ -252,6 +258,7 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_export(args) -> int:
     _check_out_file(args.out, "--out")
     gen, _, ind, meta = load_checkpoint(args.checkpoint)
+    _check_label(args.name, meta.get("seed"), f"{args.checkpoint}: meta")
     try:
         codebook = learned_codebook(gen, ind)
     except DegenerateCodebookError as exc:

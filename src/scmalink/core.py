@@ -18,6 +18,8 @@ order. Its results are those of a plain per-pair loop that keeps the first minim
 
 from __future__ import annotations
 
+import ctypes
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -399,3 +401,40 @@ def tuple_digits(index, alphabet_size: int, n_users: int) -> np.ndarray:
     """
     powers = alphabet_size ** np.arange(n_users - 1, -1, -1)
     return (np.asarray(index)[..., None] // powers) % alphabet_size
+
+
+class _Workspace:
+    """Scratch arrays of one hot loop, reused from step to step: the block
+    arrays of a Max-Log MPA pass and a DenseLayer's training buffers.
+
+    array(name, shape, dtype) returns a C-contiguous prefix of one flat
+    buffer per (name, dtype), holding whatever the last step left. A
+    buffer only grows, and a grown one at least doubles, so blocks of
+    rising width (the float64 re-runs of successive chunks) reallocate
+    rarely. The buffer of the i-th (name, dtype) pair requested starts
+    STAGGER * i bytes (mod PAGE) past a PAGE boundary, grown or not: every
+    array is 64-byte aligned, and no two of the first PAGE / STAGGER pairs
+    share a page offset, which split loads and 4K aliasing between the
+    arrays of one elementwise step would punish.
+    """
+
+    PAGE, STAGGER = 4096, 256
+
+    def __init__(self):
+        self._buffers: dict[tuple[str, np.dtype], np.ndarray] = {}
+        self._steps: dict[tuple[str, np.dtype], int] = {}
+
+    def array(self, name: str, shape: tuple, dtype) -> np.ndarray:
+        key, size = (name, np.dtype(dtype)), math.prod(shape)
+        buf = self._buffers.get(key)
+        if buf is None or buf.size < size:
+            buf = self._buffers[key] = self._allocate(key, size if buf is None else max(size, 2 * buf.size))
+        return buf[:size].reshape(shape)
+
+    def _allocate(self, key: tuple[str, np.dtype], size: int) -> np.ndarray:
+        offset = self._steps.setdefault(key, len(self._steps)) * self.STAGGER % self.PAGE
+        nbytes = size * key[1].itemsize
+        raw = np.empty(nbytes + self.PAGE + offset, np.uint8)
+        # raw's address; ctypes.addressof takes a third of the time of raw.ctypes.data
+        start = -ctypes.addressof(ctypes.c_char.from_buffer(raw)) % self.PAGE + offset
+        return raw[start : start + nbytes].view(key[1])

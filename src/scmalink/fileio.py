@@ -12,11 +12,13 @@ boolean or string is never a number, an integer field takes no fraction, and
 an entry of F is a JSON integer 0 or 1), non-finite codewords, unknown keys in
 a config, at a codebook's top level, in any system block, and in a
 checkpoint's header, layout and array entries, and a key given twice in one
-JSON object of any of the three. A checkpoint is also rejected for a bad magic
-number, a truncated file, a header that is not JSON, a layout other than the
-rule's, array names other than its layout's in that order, a shape that is not
-a list of non-negative integers, arrays the stored system or layout rejects, a
-meta that is not an object, and bytes after its last array.
+JSON object of any of the three. A codebook's name must be a JSON string and
+its seed a JSON integer >= 0 or null (_check_label, which scmalink export
+applies to a checkpoint's meta seed too). A checkpoint is also rejected for a
+bad magic number, a truncated file, a header that is not JSON, a layout other
+than the rule's, array names other than its layout's in that order, a shape
+that is not a list of non-negative integers, arrays the stored system or
+layout rejects, a meta that is not an object, and bytes after its last array.
 
 A checkpoint's layout names each layer's role, which follows from its
 position: relu everywhere but each user's last layer, its softmax head, with
@@ -192,12 +194,21 @@ def _check_list(value, length: int, field: str, items: str, where: str) -> None:
         raise CodebookFormatError(f"{where}: {field} lists {len(value)} {items}, expected {length}")
 
 
+def _check_label(name, seed, where: str) -> None:
+    """A codebook's name must be a JSON string, and its seed a JSON integer >= 0 or null."""
+    if not isinstance(name, str):
+        raise CodebookFormatError(f"{where}: bad field 'name' (expected a string, got {name!r})")
+    if seed is not None and (type(seed) is not int or seed < 0):  # a bool is no integer
+        raise CodebookFormatError(f"{where}: bad field 'seed' (expected an integer >= 0 or null, got {seed!r})")
+
+
 def codebook_from_dict(doc: dict, where: str = "codebook") -> Codebook:
     _check_keys(doc, ("format", "version", "name", "seed", "config_hash", "system", "F", "codewords"), where)
     if _require(doc, "format", where) != CODEBOOK_FORMAT:
         raise CodebookFormatError(f"{where}: format {doc.get('format')!r} is not {CODEBOOK_FORMAT!r}")
     if _typed(doc, "version", int, where) != CODEBOOK_VERSION:
         raise CodebookFormatError(f"{where}: unsupported version {doc.get('version')!r}")
+    _check_label(doc.get("name", ""), doc.get("seed"), where)
     cfg, ind = _system_from_dict(_require(doc, "system", where), _require(doc, "F", where),
                                  f"{where}.system")
     raw = _require(doc, "codewords", where)

@@ -22,10 +22,10 @@ from itertools import chain, count
 import numpy as np
 
 from .channel import ChannelRealization, apply_channel, ebn0_to_n0, split_real
-from .core import (Codebook, ConfigError, DegenerateCodebookError, build_bit_matrix, nearest_points,
-                   ordered_distances, superimposed_constellation, tuple_digits)
+from .core import (Codebook, ConfigError, DegenerateCodebookError, _Workspace, build_bit_matrix,
+                   nearest_points, ordered_distances, superimposed_constellation, tuple_digits)
 from .encoder import superimpose
-from .mpa import MpaConfig, _FactorGraph, _ml_decisions, _mpa_decisions, _mpa_posteriors, _Workspace
+from .mpa import MpaConfig, _FactorGraph, _ml_decisions, _mpa_decisions, _mpa_posteriors
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -149,7 +149,7 @@ def simulate_ber(codebook: Codebook, detector: str, ebn0_db_list, *,
     graph built once per call, and re-runs the rows it cannot vouch for,
     those with a top-two margin within its rounding bound, through the
     float64 _mpa_posteriors on the same graph, all of them past
-    mpa.FLOAT32_MAX_E. Both take their block arrays from one mpa._Workspace
+    mpa.FLOAT32_MAX_E. Both take their block arrays from one core._Workspace
     per worker thread, kept for the whole call. Rows are independent, so
     every decision and every count is that of the float64 detector. A point
     keeps each user's bit errors beside their total, and the stopping rule

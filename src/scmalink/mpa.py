@@ -25,13 +25,13 @@ output.
 
 A pass takes its block arrays, the complex difference r - h s and the metric
 of _channel_metrics and the cube, messages, peaks and minima of
-_block_totals, from one _Workspace, which simulate_ber keeps per worker
-thread for a whole call and mpa_detect makes per call. Each array starts
-on a 64-byte cache line, at its own 256-byte step past a 4096-byte page
-boundary, so no two share a page offset, and a smaller block uses a
-C-contiguous prefix of it. A cube off a line boundary runs about a fifth
-slower (see BLOCK_BYTES), and reuse spares the page faults of a fresh
-allocation per block.
+_block_totals, from one core._Workspace (the class DenseLayer's training
+buffers use too), which simulate_ber keeps per worker thread for a whole
+call and mpa_detect makes per call. Each array starts on a 64-byte cache
+line, at its own 256-byte step past a 4096-byte page boundary, so no two
+share a page offset, and a smaller block uses a C-contiguous prefix of it. A
+cube off a line boundary runs about a fifth slower (see BLOCK_BYTES), and
+reuse spares the page faults of a fresh allocation per block.
 
 _channel_metrics and _block_totals work in the dtype they are given.
 _mpa_posteriors, and so mpa_detect, runs them in float64. _mpa_decisions,
@@ -59,8 +59,6 @@ index) wins.
 
 from __future__ import annotations
 
-import ctypes
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +69,7 @@ from .core import (
     ConfigError,
     IndicatorMatrix,
     ShapeError,
+    _Workspace,
     codeword_sums,
     nearest_points,
     superimposed_constellation,
@@ -154,42 +153,6 @@ class _FactorGraph:
         self.resource, self.slot = np.divmod(order[: J * cfg.N].reshape(J, cfg.N), d)
 
 
-class _Workspace:
-    """Block arrays of the message-passing passes, reused from block to block.
-
-    array(name, shape, dtype) returns a C-contiguous prefix of one flat
-    buffer per (name, dtype), holding whatever the last block left. A
-    buffer only grows, and a grown one at least doubles, so blocks of
-    rising width (the float64 re-runs of successive chunks) reallocate
-    rarely. The buffer of the i-th (name, dtype) pair requested starts
-    STAGGER * i bytes (mod PAGE) past a PAGE boundary, grown or not: every
-    array is 64-byte aligned, and no two of the first PAGE / STAGGER pairs
-    share a page offset, which split loads and 4K aliasing between the
-    arrays of one elementwise step would punish.
-    """
-
-    PAGE, STAGGER = 4096, 256
-
-    def __init__(self):
-        self._buffers: dict[tuple[str, np.dtype], np.ndarray] = {}
-        self._steps: dict[tuple[str, np.dtype], int] = {}
-
-    def array(self, name: str, shape: tuple, dtype) -> np.ndarray:
-        key, size = (name, np.dtype(dtype)), math.prod(shape)
-        buf = self._buffers.get(key)
-        if buf is None or buf.size < size:
-            buf = self._buffers[key] = self._allocate(key, size if buf is None else max(size, 2 * buf.size))
-        return buf[:size].reshape(shape)
-
-    def _allocate(self, key: tuple[str, np.dtype], size: int) -> np.ndarray:
-        offset = self._steps.setdefault(key, len(self._steps)) * self.STAGGER % self.PAGE
-        nbytes = size * key[1].itemsize
-        raw = np.empty(nbytes + self.PAGE + offset, np.uint8)
-        # raw's address; ctypes.addressof takes a third of the time of raw.ctypes.data
-        start = -ctypes.addressof(ctypes.c_char.from_buffer(raw)) % self.PAGE + offset
-        return raw[start : start + nbytes].view(key[1])
-
-
 def block_rows(dtype) -> int:
     """Received vectors per message-passing block of a channel metric in dtype."""
     return BLOCK_BYTES // np.dtype(dtype).itemsize
@@ -263,14 +226,13 @@ def _top_two(tot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _mpa_decisions(received: np.ndarray, g: _FactorGraph, ch: ChannelRealization,
-                   cfg: MpaConfig, ws: _Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
+                   cfg: MpaConfig, ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
     """Max-Log decisions (B, J) from a float32 run on graph g, and the rows it cannot vouch for.
 
     Each block's channel metric is evaluated in complex64 arithmetic and
-    iterated in float32 by _block_totals, on the arrays of ws, or of a
-    workspace of this call alone. Every decision is the argmax of a
-    float32 total. A row is sure when each user's margin between its top two
-    totals exceeds
+    iterated in float32 by _block_totals, on the arrays of ws. Every
+    decision is the argmax of a float32 total. A row is sure when each
+    user's margin between its top two totals exceeds
         bound = 2 E (1 + 4 E + 2^-10) R + 2 N G (1 + 2^-10) A + 2^-40;
     then each decision is the argmax of the row's float64 posteriors. The
     other rows' indices are returned: the caller re-runs them through
@@ -346,7 +308,6 @@ def _mpa_decisions(received: np.ndarray, g: _FactorGraph, ch: ChannelRealization
         e = (n * (d * n + 2 + (d - 1) * (n - 1) * (n + 2)) * growth + n * (n - 1)) * (u + u64)
         if e > FLOAT32_MAX_E:
             return dec, np.arange(received.shape[0])
-        ws = ws if ws is not None else _Workspace()
         for a, phi in _channel_metrics(received, ch, g, np.float32, ws):
             rows = slice(a, a + phi.shape[-1])
             tot, r_max[rows] = _block_totals(phi, g, cfg, ws)

@@ -18,10 +18,11 @@ DenseLayer holding every user's weights stacked as (J, out, in) and biases
 as (J, out); its activations are (J, batch, width). A trunk layer holds
 (out, in) weights and (out,) biases.
 
-A remembered (training) forward and its backward write into arrays each
-layer owns, allocated again only when the batch shape changes: the affine
-output (relu applied to it in place on hidden layers), the relu mask and the
-input gradient. They stay valid until the next remembered forward. Weight
+A remembered (training) forward and its backward write into arrays of the
+layer's own core._Workspace: the affine output (relu applied to it in place
+on hidden layers), the relu mask and the input gradient. A buffer only grows,
+so a smaller batch uses a prefix of it; each is 64-byte aligned at its own
+page offset. They stay valid until the next remembered forward. Weight
 and bias gradients are written in place. Fresh (J, batch, width) arrays
 every step cost page faults, as the allocator hands them back to the OS.
 The probabilities and backward_cross_entropy's input gradient leave the
@@ -60,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, ShapeError, SystemConfig
+from .core import ConfigError, ShapeError, SystemConfig, _Workspace
 
 # most rows per inference block; one 2,000-vector forward of the paper
 # decoder (BLAS 1 thread, 2-core Xeon, median of 40) took 6.64 ms as one
@@ -85,7 +86,8 @@ def softmax(z):
 
 class DenseLayer:
     """Affine map x W^T + b, for one network or J stacked ones, and relu on
-    it; a decoder's last layer, its softmax head, reads only the affine map."""
+    it; a decoder's last layer, its softmax head, reads only the affine map.
+    Training buffers come from its _Workspace: grow-only, aligned, staggered."""
 
     def __init__(self, weights, bias):
         w, b = (np.asarray(a, dtype=_dtype_of(a)) for a in (weights, bias))
@@ -101,7 +103,7 @@ class DenseLayer:
         self.grad_bias = np.zeros_like(b)
         self._input = None
         self._output = None
-        self._buffers = {}
+        self._ws = _Workspace()
 
     @property
     def n_in(self):
@@ -111,20 +113,12 @@ class DenseLayer:
     def n_out(self):
         return self.weights.shape[-2]
 
-    def _buffer(self, name, shape, dtype=None):
-        """The layer's own array `name`, allocated again only when `shape`
-        changes; in the layer's dtype unless another is given."""
-        buf = self._buffers.get(name)
-        if buf is None or buf.shape != shape:
-            buf = self._buffers[name] = np.empty(shape, self.weights.dtype if dtype is None else dtype)
-        return buf
-
     def affine(self, x, remember=False):
-        """x W^T + b for a (batch, in) or (J, batch, in) input; a layer buffer if remembered."""
+        """x W^T + b for a (batch, in) or (J, batch, in) input; a workspace array if remembered."""
         w_t = self.weights.swapaxes(-1, -2)
         if remember:
             shape = (*self.weights.shape[:-2], x.shape[-2], self.n_out)
-            z = np.matmul(x, w_t, out=self._buffer("z", shape))
+            z = np.matmul(x, w_t, out=self._ws.array("z", shape, self.weights.dtype))
             self._input = x
             self._output = z
         else:
@@ -145,16 +139,16 @@ class DenseLayer:
         np.matmul(np.swapaxes(grad_z, -1, -2), self._input, out=self.grad_weights)
         np.sum(grad_z, axis=-2, out=self.grad_bias)
         shape = (*grad_z.shape[:-1], self.n_in)
-        return np.matmul(grad_z, self.weights, out=self._buffer("grad_in", shape))
+        return np.matmul(grad_z, self.weights, out=self._ws.array("grad_in", shape, self.weights.dtype))
 
     def backward(self, grad_out):
         """Backward from the gradient w.r.t. the relu output, masked in place
-        where the kept output is 0: relu(z) > 0 exactly where z > 0. The input
-        gradient returned is a layer buffer, like the affine output, valid
-        until the next remembered forward overwrites it."""
+        where the kept output is 0: relu(z) > 0 exactly where z > 0. The mask
+        and the input gradient returned are workspace arrays, like the affine
+        output, valid until the next remembered forward overwrites them."""
         if self._output is None:
             raise ConfigError("backward called without a remembered forward pass")
-        mask = np.greater(self._output, 0, out=self._buffer("mask", grad_out.shape, bool))
+        mask = np.greater(self._output, 0, out=self._ws.array("mask", grad_out.shape, bool))
         return self.backward_preact(np.multiply(grad_out, mask, out=grad_out))
 
 

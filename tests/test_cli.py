@@ -638,6 +638,46 @@ class TestMalformedInputs:
         assert f"--model {model}: decoder input width 6" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("detector", ["mpa", "ml"])
+    def test_model_for_a_detector_that_reads_none_is_rejected(self, tmp_path, capsys, detector):
+        # the flag was ignored, and the run wrote its CSV
+        out = tmp_path / "ber.csv"
+        assert run_cli(["ber", "--codebook", HUAWEI, "--detector", detector, "--model", "/nonexistent.bin",
+                        "--snr", "8", "--max-bits", "24000", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"--model /nonexistent.bin: only the neural detector reads a model, not {detector}" in err
+        assert not out.exists()
+
+    def test_neural_model_of_another_graph_names_flag_and_field(self, tmp_path, capsys):
+        # the Huawei F with its columns reversed: the same J, K, N and M, so
+        # the decoder fits, and the run reported a BER near 0.5
+        cb = read_codebook(HUAWEI)
+        rng = np.random.default_rng(4)
+        model = tmp_path / "reversed.bin"
+        save_checkpoint(model, random_generators(cb.config, rng),
+                        MultiTaskDecoder.build(rng, 8, 6, 4, shared_widths=(8,), subnet_widths=(4,)),
+                        IndicatorMatrix(cb.indicator.F[:, ::-1]))
+        out = tmp_path / "ber.csv"
+        assert run_cli(["ber", "--codebook", HUAWEI, "--detector", "neural", "--model", str(model),
+                        "--snr", "8", "--max-bits", "24000", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"--model {model}: field 'F' {cb.indicator.F[:, ::-1].tolist()} differs from the codebook's " in err
+        assert not out.exists()
+
+    # each was written into the exported codebook, which the reader rejects
+    @pytest.mark.parametrize("seed", ["abc", -5, True])
+    def test_export_of_a_bad_meta_seed_names_the_checkpoint(self, tmp_path, capsys, seed):
+        cb = read_codebook(HUAWEI)
+        rng = np.random.default_rng(5)
+        model = tmp_path / "seed.bin"
+        save_checkpoint(model, random_generators(cb.config, rng),
+                        MultiTaskDecoder.build(rng, 8, 6, 4, shared_widths=(8,), subnet_widths=(4,)),
+                        cb.indicator, {"seed": seed})
+        out = tmp_path / "seed.json"
+        assert run_cli(["export", "--checkpoint", str(model), "--out", str(out)]) == 1
+        assert f"{model}: meta: bad field 'seed'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_export_of_an_all_zero_generator_names_the_checkpoint(self, tmp_path, capsys):
         sys_cfg = read_codebook(HUAWEI).config
         rng = np.random.default_rng(2)

@@ -208,6 +208,18 @@ class TestCodebookFiles:
         assert cli.run_cli(["med", "--codebook", str(path)]) == 1
         assert f"{path}: unknown keys ['colour']" in capsys.readouterr().err
 
+    # each was accepted: the hash covers neither the name nor the seed
+    @pytest.mark.parametrize("field, value", [("seed", "abc"), ("seed", -5), ("seed", True), ("name", [1, 2])])
+    def test_name_and_seed_have_their_json_types(self, tmp_path, capsys, field, value):
+        doc = json.loads(Path(data_path("huawei_4x6.json")).read_text())
+        doc[field] = value
+        path = tmp_path / "cb.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CodebookFormatError, match=re.escape(f"{path}: bad field '{field}'")):
+            read_codebook(path)
+        assert cli.run_cli(["med", "--codebook", str(path)]) == 1
+        assert f"{path}: bad field '{field}'" in capsys.readouterr().err
+
     def test_repeated_key_names_file_and_key(self, tmp_path, capsys):
         text = Path(data_path("huawei_4x6.json")).read_text()
         path = tmp_path / "cb.json"

@@ -1,10 +1,12 @@
 """Every name a package module imports at module level is used in it, every
-module-level private helper is read somewhere in the package, and every
-parameter of every function is read in that function's body.
+module-level private helper is read somewhere in the package, every
+parameter of every function is read in that function's body, a private name
+is imported only from the module that defines it, and no module-level name
+is defined in two modules.
 
 The project has no linter, so this stands in for unused-import,
-unused-argument and dead-code checks on src/scmalink. The package's
-__init__.py re-exports names and is skipped by the import check.
+unused-argument, dead-code and duplicate-definition checks on src/scmalink.
+The package's __init__.py re-exports names and is skipped by the import check.
 """
 
 import ast
@@ -43,21 +45,29 @@ def test_no_unused_module_level_import(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
 
 
+def defined_names(tree: ast.Module) -> list[str]:
+    """Names of the module-level functions, classes and assigned constants of tree."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return names
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
 def dead_private_names(sources: dict) -> list[str]:
     """'module:name' of each module-level _-prefixed function, class or
     constant of sources (module name -> source) that no module reads."""
     defined, read = set(), set()
     for module, source in sources.items():
         tree = ast.parse(source)
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
-                names = []
-            defined |= {(module, n) for n in names if n.startswith("_") and not n.startswith("__")}
+        defined |= {(module, n) for n in defined_names(tree) if is_private(n)}
         read |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
         read |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     return sorted(f"{module}:{name}" for module, name in defined if name not in read)
@@ -72,6 +82,54 @@ def test_checker_finds_a_dead_private_name():
 
 def test_no_dead_private_name():
     assert dead_private_names({p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}) == []
+
+
+def borrowed_private_imports(sources: dict) -> list[str]:
+    """'module: name from target' for each _-prefixed name that a module of
+    sources imports, relative to the package, from a module that does not
+    define it but imports it in turn."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ImportFrom) and node.level == 1 and node.module):
+                continue
+            target = f"{node.module}.py"
+            found += [f"{module}: {a.name} from {target}" for a in node.names
+                      if is_private(a.name) and a.name not in defined_names(trees[target])]
+    return sorted(found)
+
+
+def test_checker_finds_a_borrowed_private_import():
+    sources = {"a.py": "class _Own:\n    pass\n",
+               "b.py": "from .a import _Own\n",
+               "c.py": "from .b import _Own\nfrom .a import _Own as _Alias, Public\n"}
+    assert borrowed_private_imports(sources) == ["c.py: _Own from b.py"]
+
+
+def test_no_borrowed_private_import():
+    assert borrowed_private_imports({p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}) == []
+
+
+def names_defined_twice(sources: dict) -> list[str]:
+    """'name: modules' for each module-level function, class or constant
+    that more than one module of sources defines."""
+    homes = {}
+    for module, source in sorted(sources.items()):
+        for name in defined_names(ast.parse(source)):
+            homes.setdefault(name, []).append(module)
+    return sorted(f"{name}: {', '.join(modules)}" for name, modules in homes.items() if len(modules) > 1)
+
+
+def test_checker_finds_a_name_defined_twice():
+    sources = {"a.py": "LIMIT = 1\nclass _Buffer:\n    pass\ndef helper():\n    pass\n",
+               "b.py": "from .a import LIMIT\nLIMIT: int = 2\ndef _Buffer():\n    pass\n",
+               "c.py": "def f():\n    helper = 3\n    return helper\n"}
+    assert names_defined_twice(sources) == ["LIMIT: a.py, b.py", "_Buffer: a.py, b.py"]
+
+
+def test_no_name_defined_twice():
+    assert names_defined_twice({p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}) == []
 
 
 def unused_parameters(source: str) -> list[str]:

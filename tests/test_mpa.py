@@ -306,7 +306,7 @@ class TestWorkspace:
             want = _block_totals(phi, g, cfg, _Workspace())
             got = _block_totals(phi, g, cfg, shared)
             if dtype == np.float32:
-                want += _mpa_decisions(r, g, ch, cfg)
+                want += _mpa_decisions(r, g, ch, cfg, _Workspace())
                 got += _mpa_decisions(r, g, ch, cfg, shared)
             else:
                 want += (_mpa_posteriors(r, huawei, ch, cfg, g),)
@@ -490,7 +490,7 @@ def float64_decisions(r, cb, ch, cfg=MpaConfig()):
 def rerun_decisions(r, cb, ch, cfg=MpaConfig()):
     """Float32 decisions with the unsure rows re-run in float64, as simulate_ber
     does, and the unsure rows."""
-    dec, unsure = _mpa_decisions(r, _FactorGraph(cb), ch, cfg)
+    dec, unsure = _mpa_decisions(r, _FactorGraph(cb), ch, cfg, _Workspace())
     assert dec.shape == (len(r), cb.config.J) and np.all(np.diff(unsure) > 0)
     dec[unsure] = float64_decisions(r[unsure], cb, ch, cfg)
     return dec, unsure
@@ -524,7 +524,7 @@ class TestFloat32Decisions:
         rng = np.random.default_rng(8)
         ch = ChannelRealization.awgn(4, ebn0_to_n0(8.0, 4))
         r = apply_channel(superimpose(cb, rng.integers(0, 4, (2000, 6))), ch, rng)
-        assert len(_mpa_decisions(r, _FactorGraph(cb), ch, MpaConfig())[1]) < 100
+        assert len(_mpa_decisions(r, _FactorGraph(cb), ch, MpaConfig(), _Workspace())[1]) < 100
 
     # on the Huawei graph the bound constant E is 0.031 at 14 iterations, just
     # under FLOAT32_MAX_E, and 0.062 at 15, where the float32 run is skipped

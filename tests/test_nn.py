@@ -15,6 +15,7 @@ from scmalink import (
     cross_entropy,
     dnn_complexity,
 )
+from scmalink.core import _Workspace
 from scmalink.fileio import load_checkpoint
 from scmalink.nn import softmax
 
@@ -252,14 +253,16 @@ def assert_same_bytes(got, want):
 
 
 class TestLayerBuffers:
-    """A remembered forward and its backward reuse per-layer buffers; every
-    result must equal a run on layers that never held any."""
+    """A remembered forward and its backward reuse per-layer workspace
+    arrays; every result must equal a run on layers that never held any."""
 
     def test_batch_size_changes_match_fresh_copies(self):
+        # shrinking batches use prefixes of the first buffers; 1000 again
+        # reuses them, and 1500 grows them
         rng = np.random.default_rng(20)
         dec = paper_decoder(20)
         adam = AdamState.for_parameters(dec.parameters())
-        for size in (1000, 333, 3):
+        for size in (1000, 333, 3, 1000, 1500):
             x, msgs = random_batch(rng, size)
             twin = fresh_copy(dec)
             got = remembered_step(dec, x, msgs)
@@ -287,6 +290,24 @@ class TestLayerBuffers:
         got = probs, dec.backward_cross_entropy(probs, msgs)
         assert_same_bytes(got, want)
         assert_same_bytes(dec.gradients(), twin.gradients())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_arrays_are_line_aligned_at_distinct_page_offsets(self, dtype, monkeypatch):
+        addresses, array = {}, _Workspace.array
+        def spy(ws, name, shape, dt):
+            out = array(ws, name, shape, dt)
+            addresses.setdefault(id(ws), {})[name] = out.ctypes.data
+            return out
+        monkeypatch.setattr(_Workspace, "array", spy)
+        dec = paper_decoder(24).astype(dtype)
+        remembered_step(dec, *random_batch(np.random.default_rng(24), 500))
+        # every layer but the softmax head has a relu mask
+        *relu, head = (addresses[id(layer._ws)] for layer in dec.layers())
+        assert [set(a) for a in relu] == [{"z", "mask", "grad_in"}] * len(relu)
+        assert set(head) == {"z", "grad_in"}
+        for layer_addresses in (*relu, head):
+            assert all(a % 64 == 0 for a in layer_addresses.values())
+            assert len({a % 4096 for a in layer_addresses.values()}) == len(layer_addresses)
 
     def test_remembered_step_allocates_less_than_one_layer(self):
         # one (6, 1000, 64) float64 activation is 3,072,000 bytes; allocating
@@ -355,7 +376,8 @@ class TestDtype:
         assert np.array_equal(y32 > 0, y64 > 0)
         g32, g64 = l32.backward(grad.astype(np.float32)), l64.backward(grad.copy())
         assert y32.dtype == g32.dtype == l32.grad_weights.dtype == l32.grad_bias.dtype == np.float32
-        assert l32._buffers["mask"].dtype == bool
+        assert sorted(l32._ws._buffers) == [("grad_in", np.dtype(np.float32)), ("mask", np.dtype(bool)),
+                                            ("z", np.dtype(np.float32))]
         for got, want in ((y32, y64), (g32, g64), (l32.grad_weights, l64.grad_weights),
                           (l32.grad_bias, l64.grad_bias)):
             assert norm_rel(got, want) <= self.GRAD_REL
